@@ -165,9 +165,8 @@ def cmd_incidences(args) -> int:
     report = count_bichromatic(arrangement)
     doc = report.to_json_dict()
     if args.envelope:
-        m = max(arrangement.m, 1)
         doc["envelope"] = bound_envelope(
-            m, arrangement.k, arrangement.n, arrangement.d
+            arrangement.m, arrangement.k, arrangement.n, arrangement.d
         ).to_json_dict()
     print(report.red_incidences)
     text = json.dumps(doc, indent=2) + "\n"
@@ -201,35 +200,21 @@ def cmd_construct(args) -> int:
         }
         _write_output(args, json.dumps(doc, indent=2) + "\n")
         return 0
-    if kind == "bichromatic":
-        built = bichromatic_lower_construction(
-            args.d, args.n, args.k, args.m, c0=Fraction(args.c0)
-        )
+    if kind in ("bichromatic", "thetamk"):
         provenance = {
-            "command": "construct bichromatic",
-            "d": args.d,
-            "n": args.n,
-            "k": args.k,
-            "m": args.m,
-            "c0": str(args.c0),
-        }
-        doc = {
-            "schema": "spanflats-biarrangement/1",
-            "provenance": provenance,
-            **built.arrangement.to_json_dict(),
-            "predicted_red_incidences": built.red_incidences,
-        }
-        _write_output(args, json.dumps(doc, indent=2) + "\n")
-        return 0
-    if kind == "thetamk":
-        built = theta_mk_construction(args.d, args.n, args.k, args.m)
-        provenance = {
-            "command": "construct thetamk",
+            "command": f"construct {kind}",
             "d": args.d,
             "n": args.n,
             "k": args.k,
             "m": args.m,
         }
+        if kind == "bichromatic":
+            built = bichromatic_lower_construction(
+                args.d, args.n, args.k, args.m, c0=Fraction(args.c0)
+            )
+            provenance["c0"] = str(args.c0)
+        else:
+            built = theta_mk_construction(args.d, args.n, args.k, args.m)
         doc = {
             "schema": "spanflats-biarrangement/1",
             "provenance": provenance,

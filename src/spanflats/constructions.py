@@ -9,14 +9,16 @@ raise rather than return anything that fails its own structural predicates.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import isqrt
+from math import gcd, isqrt
 from typing import Sequence
 
+from .formulas import iroot
 from .incidence import BiArrangement
-from .kernel import Flat, GeometryError, Point, affine_rank, hyperplane
+from .kernel import Flat, Point, affine_rank, hyperplane
 
 
 class ConstructionError(ValueError):
@@ -38,55 +40,34 @@ def _grid_lines(pairs: Sequence[tuple[int, int]]) -> list[Flat]:
     return [hyperplane((-a, 1), b) for a, b in pairs]
 
 
-def _grid_vertex_degrees(
-    pairs: Sequence[tuple[int, int]]
-) -> dict[tuple[Fraction, Fraction], int]:
-    """All pairwise intersection points of the lines y = a*x + b, with the
-    number of lines through each."""
-    vertices: set[tuple[Fraction, Fraction]] = set()
-    for (a1, b1), (a2, b2) in combinations(pairs, 2):
-        if a1 == a2:
-            continue
-        x = Fraction(b2 - b1, a1 - a2)
-        vertices.add((x, a1 * x + b1))
-    return {
-        (x, y): sum(1 for a, b in pairs if a * x + b == y) for x, y in vertices
-    }
-
-
 def windowed_grid_degrees(
-    r: int, s: int
+    pairs: Sequence[tuple[int, int]], window: tuple[int, int] | None = None
 ) -> dict[tuple[Fraction, Fraction], int]:
-    """Vertex degrees of the r*s slope/intercept grid inside the window
-    |x| <= ceil(s/r), 0 <= y < r*ceil(s/r) + s.
+    """Vertices of the lines y = a*x + b, with the number of lines through
+    each; with ``window = (x_max, y_max)`` only those with |x| <= x_max and
+    0 <= y < y_max.
 
-    Candidate x values are the fractions beta/delta over slope and intercept
-    differences that land in the window, so the cost is (window candidates)
-    * (lines) rather than all-pairs times all-lines; a candidate no two
-    lines share is never promoted to a vertex. At a given x = p/q every
-    line value y = (a*p + b*q)/q shares the denominator q, so collision
-    counting is pure integer work.
+    Two lines meet at x = beta/delta for a slope difference delta and an
+    intercept difference beta, so those fractions are the only candidate x
+    values and the cost is (candidates) * (lines) rather than all-pairs
+    times all-lines; a candidate no two lines share is never promoted to a
+    vertex. At a given x = p/q every line value y = (a*p + b*q)/q shares
+    the denominator q, so collision counting is pure integer work.
     """
-    x_max = -(-s // r)
-    y_max = r * x_max + s
-    candidates: set[Fraction] = set()
-    for delta in range(1, r):
-        top = min(s - 1, delta * x_max)
-        for beta in range(-top, top + 1):
-            candidates.add(Fraction(beta, delta))
+    slopes = {a for a, _ in pairs}
+    intercepts = {b for _, b in pairs}
+    candidates: set[tuple[int, int]] = set()
+    for delta in {a1 - a2 for a1 in slopes for a2 in slopes if a1 > a2}:
+        for beta in {b1 - b2 for b1 in intercepts for b2 in intercepts}:
+            if window is None or abs(beta) <= delta * window[0]:
+                g = gcd(beta, delta)
+                candidates.add((beta // g, delta // g))
     degrees: dict[tuple[Fraction, Fraction], int] = {}
-    for x in candidates:
-        p, q = x.numerator, x.denominator
-        at_x: dict[int, int] = {}
-        for a in range(r):
-            ap = a * p
-            for b in range(s):
-                key = ap + b * q
-                at_x[key] = at_x.get(key, 0) + 1
-        y_cap = y_max * q
+    for p, q in candidates:
+        at_x = Counter(a * p + b * q for a, b in pairs)
         for key, count in at_x.items():
-            if count >= 2 and 0 <= key < y_cap:
-                degrees[(x, Fraction(key, q))] = count
+            if count >= 2 and (window is None or 0 <= key < window[1] * q):
+                degrees[(Fraction(p, q), Fraction(key, q))] = count
     return degrees
 
 
@@ -97,12 +78,12 @@ def erdos_grid_2d(r: int, s: int) -> LineGrid2D:
     if r < 1 or s < 1:
         raise ConstructionError("r and s must be >= 1")
     pairs = [(a, b) for a in range(r) for b in range(s)]
-    window = windowed_grid_degrees(r, s)
-    vertices = tuple(Point(v) for v in sorted(window))
+    x_max = -(-s // r)
+    degrees = windowed_grid_degrees(pairs, (x_max, r * x_max + s))
     return LineGrid2D(
         lines=tuple(_grid_lines(pairs)),
-        vertices=vertices,
-        incidences=sum(window[v.coords] for v in vertices),
+        vertices=tuple(Point(v) for v in sorted(degrees)),
+        incidences=sum(degrees.values()),
     )
 
 
@@ -117,7 +98,7 @@ def _rich_line_config(k: int) -> tuple[list[tuple[int, int]], list[tuple[int, tu
     r = max(min(k, 2), isqrt(k))
     s = -(-k // r)
     pairs = [(a, b) for a in range(r) for b in range(s)][:k]
-    degrees = _grid_vertex_degrees(pairs)
+    degrees = windowed_grid_degrees(pairs)
     ranked = sorted(((deg, v) for v, deg in degrees.items()), key=lambda t: (-t[0], t[1]))
     return pairs, ranked
 
@@ -196,20 +177,6 @@ class ThetaMkConstruction:
     bundle_size: int
 
 
-def _int_root(x: int, e: int) -> int:
-    """Largest r with r**e <= x."""
-    if x < 0:
-        raise ValueError("negative")
-    if e == 1:
-        return x
-    r = max(0, round(x ** (1.0 / e)))
-    while r**e > x:
-        r -= 1
-    while (r + 1) ** e <= x:
-        r += 1
-    return r
-
-
 def theta_mk_construction(d: int, n: int, k: int, m: int) -> ThetaMkConstruction:
     """Arrangement realizing m*k red incidences in the small-m regime.
 
@@ -232,7 +199,7 @@ def theta_mk_construction(d: int, n: int, k: int, m: int) -> ThetaMkConstruction
         grid_count = 0
         p = 1
     else:
-        p = _int_root(m, d - 2)
+        p = iroot(m, d - 2)
         if p < 1:
             raise ConstructionError("m too small")
         grid_count = (d - 2) * p

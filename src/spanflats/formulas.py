@@ -93,6 +93,24 @@ def purdy_crossover(d: int) -> int:
         k += 1
 
 
+def iroot(x: int, e: int) -> int:
+    """Largest r with r**e <= x, for x >= 0 and e >= 1, in integers only.
+
+    Newton's iteration from the power of two above the root decreases
+    strictly until it reaches floor(x**(1/e)), at any size of x.
+    """
+    if x < 0 or e < 1:
+        raise ValueError(f"iroot needs x >= 0 and e >= 1, got x = {x}, e = {e}")
+    if x < 2 or e == 1:
+        return x
+    r = 1 << -(-x.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + x // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
 def _scaled_power_le(lhs: int, c: Fraction, k: int, a: Fraction) -> bool:
     """Exact test lhs <= c * k**a for lhs >= 0, c > 0, k >= 1, a >= 0."""
     p, q = a.numerator, a.denominator
@@ -101,13 +119,11 @@ def _scaled_power_le(lhs: int, c: Fraction, k: int, a: Fraction) -> bool:
 
 
 def floor_scaled_power(c: Fraction, k: int, a: Fraction) -> int:
-    """floor(c * k**a) computed exactly."""
-    guess = max(0, int(c.numerator * k ** float(a) / c.denominator))
-    while guess > 0 and not _scaled_power_le(guess, c, k, a):
-        guess -= 1
-    while _scaled_power_le(guess + 1, c, k, a):
-        guess += 1
-    return guess
+    """floor(c * k**a) computed exactly: the integer q-th root of
+    floor(u^q * k^p / v^q) for c = u/v, a = p/q."""
+    p, q = a.numerator, a.denominator
+    u, v = c.numerator, c.denominator
+    return iroot(u**q * k**p // v**q, q)
 
 
 def _is_exact(value: int, c: Fraction, k: int, a: Fraction) -> bool:

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from .formulas import iroot
 from .kernel import Flat, GeometryError, Point
 from .spans import arrangement_vertices
 
@@ -112,22 +113,10 @@ def validate_vertices(a: BiArrangement) -> tuple[bool, bool]:
     """(every listed vertex is a true arrangement vertex,
     every listed vertex touches at least one red hyperplane)."""
     _check_arrangement(a)
-    true_vertices = {p.coords for p in arrangement_vertices(a.red + a.blue)}
-    all_true = all(v.coords in true_vertices for v in a.vertices)
+    true_vertices = set(arrangement_vertices(a.red + a.blue))
+    all_true = all(v in true_vertices for v in a.vertices)
     all_red = all(any(h.contains(v) for h in a.red) for v in a.vertices)
     return all_true, all_red
-
-
-def _icbrt(x: int) -> int:
-    """Integer cube root: largest r with r**3 <= x."""
-    if x < 0:
-        raise ValueError("negative")
-    r = round(x ** (1.0 / 3.0)) if x else 0
-    while r**3 > x:
-        r -= 1
-    while (r + 1) ** 3 <= x:
-        r += 1
-    return r
 
 
 @dataclass(frozen=True)
@@ -163,7 +152,8 @@ class EnvelopeTerms:
 
 
 def bound_envelope(m: int, k: int, n: int, d: int) -> EnvelopeTerms:
-    """Evaluate the incidence bound envelope at (m, k, n, d)."""
+    """Evaluate the incidence bound envelope at (m, k, n, d); raises
+    GeometryError when a term or their sum does not fit a float."""
     if m < 1 or k < 1 or n < 1:
         raise GeometryError("m, k, n must be >= 1")
     if d < 2:
@@ -171,6 +161,13 @@ def bound_envelope(m: int, k: int, n: int, d: int) -> EnvelopeTerms:
     if k > n:
         raise GeometryError(f"k = {k} exceeds n = {n}")
     cube = m * m * k * k * n ** (d - 2)
-    root = _icbrt(cube)
-    mixed = float(root) if root**3 == cube else math.exp(math.log(cube) / 3.0)
-    return EnvelopeTerms(term_mixed=mixed, term_kn=k * n ** (d - 2), term_m=m)
+    root = iroot(cube, 3)
+    term_kn = k * n ** (d - 2)
+    try:
+        mixed = float(root) if root**3 == cube else math.exp(math.log(cube) / 3.0)
+        fits = math.isfinite(mixed + float(term_kn) + float(m))
+    except OverflowError:
+        fits = False
+    if not fits:
+        raise GeometryError(f"envelope terms at (m={m}, k={k}, n={n}, d={d}) overflow a float")
+    return EnvelopeTerms(term_mixed=mixed, term_kn=term_kn, term_m=m)

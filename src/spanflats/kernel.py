@@ -1,10 +1,15 @@
-"""Exact rational affine geometry: points, canonical flats, hulls, meets.
+"""Exact affine geometry over the integers: points, canonical flats, hulls, meets.
 
-Everything is computed over `fractions.Fraction`; there is no floating point
-in this module. A flat is stored as the reduced row echelon form of the
-augmented system ``A·x = b`` that cuts it out, which makes structural
-equality coincide with geometric equality and lets enumeration code
-deduplicate flats with a plain dict.
+A point of E^d is stored as its primitive homogeneous integer vector: the
+coordinate numerators over their lcm denominator, then that denominator. A
+flat is stored as the primitive-integer row echelon form that ``int_rref``
+gives for its constraint system ``A·x = b``: each row is the rational RREF
+row scaled to a primitive integer vector with a positive pivot. Both forms
+are unique, so structural equality is geometric equality and enumeration
+code deduplicates flats with a plain dict. ``int_rref`` is the only
+elimination. Rationals appear only at the edges: parsing, the constructors
+(which take ints or Fractions) and the formatted outputs. There is no
+floating point in this module.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -38,18 +44,34 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+def _scaled(values: Iterable[Scalar]) -> tuple[list[int], int]:
+    """The values as integer numerators over their lcm denominator, and that
+    denominator."""
+    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in vals))
+    return [v.numerator * (den // v.denominator) for v in vals], den
+
+
 @dataclass(frozen=True)
 class Point:
-    """A point of E^d with exact rational coordinates."""
+    """A point of E^d with exact rational coordinates, stored as ``hom``:
+    the coordinate numerators over their lcm denominator, then that
+    denominator (a primitive integer vector with positive last entry)."""
 
-    coords: tuple[Fraction, ...]
+    hom: tuple[int, ...]
 
     def __init__(self, coords: Iterable[Scalar]):
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in coords))
+        nums, den = _scaled(coords)
+        object.__setattr__(self, "hom", (*nums, den))
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.hom) - 1
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        den = self.hom[-1]
+        return tuple(Fraction(v, den) for v in self.hom[:-1])
 
     def __iter__(self):
         return iter(self.coords)
@@ -73,40 +95,15 @@ class Point:
         return pt
 
 
-def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
-    """Reduced row echelon form with exact arithmetic.
-
-    Returns (nonzero rows, pivot column indices). Pivot entries are 1 and are
-    the only nonzero entries in their columns, so the output is a canonical
-    basis of the input row space.
-    """
-    work = [[Fraction(v) for v in row] for row in rows]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][c]
-        if inv != 1:
-            work[r] = [v / inv for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
-
-
-def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    return len(rref(rows)[0])
+def common_dim(points: Sequence[Point]) -> int:
+    """The common dimension of a nonempty point list."""
+    if not points:
+        raise GeometryError("empty hull")
+    d = points[0].dim
+    for p in points:
+        if p.dim != d:
+            raise GeometryError("dimension mismatch: points of different ambient dimension")
+    return d
 
 
 def int_rref(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -160,73 +157,50 @@ def int_rref(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...]
     return tuple(out), tuple(pivots)
 
 
-def nullspace_from_rref(
-    red: Sequence[Sequence[Fraction]], pivots: Sequence[int], ncols: int
-) -> list[tuple[Fraction, ...]]:
-    """Free-column nullspace basis of an already-reduced matrix."""
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][free]
-        basis.append(tuple(v))
-    return basis
+def rowspace_constraints(
+    d: int, rows: Sequence[Sequence[int]], pivots: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Constraint rows [a | b] of the flat whose homogeneous points (x, 1)
+    span the row space given in int_rref form.
 
-
-def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Canonical basis of {w : M·w = 0} for the matrix with the given rows."""
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][free]
-        basis.append(tuple(v))
-    return basis
-
-
-def homogeneous_int_rows(points: Sequence["Point"]) -> list[list[int]]:
-    """Integer scalings of the homogeneous rows (p, 1).
-
-    Scaling a homogeneous row preserves its span, so int_rref of these rows
-    is a canonical key for the affine hull of the points.
+    A functional a·x = b vanishes on the flat exactly when (a, -b) kills
+    every row, so the free-column basis of that nullspace, scaled to
+    integers, gives the constraints.
     """
-    rows = []
-    for p in points:
-        den = 1
-        for c in p.coords:
-            den = lcm(den, c.denominator)
-        rows.append([int(c * den) for c in p.coords] + [den])
-    return rows
+    scale = lcm(*(row[pc] for row, pc in zip(rows, pivots)))
+    out = []
+    for free in range(d + 1):
+        if free in pivots:
+            continue
+        w = [0] * (d + 1)
+        w[free] = scale
+        for row, pc in zip(rows, pivots):
+            w[pc] = -row[free] * (scale // row[pc])
+        w[d] = -w[d]
+        out.append(tuple(w))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class Flat:
     """An affine subspace of E^d as a canonical constraint system.
 
-    ``rows`` is the RREF of the augmented matrix [A | b] of a consistent
-    system A·x = b whose solution set is the flat. Because the row space of
-    [A | b] is exactly the space of affine functionals vanishing on the flat,
-    two Flats are equal iff their rows are identical. ``dim`` ranges over
-    0..d; d (no constraints) only occurs as the hull of a full-dimensional
-    point set and is filtered out by every enumeration that wants proper
-    flats.
+    ``rows`` is the int_rref form of the augmented matrix [A | b] of a
+    consistent system A·x = b whose solution set is the flat; the
+    constructor takes rows of ints or Fractions and scales each to
+    integers. Because the row space of [A | b] is exactly the space of
+    affine functionals vanishing on the flat, two Flats are equal iff their
+    rows are identical. ``dim`` ranges over 0..d; d (no constraints) only
+    occurs as the hull of a full-dimensional point set and is filtered out
+    by every enumeration that wants proper flats.
     """
 
     ambient_dim: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        canon, pivots = rref(self.rows)
-        if any(p == self.ambient_dim for p in pivots):
+        canon, pivots = int_rref([_scaled(row)[0] for row in self.rows])
+        if self.ambient_dim in pivots:
             raise GeometryError("inconsistent constraint system (empty flat)")
         object.__setattr__(self, "rows", canon)
 
@@ -238,45 +212,45 @@ class Flat:
     def rank(self) -> int:
         return self.dim + 1
 
+    def _pivots(self) -> tuple[int, ...]:
+        return tuple(next(i for i, v in enumerate(row) if v) for row in self.rows)
+
     def contains(self, p: Point) -> bool:
         if p.dim != self.ambient_dim:
             raise GeometryError(
                 f"dimension mismatch: point in E^{p.dim}, flat in E^{self.ambient_dim}"
             )
-        d = self.ambient_dim
-        return all(
-            sum(row[i] * p.coords[i] for i in range(d)) == row[d] for row in self.rows
-        )
+        *num, den = p.hom
+        return all(sum(map(mul, row, num)) == row[-1] * den for row in self.rows)
 
     def any_point(self) -> Point:
         """Some point on the flat: free coordinates 0, pivots from b."""
-        red, pivots = self.rows, tuple(
-            next(i for i, v in enumerate(row) if v != 0) for row in self.rows
-        )
-        coords = [Fraction(0)] * self.ambient_dim
-        for i, pc in enumerate(pivots):
-            coords[pc] = red[i][self.ambient_dim]
+        coords: list[Scalar] = [0] * self.ambient_dim
+        for row, pc in zip(self.rows, self._pivots()):
+            coords[pc] = Fraction(row[-1], row[pc])
         return Point(coords)
 
     def spanning_points(self) -> list[Point]:
         """dim+1 affinely independent points whose hull is the flat."""
-        d = self.ambient_dim
-        pivots = tuple(next(i for i, v in enumerate(row) if v != 0) for row in self.rows)
-        pivot_set = set(pivots)
+        pivots = self._pivots()
         base = self.any_point()
         pts = [base]
-        for free in range(d):
-            if free in pivot_set:
+        for free in range(self.ambient_dim):
+            if free in pivots:
                 continue
             coords = list(base.coords)
             coords[free] += 1
-            for i, pc in enumerate(pivots):
-                coords[pc] -= self.rows[i][free]
+            for row, pc in zip(self.rows, pivots):
+                coords[pc] -= Fraction(row[free], row[pc])
             pts.append(Point(coords))
         return pts
 
     def serialize_rows(self) -> list[list[str]]:
-        return [[format_rational(v) for v in row] for row in self.rows]
+        """The rational RREF rows: each row divided by its pivot."""
+        return [
+            [format_rational(Fraction(v, row[pc])) for v in row]
+            for row, pc in zip(self.rows, self._pivots())
+        ]
 
     @classmethod
     def parse_rows(cls, ambient_dim: int, rows: Sequence[Sequence[str]]) -> "Flat":
@@ -291,43 +265,16 @@ class Flat:
 
 def hyperplane(coeffs: Sequence[Scalar], rhs: Scalar) -> Flat:
     """The hyperplane {x : coeffs·x = rhs}; coeffs must not be all zero."""
-    if all(Fraction(c) == 0 for c in coeffs):
+    if not any(coeffs):
         raise GeometryError("zero normal vector")
-    return Flat(len(coeffs), (tuple(list(coeffs) + [rhs]),))
+    return Flat(len(coeffs), (tuple(coeffs) + (rhs,),))
 
 
 def affine_hull(points: Sequence[Point]) -> Flat:
-    """Smallest flat containing all the points.
-
-    The constraint rows are the nullspace of the homogeneous point matrix
-    [p | 1]: a functional a·x = b vanishes on every p exactly when
-    (a, -b) kills every row.
-    """
-    if not points:
-        raise GeometryError("empty hull")
-    d = points[0].dim
-    for p in points:
-        if p.dim != d:
-            raise GeometryError("dimension mismatch: points of different ambient dimension")
-    rows = [list(p.coords) + [Fraction(1)] for p in points]
-    constraints = [w[:d] + (-w[d],) for w in nullspace(rows, d + 1)]
-    return Flat(d, tuple(constraints))
-
-
-def flat_from_point_rowspace(
-    d: int, int_rows: Sequence[Sequence[int]], pivots: Sequence[int]
-) -> Flat:
-    """The flat whose points (x, 1) span the given canonical row space;
-    inverse companion of homogeneous_int_rows + int_rref."""
-    frac = [
-        tuple(Fraction(v, row[pc]) for v in row) for row, pc in zip(int_rows, pivots)
-    ]
-    null = nullspace_from_rref(frac, pivots, d + 1)
-    return Flat(d, tuple(w[:d] + (-w[d],) for w in null))
-
-
-def contains(flat: Flat, p: Point) -> bool:
-    return flat.contains(p)
+    """Smallest flat containing all the points."""
+    d = common_dim(points)
+    rows, pivots = int_rref([p.hom for p in points])
+    return Flat(d, rowspace_constraints(d, rows, pivots))
 
 
 def meet(f1: Flat, f2: Flat) -> Flat | None:
@@ -345,16 +292,11 @@ def join(f1: Flat, f2: Flat) -> Flat:
     return affine_hull(f1.spanning_points() + f2.spanning_points())
 
 
-def rank_of(flat: Flat) -> int:
-    """Rank of a flat: one more than its dimension."""
-    return flat.dim + 1
-
-
 def affine_rank(points: Sequence[Point]) -> int:
     """Rank (dim + 1) of the hull of the points, via the homogeneous matrix."""
     if not points:
         return 0
-    return matrix_rank([list(p.coords) + [Fraction(1)] for p in points])
+    return len(int_rref([p.hom for p in points])[0])
 
 
 def solve_unique(flats: Sequence[Flat]) -> Point | None:
@@ -363,12 +305,12 @@ def solve_unique(flats: Sequence[Flat]) -> Point | None:
     if not flats:
         return None
     d = flats[0].ambient_dim
-    rows: list[Sequence[Fraction]] = []
+    rows: list[Sequence[int]] = []
     for f in flats:
         if f.ambient_dim != d:
             raise GeometryError("dimension mismatch")
         rows.extend(f.rows)
-    red, pivots = rref(rows)
+    red, pivots = int_rref(rows)
     if len(red) != d or d in pivots:
         return None
-    return Point(red[i][d] for i in range(d))
+    return Point(Fraction(row[d], row[i]) for i, row in enumerate(red))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -19,9 +18,9 @@ from .kernel import (
     GeometryError,
     Point,
     affine_hull,
-    flat_from_point_rowspace,
-    homogeneous_int_rows,
+    common_dim,
     int_rref,
+    rowspace_constraints,
     solve_unique,
 )
 
@@ -60,26 +59,20 @@ def spanned_flats(points: Sequence[Point], f: int) -> SpannedSet:
     """The set of f-flats that are affine hulls of f+1 of the points.
 
     The subset scan keys each hull by the canonical primitive-integer form
-    of its homogeneous point row space, so the hot loop is integer-only;
-    constraint systems are materialized once per distinct flat.
+    of its homogeneous point row space; constraint systems are materialized
+    once per distinct flat, and the scan and attachment are integer-only.
     """
-    if not points:
-        raise GeometryError("empty hull")
-    d = points[0].dim
-    for p in points:
-        if p.dim != d:
-            raise GeometryError("dimension mismatch: points of different ambient dimension")
+    d = common_dim(points)
     if not 0 <= f <= d - 1:
         raise GeometryError(f"flat dimension {f} out of range 0..{d - 1}")
     unique = dedupe_points(points)
-    homog = homogeneous_int_rows(unique)
     found: dict[tuple, tuple] = {}
-    for combo in combinations(range(len(unique)), f + 1):
-        key, pivots = int_rref([homog[i] for i in combo])
+    for combo in combinations([p.hom for p in unique], f + 1):
+        key, pivots = int_rref(combo)
         if len(key) == f + 1:
             found.setdefault(key, pivots)
     flats = [
-        flat_from_point_rowspace(d, key, found[key]) for key in sorted(found)
+        Flat(d, rowspace_constraints(d, key, found[key])) for key in sorted(found)
     ]
     incident = tuple(
         tuple(i for i, p in enumerate(points) if flat.contains(p)) for flat in flats
@@ -88,11 +81,11 @@ def spanned_flats(points: Sequence[Point], f: int) -> SpannedSet:
 
 
 def spanned_hyperplane_count(points: Sequence[Point]) -> int:
-    return spanned_flats(points, points[0].dim - 1).count
+    return spanned_flats(points, common_dim(points) - 1).count
 
 
 def spanned_codim2_count(points: Sequence[Point]) -> int:
-    return spanned_flats(points, points[0].dim - 2).count
+    return spanned_flats(points, common_dim(points) - 2).count
 
 
 def arrangement_vertices(hyperplanes: Sequence[Flat]) -> list[Point]:
@@ -103,12 +96,9 @@ def arrangement_vertices(hyperplanes: Sequence[Flat]) -> list[Point]:
     for h in hyperplanes:
         if h.ambient_dim != d or h.dim != d - 1:
             raise GeometryError(f"non-hyperplane input (dim {h.dim} in E^{h.ambient_dim})")
-    seen: dict[tuple[Fraction, ...], Point] = {}
-    for combo in combinations(hyperplanes, d):
-        pt = solve_unique(combo)
-        if pt is not None:
-            seen.setdefault(pt.coords, pt)
-    return [seen[key] for key in sorted(seen)]
+    seen = {solve_unique(combo) for combo in combinations(hyperplanes, d)}
+    seen.discard(None)
+    return sorted(seen, key=lambda p: p.coords)
 
 
 def max_collinear(points: Sequence[Point]) -> int:
@@ -139,9 +129,9 @@ def _axis_line_through(p: Point) -> Flat:
     d = p.dim
     rows = []
     for i in range(1, d):
-        row = [Fraction(0)] * (d + 1)
-        row[i] = Fraction(1)
-        row[d] = p.coords[i]
+        row = [0] * (d + 1)
+        row[i] = p.hom[d]
+        row[d] = p.hom[i]
         rows.append(tuple(row))
     return Flat(d, tuple(rows))
 

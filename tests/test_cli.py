@@ -355,6 +355,15 @@ def test_incidences_rejects_color_duplicate(tmp_path, capsys):
     assert code == 2 and "same hyperplane" in err
 
 
+def test_incidences_envelope_without_vertices_is_input_error(tmp_path, capsys):
+    doc = {"d": 2, "red": [[["1", "0", "0"]]], "blue": [[["0", "1", "0"]]], "vertices": []}
+    path = tmp_path / "novertex.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "incidences", "--arrangement", str(path), "--envelope")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_conjecture_search_on_point_file(tmp_path, capsys):
     purdy = tmp_path / "purdy.txt"
     assert run_cli(

@@ -1,3 +1,4 @@
+import oracle
 import pytest
 
 from spanflats import (
@@ -16,7 +17,7 @@ from spanflats import (
     verify_covering_lines,
 )
 from spanflats.cli import fit_loglog
-from spanflats.constructions import _grid_vertex_degrees, windowed_grid_degrees
+from spanflats.constructions import _rich_line_config, windowed_grid_degrees
 
 
 # --- 2-D grid ---------------------------------------------------------------
@@ -44,7 +45,7 @@ def test_grid_rejects_bad_params():
 def test_windowed_degrees_match_pairwise_path():
     for r, s in [(2, 2), (3, 4), (4, 3), (5, 5)]:
         pairs = [(a, b) for a in range(r) for b in range(s)]
-        full = _grid_vertex_degrees(pairs)
+        full = oracle.grid_vertex_degrees(pairs)
         x_max = -(-s // r)
         y_max = r * x_max + s
         expected = {
@@ -52,7 +53,14 @@ def test_windowed_degrees_match_pairwise_path():
             for v, deg in full.items()
             if abs(v[0]) <= x_max and 0 <= v[1] < y_max
         }
-        assert windowed_grid_degrees(r, s) == expected
+        assert windowed_grid_degrees(pairs, (x_max, y_max)) == expected
+
+
+def test_unwindowed_degrees_match_pairwise_oracle():
+    # the prefix-of-grid line sets the bichromatic construction draws from
+    for k in range(2, 41):
+        pairs, _ = _rich_line_config(k)
+        assert windowed_grid_degrees(pairs) == oracle.grid_vertex_degrees(pairs)
 
 
 def test_grid_incidence_growth_slope():
@@ -61,7 +69,8 @@ def test_grid_incidence_growth_slope():
     series = []
     for i in range(1, 6):
         r = s = 2**i
-        degrees = windowed_grid_degrees(r, s)
+        pairs = [(a, b) for a in range(r) for b in range(s)]
+        degrees = windowed_grid_degrees(pairs, (1, r + s))
         n = r * s
         top = sorted(degrees.values(), reverse=True)[:n]
         series.append((n, sum(top)))
@@ -239,3 +248,9 @@ def test_verify_covering_lines_catches_degeneracies():
     c = [Point((5, 0, 0, 1)), Point((5, 0, 1, 0))]
     failure = verify_covering_lines(4, [a, b, c])
     assert failure is not None and "rank" in failure
+
+
+def test_theta_mk_huge_m_is_infeasible_not_overflow():
+    # p = floor(m^(1/3)) for m = 10^400 is past float range
+    with pytest.raises(ConstructionError, match="need n >="):
+        theta_mk_construction(5, 10, 2, 10**400)

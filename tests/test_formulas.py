@@ -11,7 +11,7 @@ from spanflats import (
     purdy_counts,
     purdy_crossover,
 )
-from spanflats.formulas import ceil_scaled_power, floor_scaled_power
+from spanflats.formulas import ceil_scaled_power, floor_scaled_power, iroot
 
 
 def test_counts_d4_k2():
@@ -145,3 +145,24 @@ def test_floor_exact_values():
     assert floor_scaled_power(F(1), 4, F(3, 2)) == 8
     assert ceil_scaled_power(F(1), 2, F(3, 2)) == 3  # 2*sqrt(2) = 2.828
     assert floor_scaled_power(F(1, 2), 4, F(2)) == 8
+
+
+@given(st.integers(0, 10**400), st.integers(1, 12))
+@settings(max_examples=300)
+def test_iroot_brackets_the_root(x, e):
+    r = iroot(x, e)
+    assert r**e <= x < (r + 1) ** e
+
+
+def test_iroot_small_and_perfect_powers():
+    assert [iroot(x, 2) for x in range(10)] == [0, 1, 1, 1, 2, 2, 2, 2, 2, 3]
+    assert iroot(10**600, 3) == 10**200
+    assert iroot(2**1000 - 1, 10) == 2**100 - 1
+    with pytest.raises(ValueError):
+        iroot(-1, 2)
+
+
+def test_floor_scaled_power_beyond_float_range():
+    # the float guess overflowed for k past 1e308
+    assert floor_scaled_power(F(1), 10**400, F(1, 2)) == 10**200
+    assert ceil_scaled_power(F(1), 10**400, F(1, 2)) == 10**200

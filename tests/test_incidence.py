@@ -176,3 +176,16 @@ def test_envelope_rejects_bad_input():
 def test_envelope_perfect_cube_is_exact():
     env = bound_envelope(27, 8, 8, 2)  # 27^2 * 8^2 * 8^0 = 46656 = 36^3
     assert env.term_mixed == 36.0
+
+
+def test_envelope_huge_exact_cube_root():
+    # the mixed term's cube 10^600 is past float range; its root is not
+    env = bound_envelope(10**150, 10**150, 10**150, 2)
+    assert env.term_mixed == 1e200 and env.dominant == "mixed"
+    env = bound_envelope(10**150, 10**50, 10**50, 2)  # cube 10^400, not perfect
+    assert env.term_mixed == pytest.approx(10 ** (400 / 3))
+
+
+def test_envelope_term_past_float_range_is_input_error():
+    with pytest.raises(GeometryError, match="overflow"):
+        bound_envelope(10**60, 10**60, 10**60, 8)

@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
+import oracle
 from conftest import point_lists, points
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanflats import (
     Flat,
@@ -14,9 +16,8 @@ from spanflats import (
     hyperplane,
     meet,
     parse_rational,
-    rank_of,
 )
-from spanflats.kernel import rref
+from spanflats.kernel import int_rref
 
 
 def test_rational_round_trip():
@@ -100,10 +101,10 @@ def test_meet():
 
 def test_rank_of():
     line = affine_hull([Point((0, 0, 0)), Point((1, 0, 0))])
-    assert rank_of(line) == 2
+    assert line.rank == 2
     h4 = hyperplane((1, 0, 0, 0), 3)
-    assert rank_of(h4) == 4
-    assert rank_of(affine_hull([Point((2, 2))])) == 1
+    assert h4.rank == 4
+    assert affine_hull([Point((2, 2))]).rank == 1
 
 
 def test_flat_rejects_inconsistent_system():
@@ -122,8 +123,9 @@ def test_hull_contains_all_inputs(pts):
 @settings(max_examples=60)
 def test_canonicalization_idempotent(pts_a, pts_b):
     f = affine_hull(pts_a + pts_b)
-    again, _ = rref(f.rows)
+    again, _ = int_rref(f.rows)
     assert again == f.rows
+    assert Flat(f.ambient_dim, f.rows) == f
 
 
 @given(point_lists(3, 1, 4), point_lists(3, 1, 4))
@@ -148,3 +150,29 @@ def test_hull_monotone_in_points(pts, extra):
 @settings(max_examples=60)
 def test_affine_rank_matches_hull(pts):
     assert affine_rank(pts) == affine_hull(pts).dim + 1
+
+
+def _formatted(rows):
+    return [[format_rational(v) for v in row] for row in rows]
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.tuples(point_lists(d, 1, 5), point_lists(d, 1, 5))
+    )
+)
+@settings(max_examples=150)
+def test_integer_kernel_matches_fraction_oracle(pair):
+    pts_a, pts_b = pair
+    d = pts_a[0].dim
+    f1, f2 = affine_hull(pts_a), affine_hull(pts_b)
+    rows1, rows2 = oracle.hull_rows(pts_a), oracle.hull_rows(pts_b)
+    assert f1.serialize_rows() == _formatted(rows1)
+    assert f2.serialize_rows() == _formatted(rows2)
+    expected = oracle.meet_rows(rows1, rows2, d)
+    got = meet(f1, f2)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got.serialize_rows() == _formatted(expected)
+    assert affine_rank(pts_a + pts_b) == oracle.affine_rank(pts_a + pts_b)
+    assert [f1.contains(p) for p in pts_b] == [oracle.contains(rows1, p) for p in pts_b]

@@ -18,6 +18,7 @@ from spanflats import (
     max_degenerate_subset,
     meet,
     rank_sum_cover,
+    spanned_codim2_count,
     spanned_flats,
     spanned_hyperplane_count,
 )
@@ -110,6 +111,12 @@ def test_spanned_flats_range_check():
         spanned_flats(pts, 2)
     with pytest.raises(GeometryError):
         spanned_flats(pts, -1)
+
+
+def test_empty_counts_are_empty_hull_errors():
+    for count in (spanned_hyperplane_count, spanned_codim2_count):
+        with pytest.raises(GeometryError, match="empty hull"):
+            count([])
 
 
 def test_spanned_flats_attaches_points():
