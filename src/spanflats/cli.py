@@ -20,8 +20,8 @@ import random
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .constructions import (
@@ -33,7 +33,7 @@ from .constructions import (
 )
 from .formulas import FormulaDomainError, purdy_counts
 from .incidence import BiArrangement, bound_envelope, count_bichromatic
-from .kernel import GeometryError, Point
+from .kernel import GeometryError, Point, common_dim, parse_rational
 from .spans import (
     max_cover_plane_or_two_lines,
     max_degenerate_subset,
@@ -117,24 +117,31 @@ def pmap(fn: Callable, items: Sequence, jobs: int) -> list:
     try:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, items))
-    except (OSError, PermissionError):
+    except (OSError, BrokenProcessPool):
         return [fn(item) for item in items]
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise GeometryError(f"bad integer {text!r}") from None
 
 
 def _parse_range(text: str) -> list[int]:
     """"4" -> [4]; "2:5" -> [2, 3, 4, 5]."""
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(text)]
+    lo, sep, hi = text.partition(":")
+    values = list(range(_parse_int(lo), _parse_int(hi if sep else lo) + 1))
     if not values:
         raise GeometryError(f"empty range {text!r}")
     return values
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    values = [_parse_int(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise GeometryError(f"empty list {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------- enumerate
@@ -143,9 +150,6 @@ def _parse_int_list(text: str) -> list[int]:
 def cmd_enumerate(args) -> int:
     with open(args.points) as fh:
         points = read_point_file(fh)
-    if not points:
-        print("error: empty hull", file=sys.stderr)
-        return 2
     result = spanned_flats(points, args.f)
     print(result.count)
     if args.out:
@@ -210,7 +214,7 @@ def cmd_construct(args) -> int:
         }
         if kind == "bichromatic":
             built = bichromatic_lower_construction(
-                args.d, args.n, args.k, args.m, c0=Fraction(args.c0)
+                args.d, args.n, args.k, args.m, c0=parse_rational(args.c0)
             )
             provenance["c0"] = str(args.c0)
         else:
@@ -281,11 +285,9 @@ def cmd_verify_purdy(args) -> int:
     d_values = _parse_range(args.d_range)
     k_values = _parse_range(args.k_range)
     if min(d_values) < 4:
-        print("error: d >= 4 required", file=sys.stderr)
-        return 2
+        raise GeometryError("d >= 4 required")
     if min(k_values) < 2:
-        print("error: k >= 2 required", file=sys.stderr)
-        return 2
+        raise GeometryError("k >= 2 required")
     cells = [(d, k, args.seed) for d in d_values for k in k_values]
     rows = pmap(_verify_purdy_cell, cells, args.jobs)
     emit_table(
@@ -400,6 +402,8 @@ def _envelope_row(params: tuple) -> dict:
 
 
 def cmd_envelope_sweep(args) -> int:
+    if not math.isfinite(args.k_frac):
+        raise GeometryError(f"--k-frac must be finite, got {args.k_frac}")
     steps = [
         (args.construction, args.d, i, args.n0 * 2**i, args.k_frac, args.p, args.seed)
         for i in range(args.doublings + 1)
@@ -515,8 +519,7 @@ def _beck3_row(params: tuple) -> dict:
         )
         return row
     planes = spanned_flats(points, 2)
-    lines = spanned_flats(points, 1)
-    cover = max_cover_plane_or_two_lines(points, planes=planes, lines=lines)
+    cover = max_cover_plane_or_two_lines(points)
     row.update(
         hypothesis_ok=cover.size == n - k,
         max_cover=cover.size,
@@ -531,8 +534,9 @@ def cmd_beck3(args) -> int:
     n_values = _parse_int_list(args.n_list)
     k_values = _parse_int_list(args.k_list)
     if any(k < 1 for k in k_values):
-        print("error: k >= 1 required", file=sys.stderr)
-        return 2
+        raise GeometryError("k >= 1 required")
+    if args.seeds < 1:
+        raise GeometryError(f"--seeds must be >= 1, got {args.seeds}")
     cells = [
         (n, k, seed, args.plant if args.plant != "mix" else ("plane" if seed % 2 == 0 else "skew"))
         for n in n_values
@@ -632,21 +636,15 @@ def _conjecture_row(params: tuple) -> dict:
 
 def cmd_conjecture_search(args) -> int:
     if args.d < 3:
-        print("error: d >= 3 required", file=sys.stderr)
-        return 2
+        raise GeometryError("d >= 3 required")
+    if args.n < 1:
+        raise GeometryError(f"--n must be >= 1, got {args.n}")
     r = args.r if args.r is not None else args.d
     if args.points:
         with open(args.points) as fh:
             points = read_point_file(fh)
-        if not points:
-            print("error: empty hull", file=sys.stderr)
-            return 2
-        if points[0].dim != args.d:
-            print(
-                f"error: point file is E^{points[0].dim}, --d is {args.d}",
-                file=sys.stderr,
-            )
-            return 2
+        if common_dim(points) != args.d:
+            raise GeometryError(f"point file is E^{points[0].dim}, --d is {args.d}")
         row = {
             "sample": 0, "d": args.d, "n": len(points), "r": r,
             "seed": args.seed, "floor": args.floor,
@@ -787,10 +785,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GeometryError, ConstructionError, FormulaDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GeometryError, ConstructionError, FormulaDomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

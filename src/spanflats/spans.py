@@ -1,15 +1,17 @@
 """Enumeration of flats spanned by point sets and related cover searches.
 
 Spanned flats are found by the naive subset scan: hull every (f+1)-subset,
-keep the hulls of dimension exactly f, deduplicate by canonical form, then
-attach every incident input point. Output order is canonical (sorted by
-constraint rows) so results are identical however the work is split.
+keep the hulls of dimension exactly f and deduplicate by canonical form. The
+points on each flat are the union of the subsets that span it, gathered
+during the same scan. Output order is canonical (sorted by constraint rows)
+so results are identical however the work is split.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -27,11 +29,13 @@ from .kernel import (
 
 @dataclass(frozen=True)
 class SpannedSet:
-    """All f-flats spanned by a point set, with their incident point indices."""
+    """All f-flats spanned by a point set, with their incident point indices
+    (also as bitmasks over the indices)."""
 
     f: int
     flats: tuple[Flat, ...]
     per_flat_points: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
 
     @property
     def count(self) -> int:
@@ -60,24 +64,43 @@ def spanned_flats(points: Sequence[Point], f: int) -> SpannedSet:
 
     The subset scan keys each hull by the canonical primitive-integer form
     of its homogeneous point row space; constraint systems are materialized
-    once per distinct flat, and the scan and attachment are integer-only.
+    once per distinct flat. By the exchange lemma the points on a spanned
+    f-flat are exactly the union of the (f+1)-subsets with its key, so the
+    scan itself gathers them, as a bitmask over the indices. The last two
+    results are memoized per point sequence and f.
     """
     d = common_dim(points)
     if not 0 <= f <= d - 1:
         raise GeometryError(f"flat dimension {f} out of range 0..{d - 1}")
-    unique = dedupe_points(points)
-    found: dict[tuple, tuple] = {}
-    for combo in combinations([p.hom for p in unique], f + 1):
-        key, pivots = int_rref(combo)
+    return _spanned_flats(tuple(points), f)
+
+
+# Keyed on the point sequence, so indices are never served to a reordering.
+# Two entries cover the traffic: beck3 alternates the planes and lines of one
+# instance, and conjecture-search at d = 3 alternates f = 1 and 2.
+@lru_cache(maxsize=2)
+def _spanned_flats(points: tuple[Point, ...], f: int) -> SpannedSet:
+    d = points[0].dim
+    bits: dict[Point, int] = {}  # distinct point -> mask of its indices
+    for i, p in enumerate(points):
+        bits[p] = bits.get(p, 0) | 1 << i
+    found: dict[tuple, int] = {}  # canonical key -> mask of incident indices
+    for combo, combo_bits in zip(
+        combinations([p.hom for p in bits], f + 1), combinations(bits.values(), f + 1)
+    ):
+        key = int_rref(combo)[0]
         if len(key) == f + 1:
-            found.setdefault(key, pivots)
-    flats = [
-        Flat(d, rowspace_constraints(d, key, found[key])) for key in sorted(found)
-    ]
+            found[key] = found.get(key, 0) | sum(combo_bits)
+    keys = sorted(found)
+    flats = []
+    for key in keys:
+        pivots = [next(c for c, v in enumerate(row) if v) for row in key]
+        flats.append(Flat(d, rowspace_constraints(d, key, pivots)))
+    masks = tuple(found[key] for key in keys)
     incident = tuple(
-        tuple(i for i, p in enumerate(points) if flat.contains(p)) for flat in flats
+        tuple(i for i in range(len(points)) if mask >> i & 1) for mask in masks
     )
-    return SpannedSet(f, tuple(flats), incident)
+    return SpannedSet(f, tuple(flats), incident, masks)
 
 
 def spanned_hyperplane_count(points: Sequence[Point]) -> int:
@@ -161,12 +184,9 @@ def _candidate_flats(
         if not 1 <= f <= d - 1 or f + 1 > len(unique):
             continue
         spanned = spanned_flats(points, f)
-        for flat, idxs in zip(spanned.flats, spanned.per_flat_points):
+        for flat, mask in zip(spanned.flats, spanned.masks):
             if flat.rows not in seen:
                 seen.add(flat.rows)
-                mask = 0
-                for i in idxs:
-                    mask |= 1 << i
                 out.append((flat, f, mask))
     if include_point_flats:
         for p in unique:
@@ -315,18 +335,9 @@ def _pair_is_skew(points_a: Sequence[Point], points_b: Sequence[Point]) -> bool:
     return affine_rank(list(points_a[:2]) + list(points_b[:2])) == 4
 
 
-def max_cover_plane_or_two_lines(
-    points: Sequence[Point],
-    *,
-    planes: SpannedSet | None = None,
-    lines: SpannedSet | None = None,
-) -> PlaneOrLinePairCover:
+def max_cover_plane_or_two_lines(points: Sequence[Point]) -> PlaneOrLinePairCover:
     """Maximum number of input points on a single plane or on a pair of
-    spanned lines, with witnessing certificates (skew pairs vs all pairs).
-
-    ``planes`` and ``lines`` accept precomputed spanned sets of the same
-    point list so repeated analyses of one instance enumerate only once.
-    """
+    spanned lines, with witnessing certificates (skew pairs vs all pairs)."""
     if points and points[0].dim != 3:
         raise GeometryError("ambient dimension must be 3")
     unique = dedupe_points(points)
@@ -347,27 +358,19 @@ def max_cover_plane_or_two_lines(
         best_single = n
         best_single_cert = CoverCertificate((hull,), n, hull.dim)
     else:
-        if planes is None:
-            planes = spanned_flats(points, 2)
+        planes = spanned_flats(points, 2)
         for flat, idxs in zip(planes.flats, planes.per_flat_points):
             if len(idxs) > best_single:
                 best_single = len(idxs)
                 best_single_cert = CoverCertificate((flat,), len(idxs), 2)
 
-    if lines is None:
-        lines = spanned_flats(points, 1)
-    line_masks = []
-    for flat, idxs in zip(lines.flats, lines.per_flat_points):
-        mask = 0
-        for i in idxs:
-            mask |= 1 << i
-        line_masks.append((flat, mask, idxs))
+    lines = spanned_flats(points, 1)
 
     # only pairs beating the single-flat covers matter; collecting those
     # rather than ranking every pair keeps the scan linear in practice
     threshold = best_single
     candidates = []
-    masks = [mask for _, mask, _ in line_masks]
+    masks = lines.masks
     for a in range(len(masks)):
         ma = masks[a]
         for b in range(a + 1, len(masks)):
@@ -379,12 +382,12 @@ def max_cover_plane_or_two_lines(
     best_any, cert_any = best_single, best_single_cert
     best_skew, cert_skew = best_single, best_single_cert
     line_points = [
-        dedupe_points([points[i] for i in idxs]) for _, _, idxs in line_masks
+        dedupe_points([points[i] for i in idxs]) for idxs in lines.per_flat_points
     ]
     for size, a, b in candidates:
         if size <= best_any and size <= best_skew:
             break
-        fa, fb = line_masks[a][0], line_masks[b][0]
+        fa, fb = lines.flats[a], lines.flats[b]
         cert = CoverCertificate((fa, fb), size, 2)
         if size > best_any:
             best_any, cert_any = size, cert

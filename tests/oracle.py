@@ -2,8 +2,9 @@
 
 The package computes over integers only (``int_rref``); these are the
 textbook rational versions it is checked against: Gauss-Jordan RREF, the
-nullspace-based affine hull, the homogeneous affine rank, and the all-pairs
-vertex degrees of a slope/intercept line grid.
+nullspace-based affine hull, the homogeneous affine rank, the all-pairs
+vertex degrees of a slope/intercept line grid, and the incidence pass that
+tests every spanned flat against every point.
 """
 
 from __future__ import annotations
@@ -99,3 +100,11 @@ def grid_vertex_degrees(
     return {
         (x, y): sum(1 for a, b in pairs if a * x + b == y) for x, y in vertices
     }
+
+
+def attach_incidences(flats, points) -> tuple[tuple[int, ...], ...]:
+    """Indices of the points on each flat, by testing every flat against
+    every point (duplicates included, in input order)."""
+    return tuple(
+        tuple(i for i, p in enumerate(points) if flat.contains(p)) for flat in flats
+    )

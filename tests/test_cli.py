@@ -425,3 +425,50 @@ def test_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "construct bichromatic --d 3 --n 10 --k 5 --m 4 --c0 abc",
+        "construct bichromatic --d 3 --n 10 --k 5 --m 4 --c0 1/0",
+        "envelope-sweep --construction bichromatic --d 3 --n0 8 --k-frac nan",
+        "envelope-sweep --construction bichromatic --d 3 --n0 8 --k-frac inf",
+        "beck3 --n-list 10,x --k-list 3",
+        "beck3 --n-list , --k-list 3",
+        "beck3 --n-list 10 --k-list 3 --seeds 0",
+        "verify-purdy --d-range 4:x --k-range 2",
+        "conjecture-search --d 3 --n 0",
+    ],
+)
+def test_bad_input_is_exit_2(capsys, argv):
+    code, _, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_broken_pool_falls_back_to_serial(tmp_path, capsys, monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    import spanflats.cli as cli
+
+    class BrokenPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            raise BrokenProcessPool("a worker died")
+
+    args = ["verify-purdy", "--d-range", "4", "--k-range", "2:3", "--format", "csv"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli(capsys, *args, "--jobs", "1", "--out", str(a))[0] == 0
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", BrokenPool)
+    assert run_cli(capsys, *args, "--jobs", "2", "--out", str(b))[0] == 0
+    assert a.read_bytes() == b.read_bytes()

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 from itertools import combinations
 
+import oracle
 import pytest
 from conftest import point_lists
 from hypothesis import given, settings
@@ -149,6 +150,23 @@ def test_oracle_equivalence_lines(pts):
     mine = spanned_flats(pts, 1)
     other = oracle_spanned_flats(pts, 1)
     assert mine.count == len(other)
+
+
+@given(
+    point_lists(3, 1, 6, lo=-2, hi=2, max_den=2),
+    st.integers(min_value=0, max_value=2),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_incidences_match_attach_oracle(pts, f, data):
+    # repeat some points so the indices must cover every duplicate
+    pts = pts + data.draw(st.lists(st.sampled_from(pts), max_size=3))
+    perm = data.draw(st.permutations(pts))
+    for points in (pts, perm):
+        mine = spanned_flats(points, f)
+        expected = oracle.attach_incidences(mine.flats, points)
+        assert mine.per_flat_points == expected
+        assert mine.masks == tuple(sum(1 << i for i in idxs) for idxs in expected)
 
 
 @given(point_lists(3, 2, 6, lo=-3, hi=3, max_den=2))
