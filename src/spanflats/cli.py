@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import statistics
 import sys
@@ -58,8 +59,8 @@ def fit_loglog(pairs: Sequence[tuple[float, float]]) -> FitResult:
     """Ordinary least squares of log(count) against log(x)."""
     if len(pairs) < 2:
         raise GeometryError("need at least 2 pairs")
-    if any(x <= 0 or y <= 0 for x, y in pairs):
-        raise GeometryError("fit requires positive values")
+    if not all(0 < v < math.inf for pair in pairs for v in pair):
+        raise GeometryError("fit requires finite positive values")
     xs = [math.log(x) for x, _ in pairs]
     ys = [math.log(y) for _, y in pairs]
     mx = sum(xs) / len(xs)
@@ -111,21 +112,31 @@ def _write_output(args, text: str) -> None:
 
 
 def pmap(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Order-preserving map, fanned out over processes when jobs > 1."""
-    if jobs <= 1 or len(items) <= 1:
+    """Order-preserving map, fanned out over processes when jobs > 1; never
+    more processes than items or cores."""
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
     try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     except (OSError, BrokenProcessPool):
         return [fn(item) for item in items]
 
 
+def _check_size(name: str, value: int) -> int:
+    """Reject an integer no list, range or dimension can reach."""
+    if abs(value) > sys.maxsize:
+        raise GeometryError(f"{name} is out of range (magnitude above {sys.maxsize})")
+    return value
+
+
 def _parse_int(text: str) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise GeometryError(f"bad integer {text!r}") from None
+    return _check_size("integer", value)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -402,8 +413,15 @@ def _envelope_row(params: tuple) -> dict:
 
 
 def cmd_envelope_sweep(args) -> int:
-    if not math.isfinite(args.k_frac):
-        raise GeometryError(f"--k-frac must be finite, got {args.k_frac}")
+    if not 0 < args.k_frac <= 1:
+        raise GeometryError(f"--k-frac must be in (0, 1], got {args.k_frac}")
+    min_d = 3 if args.construction == "bichromatic" else 2
+    if args.d < min_d:
+        raise GeometryError(f"d >= {min_d} required for {args.construction}")
+    if args.n0 < 1 or args.p < 1:
+        raise GeometryError("--n0 and --p must be >= 1")
+    if args.doublings < 0:
+        raise GeometryError(f"--doublings must be >= 0, got {args.doublings}")
     steps = [
         (args.construction, args.d, i, args.n0 * 2**i, args.k_frac, args.p, args.seed)
         for i in range(args.doublings + 1)
@@ -535,6 +553,8 @@ def cmd_beck3(args) -> int:
     k_values = _parse_int_list(args.k_list)
     if any(k < 1 for k in k_values):
         raise GeometryError("k >= 1 required")
+    if max(k_values) >= min(n_values):
+        raise GeometryError("every k must be below every n")
     if args.seeds < 1:
         raise GeometryError(f"--seeds must be >= 1, got {args.seeds}")
     cells = [
@@ -640,6 +660,10 @@ def cmd_conjecture_search(args) -> int:
     if args.n < 1:
         raise GeometryError(f"--n must be >= 1, got {args.n}")
     r = args.r if args.r is not None else args.d
+    if r < 1:
+        raise GeometryError(f"--r must be >= 1, got {r}")
+    if not math.isfinite(args.floor):
+        raise GeometryError(f"--floor must be finite, got {args.floor}")
     if args.points:
         with open(args.points) as fh:
             points = read_point_file(fh)
@@ -652,6 +676,8 @@ def cmd_conjecture_search(args) -> int:
         row.update(_conjecture_stats(points, r, args.floor, keep_degenerate=True))
         rows = [row]
     else:
+        if args.samples < 1:
+            raise GeometryError(f"--samples must be >= 1, got {args.samples}")
         cells = [
             (sample, args.d, args.n, r, args.seed, args.floor)
             for sample in range(args.samples)
@@ -780,12 +806,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_common(args) -> None:
+    """Checks every subcommand shares: --jobs is at least 1, and no integer
+    option but the --seed label is beyond any size a run could hold."""
+    if args.jobs < 1:
+        raise GeometryError(f"--jobs must be >= 1, got {args.jobs}")
+    for name, value in vars(args).items():
+        if type(value) is int and name != "seed":
+            _check_size(f"--{name.replace('_', '-')}", value)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_common(args)
         return args.func(args)
-    except (GeometryError, ConstructionError, FormulaDomainError, OSError) as exc:
+    except (
+        GeometryError, ConstructionError, FormulaDomainError, OSError, UnicodeDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

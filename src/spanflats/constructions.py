@@ -18,7 +18,8 @@ from typing import Sequence
 
 from .formulas import iroot
 from .incidence import BiArrangement
-from .kernel import Flat, Point, affine_rank, hyperplane
+from .kernel import Basis, Flat, Point, extend_rref, hyperplane, int_rref
+from .kernel import affine_rank  # noqa: F401  (bench/test_bench.py traces this copy)
 
 
 class ConstructionError(ValueError):
@@ -236,13 +237,23 @@ def theta_mk_construction(d: int, n: int, k: int, m: int) -> ThetaMkConstruction
     )
 
 
-def _rank_of_bundle(
-    line_points: Sequence[Sequence[Point]], line_subset: Sequence[int], extra: Sequence[Point]
-) -> int:
-    pts: list[Point] = list(extra)
-    for i in line_subset:
-        pts.extend(line_points[i][:2])
-    return affine_rank(pts)
+def _first_rank_failure(
+    basis: Basis, lines: Sequence[Sequence[Point]], expected: int, picks: tuple = ()
+) -> tuple[int, tuple[Point, ...]] | None:
+    """The rank and the picks of the first choice in ``product(*lines)``
+    (in its order) whose points, added to ``basis``, do not span rank
+    ``expected``; None when every choice does. Each level extends its
+    prefix's basis by one point."""
+    if not lines:
+        rank = len(basis[0])
+        return None if rank == expected else (rank, picks)
+    for p in lines[0]:
+        failure = _first_rank_failure(
+            extend_rref(basis, p.hom) or basis, lines[1:], expected, picks + (p,)
+        )
+        if failure is not None:
+            return failure
+    return None
 
 
 def verify_covering_lines(
@@ -256,7 +267,9 @@ def verify_covering_lines(
     else a description of the first failed predicate. The named special
     cases: |T| = 0 is line general position (no flat of rank 2j covers more
     than j lines, hence no hyperplane holds more than floor(d/2) of them);
-    |S| = 0, |T| = d-1 is transversal affine independence.
+    |S| = 0, |T| = d-1 is transversal affine independence. The row space of
+    the first two points of each line in S is eliminated once per S, and
+    the choices T extend it depth-first, sharing each prefix.
     """
     nlines = len(line_points)
     for j in range(nlines + 1):
@@ -265,29 +278,33 @@ def verify_covering_lines(
             max_t = min(len(others), d + 2 - 2 * j)
             if max_t < 0:
                 continue
+            basis = int_rref([p.hom for i in subset for p in line_points[i][:2]])
             for t in range(max_t + 1):
                 if j == 0 and t < 2:
                     continue
+                expected = min(2 * j + t, d + 1)
                 for chosen_lines in combinations(others, t):
-                    for picks in product(*(line_points[i] for i in chosen_lines)):
-                        expected = min(2 * j + t, d + 1)
-                        got = _rank_of_bundle(line_points, subset, picks)
-                        if got != expected:
-                            if t == 0:
-                                return (
-                                    f"lines {subset} lie in a flat of rank {got}"
-                                    f" (general position needs {expected})"
-                                )
-                            if j == 0 and t == d - 1:
-                                return (
-                                    f"transversal {[p.serialize() for p in picks]}"
-                                    " is affinely dependent"
-                                )
-                            return (
-                                f"lines {subset} with points"
-                                f" {[p.serialize() for p in picks]} span rank {got},"
-                                f" expected {expected}"
-                            )
+                    failure = _first_rank_failure(
+                        basis, [line_points[i] for i in chosen_lines], expected
+                    )
+                    if failure is None:
+                        continue
+                    got, picks = failure
+                    if t == 0:
+                        return (
+                            f"lines {subset} lie in a flat of rank {got}"
+                            f" (general position needs {expected})"
+                        )
+                    if j == 0 and t == d - 1:
+                        return (
+                            f"transversal {[p.serialize() for p in picks]}"
+                            " is affinely dependent"
+                        )
+                    return (
+                        f"lines {subset} with points"
+                        f" {[p.serialize() for p in picks]} span rank {got},"
+                        f" expected {expected}"
+                    )
     return None
 
 

@@ -47,10 +47,15 @@ class BiArrangement:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BiArrangement":
-        d = int(data["d"])
-        red = tuple(Flat.parse_rows(d, rows) for rows in data["red"])
-        blue = tuple(Flat.parse_rows(d, rows) for rows in data["blue"])
-        vertices = tuple(Point.parse(s, d) for s in data["vertices"])
+        try:
+            d = int(data["d"])
+            red = tuple(Flat.parse_rows(d, rows) for rows in data["red"])
+            blue = tuple(Flat.parse_rows(d, rows) for rows in data["blue"])
+            vertices = tuple(Point.parse(s, d) for s in data["vertices"])
+        except GeometryError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise GeometryError(f"malformed arrangement: {exc!r}") from None
         return cls(d, red, blue, vertices)
 
     def to_json(self) -> str:

@@ -6,15 +6,19 @@ flat is stored as the primitive-integer row echelon form that ``int_rref``
 gives for its constraint system ``A·x = b``: each row is the rational RREF
 row scaled to a primitive integer vector with a positive pivot. Both forms
 are unique, so structural equality is geometric equality and enumeration
-code deduplicates flats with a plain dict. ``int_rref`` is the only
-elimination. Rationals appear only at the edges: parsing, the constructors
-(which take ints or Fractions) and the formatted outputs. There is no
-floating point in this module.
+code deduplicates flats with a plain dict. The one elimination step is
+``extend_rref``, which adds one row to a canonical basis (or reports it
+dependent); ``int_rref`` is its fold over the rows, and callers that walk
+subsets with a common prefix extend the prefix's basis instead of starting
+over. Rationals appear only at the edges: parsing, the constructors (which
+take ints or Fractions) and the formatted outputs. There is no floating
+point in this module.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -106,55 +110,64 @@ def common_dim(points: Sequence[Point]) -> int:
     return d
 
 
-def int_rref(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+Basis = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
+
+
+def _primitive(row: Sequence[int], pc: int) -> tuple[int, ...]:
+    """The row divided by its content, signed so that entry pc is positive."""
+    g = gcd(*row)
+    if row[pc] < 0:
+        g = -g
+    return tuple(row) if g == 1 else tuple([v // g for v in row])
+
+
+def extend_rref(basis: Basis, row: Sequence[int]) -> Basis | None:
+    """The int_rref form of the row space of ``basis`` plus one row, or None
+    when the row lies in that space already.
+
+    ``basis`` is an int_rref result (rows, pivots). The row is reduced
+    against each basis row (they are zero in each other's pivot columns, so
+    one fraction-free step per row clears its pivot); what remains is zero
+    exactly when the row is dependent. Otherwise it becomes the basis row of
+    its first nonzero column, that column is cleared from the other rows,
+    and every row touched is scaled back to a primitive integer vector with
+    positive pivot. Subsets sharing a prefix can thus share its elimination.
+    """
+    rows, pivots = basis
+    v = row
+    for b, pc in zip(rows, pivots):
+        f = v[pc]
+        if f:
+            p = b[pc]
+            v = [x * p - f * y for x, y in zip(v, b)]
+    for c, x in enumerate(v):
+        if x:
+            break
+    else:
+        return None
+    v = _primitive(v, c)
+    pv = v[c]
+    out = [
+        _primitive([x * pv - f * y for x, y in zip(b, v)], pc) if (f := b[c]) else b
+        for b, pc in zip(rows, pivots)
+    ]
+    at = bisect_left(pivots, c)
+    out.insert(at, v)
+    return tuple(out), (*pivots[:at], c, *pivots[at:])
+
+
+def int_rref(rows: Sequence[Sequence[int]]) -> Basis:
     """Canonical primitive-integer form of the row space of an integer matrix.
 
-    Fraction-free Gauss-Jordan with per-row content reduction; the output
-    rows are the rational RREF rows each scaled to a primitive integer
+    The rows are the rational RREF rows each scaled to a primitive integer
     vector with positive pivot, which is likewise unique per row space but
-    avoids Fraction arithmetic in enumeration hot loops.
+    needs no Fraction arithmetic; the second entry is the pivot columns.
+    This is the fold of ``extend_rref`` over the rows.
     """
-    work = [list(r) for r in rows]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = work[r][c]
-        for i in range(len(work)):
-            f = work[i][c]
-            if i == r or f == 0:
-                continue
-            merged = [a * pv - f * b for a, b in zip(work[i], work[r])]
-            g = 0
-            for v in merged:
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            work[i] = [v // g for v in merged] if g > 1 else merged
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    out = []
-    for i in range(r):
-        row = work[i]
-        g = 0
-        for v in row:
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            row = [v // g for v in row]
-        if row[pivots[i]] < 0:
-            row = [-v for v in row]
-        out.append(tuple(row))
-    return tuple(out), tuple(pivots)
+    basis: Basis = ((), ())
+    for row in rows:
+        basis = extend_rref(basis, row) or basis
+    return basis
 
 
 def rowspace_constraints(
@@ -199,7 +212,10 @@ class Flat:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        canon, pivots = int_rref([_scaled(row)[0] for row in self.rows])
+        rows = self.rows
+        if not all(type(v) is int for row in rows for v in row):
+            rows = [_scaled(row)[0] for row in rows]
+        canon, pivots = int_rref(rows)
         if self.ambient_dim in pivots:
             raise GeometryError("inconsistent constraint system (empty flat)")
         object.__setattr__(self, "rows", canon)

@@ -1,9 +1,12 @@
 """Enumeration of flats spanned by point sets and related cover searches.
 
-Spanned flats are found by the naive subset scan: hull every (f+1)-subset,
-keep the hulls of dimension exactly f and deduplicate by canonical form. The
+Spanned flats are found by a pruned prefix walk: the (f+1)-subsets of the
+distinct points are visited depth-first in lexicographic order, each prefix
+carrying its canonical row space (``extend_rref`` adds one point per level),
+and a rank-deficient prefix is dropped with its whole subtree. Each full-rank
+subset is keyed by its canonical form, so equal flats deduplicate. The
 points on each flat are the union of the subsets that span it, gathered
-during the same scan. Output order is canonical (sorted by constraint rows)
+during the same walk. Output order is canonical (sorted by constraint rows)
 so results are identical however the work is split.
 """
 
@@ -16,12 +19,13 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .kernel import (
+    Basis,
     Flat,
     GeometryError,
     Point,
     affine_hull,
     common_dim,
-    int_rref,
+    extend_rref,
     rowspace_constraints,
     solve_unique,
 )
@@ -59,20 +63,47 @@ def dedupe_points(points: Sequence[Point]) -> list[Point]:
     return list(dict.fromkeys(points))
 
 
+def _index_masks(points: Sequence[Point]) -> dict[Point, int]:
+    """Each distinct point (in first-seen order) -> bitmask of its indices."""
+    masks: dict[Point, int] = {}
+    for i, p in enumerate(points):
+        masks[p] = masks.get(p, 0) | 1 << i
+    return masks
+
+
 def spanned_flats(points: Sequence[Point], f: int) -> SpannedSet:
     """The set of f-flats that are affine hulls of f+1 of the points.
 
-    The subset scan keys each hull by the canonical primitive-integer form
-    of its homogeneous point row space; constraint systems are materialized
-    once per distinct flat. By the exchange lemma the points on a spanned
-    f-flat are exactly the union of the (f+1)-subsets with its key, so the
-    scan itself gathers them, as a bitmask over the indices. The last two
-    results are memoized per point sequence and f.
+    The distinct points' (f+1)-subsets are walked depth-first in
+    lexicographic order; each prefix carries the canonical primitive-integer
+    form of its homogeneous point row space, extended by one point per
+    level, and a prefix that loses rank is pruned with every subset below
+    it. A full-rank subset is keyed by that form; constraint systems are
+    materialized once per distinct flat. By the exchange lemma the points on
+    a spanned f-flat are exactly the union of the (f+1)-subsets with its
+    key, so the walk itself gathers them, as a bitmask over the indices. The
+    last two results are memoized per point sequence and f.
     """
     d = common_dim(points)
     if not 0 <= f <= d - 1:
         raise GeometryError(f"flat dimension {f} out of range 0..{d - 1}")
     return _spanned_flats(tuple(points), f)
+
+
+def _walk(
+    homs: list, bits: list, found: dict, start: int, basis: Basis, mask: int, left: int
+) -> None:
+    """Extend the prefix (row space ``basis``, index mask ``mask``) by each
+    point from ``start`` on, with ``left`` points still to pick, and OR each
+    full-rank subset's mask into ``found`` under its canonical key."""
+    for i in range(start, len(homs) - left + 1):
+        ext = extend_rref(basis, homs[i])
+        if ext is None:
+            continue  # rank-deficient prefix: no subset below it spans an f-flat
+        if left == 1:
+            found[ext[0]] = found.get(ext[0], 0) | mask | bits[i]
+        else:
+            _walk(homs, bits, found, i + 1, ext, mask | bits[i], left - 1)
 
 
 # Keyed on the point sequence, so indices are never served to a reordering.
@@ -81,16 +112,9 @@ def spanned_flats(points: Sequence[Point], f: int) -> SpannedSet:
 @lru_cache(maxsize=2)
 def _spanned_flats(points: tuple[Point, ...], f: int) -> SpannedSet:
     d = points[0].dim
-    bits: dict[Point, int] = {}  # distinct point -> mask of its indices
-    for i, p in enumerate(points):
-        bits[p] = bits.get(p, 0) | 1 << i
+    bits = _index_masks(points)
     found: dict[tuple, int] = {}  # canonical key -> mask of incident indices
-    for combo, combo_bits in zip(
-        combinations([p.hom for p in bits], f + 1), combinations(bits.values(), f + 1)
-    ):
-        key = int_rref(combo)[0]
-        if len(key) == f + 1:
-            found[key] = found.get(key, 0) | sum(combo_bits)
+    _walk([p.hom for p in bits], list(bits.values()), found, 0, ((), ()), 0, f + 1)
     keys = sorted(found)
     flats = []
     for key in keys:
@@ -159,14 +183,6 @@ def _axis_line_through(p: Point) -> Flat:
     return Flat(d, tuple(rows))
 
 
-def _incidence_mask(flat: Flat, points: Sequence[Point]) -> int:
-    mask = 0
-    for i, p in enumerate(points):
-        if flat.contains(p):
-            mask |= 1 << i
-    return mask
-
-
 def _candidate_flats(
     points: Sequence[Point], dims: Iterable[int], include_point_flats: bool
 ) -> list[tuple[Flat, int, int]]:
@@ -174,14 +190,16 @@ def _candidate_flats(
 
     Covering flats can always be shrunk to the hull of the points they
     cover, so spanned flats (plus an arbitrary line per point, for
-    singleton groups) are exhaustive candidates.
+    singleton groups) are exhaustive candidates. The point flat of p holds
+    exactly the copies of p, and the axis line through p exactly the points
+    with the same axis line, so both masks come from grouping.
     """
     d = points[0].dim
-    unique = dedupe_points(points)
+    copies = _index_masks(points)
     out: list[tuple[Flat, int, int]] = []
     seen: set[tuple] = set()
     for f in dims:
-        if not 1 <= f <= d - 1 or f + 1 > len(unique):
+        if not 1 <= f <= d - 1 or f + 1 > len(copies):
             continue
         spanned = spanned_flats(points, f)
         for flat, mask in zip(spanned.flats, spanned.masks):
@@ -189,15 +207,17 @@ def _candidate_flats(
                 seen.add(flat.rows)
                 out.append((flat, f, mask))
     if include_point_flats:
-        for p in unique:
-            flat = affine_hull([p])
-            out.append((flat, 0, _incidence_mask(flat, points)))
+        for p, mask in copies.items():
+            out.append((affine_hull([p]), 0, mask))
     else:
-        for p in unique:
-            line = _axis_line_through(p)
+        lines = [_axis_line_through(p) for p in copies]
+        on_axis: dict[tuple, int] = {}  # axis line rows -> mask of its points
+        for line, mask in zip(lines, copies.values()):
+            on_axis[line.rows] = on_axis.get(line.rows, 0) | mask
+        for line in lines:
             if line.rows not in seen:
                 seen.add(line.rows)
-                out.append((line, 1, _incidence_mask(line, points)))
+                out.append((line, 1, on_axis[line.rows]))
     return out
 
 

@@ -1,17 +1,24 @@
-"""Fraction-arithmetic reference kernel, kept as the slow oracle.
+"""Slow reference versions of the package's fast paths, kept as oracles.
 
 The package computes over integers only (``int_rref``); these are the
 textbook rational versions it is checked against: Gauss-Jordan RREF, the
 nullspace-based affine hull, the homogeneous affine rank, the all-pairs
 vertex degrees of a slope/intercept line grid, and the incidence pass that
-tests every spanned flat against every point.
+tests every spanned flat against every point. Beside them are the
+exhaustive forms of the prefix-sharing walks: the scan that eliminates every
+(f+1)-subset from scratch, and the general-position check that ranks every
+configuration of lines and picks on its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
+
+from spanflats.kernel import Flat, int_rref, rowspace_constraints
+from spanflats.kernel import affine_rank as int_affine_rank
+from spanflats.spans import SpannedSet
 
 
 def rref(rows):
@@ -108,3 +115,66 @@ def attach_incidences(flats, points) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(i for i, p in enumerate(points) if flat.contains(p)) for flat in flats
     )
+
+
+def subset_scan(points, f: int) -> SpannedSet:
+    """spanned_flats by eliminating every (f+1)-subset of the distinct points
+    on its own: full-rank subsets keyed by their int_rref rows, the masks of
+    the subsets with one key OR-ed together."""
+    bits: dict = {}
+    for i, p in enumerate(points):
+        bits[p] = bits.get(p, 0) | 1 << i
+    found: dict[tuple, int] = {}
+    for combo, combo_bits in zip(
+        combinations([p.hom for p in bits], f + 1), combinations(bits.values(), f + 1)
+    ):
+        key = int_rref(combo)[0]
+        if len(key) == f + 1:
+            found[key] = found.get(key, 0) | sum(combo_bits)
+    d = points[0].dim
+    keys = sorted(found)
+    flats = tuple(Flat(d, rowspace_constraints(d, key, int_rref(key)[1])) for key in keys)
+    masks = tuple(found[key] for key in keys)
+    incident = tuple(
+        tuple(i for i in range(len(points)) if mask >> i & 1) for mask in masks
+    )
+    return SpannedSet(f, flats, incident, masks)
+
+
+def verify_covering_lines(d: int, line_points) -> str | None:
+    """The general-position check with one affine_rank call per
+    configuration, in the package's order and with its messages."""
+    nlines = len(line_points)
+    for j in range(nlines + 1):
+        for subset in combinations(range(nlines), j):
+            others = [i for i in range(nlines) if i not in subset]
+            max_t = min(len(others), d + 2 - 2 * j)
+            if max_t < 0:
+                continue
+            for t in range(max_t + 1):
+                if j == 0 and t < 2:
+                    continue
+                for chosen_lines in combinations(others, t):
+                    for picks in product(*(line_points[i] for i in chosen_lines)):
+                        expected = min(2 * j + t, d + 1)
+                        pts = list(picks)
+                        for i in subset:
+                            pts.extend(line_points[i][:2])
+                        got = int_affine_rank(pts)
+                        if got != expected:
+                            if t == 0:
+                                return (
+                                    f"lines {subset} lie in a flat of rank {got}"
+                                    f" (general position needs {expected})"
+                                )
+                            if j == 0 and t == d - 1:
+                                return (
+                                    f"transversal {[p.serialize() for p in picks]}"
+                                    " is affinely dependent"
+                                )
+                            return (
+                                f"lines {subset} with points"
+                                f" {[p.serialize() for p in picks]} span rank {got},"
+                                f" expected {expected}"
+                            )
+    return None

@@ -1,8 +1,13 @@
 import csv
 import io
 import json
+import string
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanflats import BiArrangement, count_bichromatic
 from spanflats.cli import beck3_instance, fit_loglog, main
@@ -472,3 +477,168 @@ def test_broken_pool_falls_back_to_serial(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", BrokenPool)
     assert run_cli(capsys, *args, "--jobs", "2", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# --- extreme and empty inputs ------------------------------------------------
+
+ZERO = st.just("0")
+EMPTY = st.just("")
+NEGATIVE = st.integers(max_value=-1).map(str)
+HUGE = (
+    st.integers(min_value=sys.maxsize + 1, max_value=10**400)
+    | st.integers(min_value=-(10**400), max_value=-sys.maxsize - 2)
+).map(str)
+# letters only: never an integer or a rational; as a float only nan/inf
+WORDS = st.sampled_from(["x", "nan", "inf", "-inf", "Infinity", "abc"]) | st.text(
+    alphabet=string.ascii_letters, min_size=1, max_size=8
+)
+BAD_INT = EMPTY | NEGATIVE | HUGE | WORDS
+BAD_COUNT = BAD_INT | ZERO
+BAD_FLOAT = EMPTY | WORDS | st.sampled_from(["1e999", "-1e999", "1" + "0" * 400])
+
+BAD_FILES = {
+    "points": ["", "# only a comment\n", "1,x\n", "1,2\n1,2,3\n", "1/0,1\n", b"\xff\xfe1,2\n"],
+    "arrangement": [
+        "", "null", "[]", "{}", '{"d": 2}', '{"d": "x", "red": [], "blue": [], "vertices": []}',
+        '{"d": 2, "red": 5, "blue": [], "vertices": []}',
+        '{"d": 2, "red": [[["1", "0"]]], "blue": [], "vertices": []}',
+        '{"d": 2, "red": [[[1, 0, 0]]], "blue": [], "vertices": []}',
+        '{"d": 2, "red": [[["0", "0", "1"]]], "blue": [], "vertices": []}',
+        '{"d": 2, "red": [], "blue": [], "vertices": [5]}', b"\xff{}",
+    ],
+    "series": [
+        "", "1 2\n", "a b\nc d\n", "1 2 3\n4 5 6\n", "0 1\n2 3\n", "1 2\n1 3\n",
+        "1e999 1\n2 3\n", "nan 1\n2 3\n", "1 2\n1" + "0" * 400 + " 3\n", b"\xff 1\n",
+    ],
+}
+
+# subcommand -> (valid base argv, {option: bad values}); "{dir}" in an argv is
+# the scratch directory, and a string in place of a strategy names a file
+# option's kind: "missing" (an --out path), or a key of BAD_FILES
+SUBCOMMANDS = {
+    "enumerate": (
+        ["enumerate", "--points", "{dir}/good-points", "--f", "1"],
+        {"--points": "points", "--f": BAD_INT},
+    ),
+    "incidences": (
+        ["incidences", "--arrangement", "{dir}/good-arrangement"],
+        {"--arrangement": "arrangement"},
+    ),
+    "erdos2d": (
+        ["construct", "erdos2d", "--r", "2", "--s", "2"],
+        {"--r": BAD_COUNT, "--s": BAD_COUNT},
+    ),
+    "bichromatic": (
+        ["construct", "bichromatic", "--d", "3", "--n", "10", "--k", "5", "--m", "20"],
+        {"--d": BAD_COUNT, "--n": BAD_COUNT, "--k": BAD_COUNT, "--m": BAD_COUNT,
+         "--c0": BAD_COUNT},
+    ),
+    "thetamk": (
+        ["construct", "thetamk", "--d", "3", "--n", "6", "--k", "2", "--m", "4"],
+        {"--d": BAD_COUNT, "--n": BAD_COUNT, "--k": BAD_COUNT, "--m": BAD_COUNT},
+    ),
+    "purdy": (
+        ["construct", "purdy", "--d", "4", "--k", "2"],
+        {"--d": BAD_COUNT, "--k": BAD_COUNT},
+    ),
+    "verify-purdy": (
+        ["verify-purdy", "--d-range", "4", "--k-range", "2"],
+        {
+            "--d-range": BAD_COUNT | st.sampled_from([":", "3", "5:4", "4:x", "x:5", ","])
+            | HUGE.map(lambda h: f"4:{h}"),
+            "--k-range": BAD_COUNT | st.sampled_from([":", "1", "3:2", "2:x"])
+            | HUGE.map(lambda h: f"2:{h}"),
+        },
+    ),
+    "fit": (["fit", "--series", "{dir}/good-series"], {"--series": "series"}),
+    "envelope-sweep": (
+        ["envelope-sweep", "--construction", "thetamk", "--d", "3", "--n0", "8",
+         "--doublings", "0"],
+        {"--construction": WORDS, "--d": BAD_COUNT, "--n0": BAD_COUNT,
+         "--doublings": BAD_INT, "--k-frac": BAD_FLOAT | ZERO | st.just("-0.5"),
+         "--p": BAD_COUNT},
+    ),
+    "beck3": (
+        ["beck3", "--n-list", "10", "--k-list", "3", "--seeds", "1"],
+        {
+            "--n-list": BAD_COUNT | st.just(",") | HUGE.map(lambda h: f"10,{h}"),
+            "--k-list": BAD_COUNT | st.just(",") | st.just("3,10"),
+            "--seeds": BAD_COUNT,
+            "--plant": WORDS,
+        },
+    ),
+    "conjecture-search": (
+        ["conjecture-search", "--d", "3", "--n", "4", "--samples", "1"],
+        {"--d": BAD_COUNT, "--n": BAD_COUNT, "--samples": BAD_COUNT, "--r": BAD_COUNT,
+         "--floor": BAD_FLOAT, "--points": "points"},
+    ),
+}
+# every subcommand takes these
+COMMON = {"--jobs": BAD_COUNT, "--seed": EMPTY | WORDS, "--format": EMPTY | WORDS,
+          "--out": "missing"}
+
+
+@pytest.fixture(scope="module")
+def io_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("extreme")
+    (root / "good-points").write_text("0,0\n1,0\n0,1\n")
+    (root / "good-series").write_text("1 2\n2 4\n")
+    (root / "good-arrangement").write_text(
+        '{"d": 2, "red": [[["1", "0", "0"]]], "blue": [[["0", "1", "0"]]], "vertices": ["0,0"]}'
+    )
+    for kind, contents in BAD_FILES.items():
+        for i, content in enumerate(contents):
+            path = root / f"bad-{kind}-{i}"
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(content)
+    return root
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own rejections
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _fill(argv, root):
+    return [a.format(dir=root) for a in argv]
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_extreme_input_bases_run(io_dir, name):
+    code, err = _run_main(_fill(SUBCOMMANDS[name][0], io_dir))
+    assert code == 0, err
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_extreme_and_empty_inputs_exit_2(io_dir, data):
+    name = data.draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    base, options = SUBCOMMANDS[name]
+    option, bad = data.draw(st.sampled_from(sorted({**options, **COMMON}.items(),
+                                                   key=lambda kv: kv[0])))
+    if bad == "missing":
+        value = str(io_dir / "no-such-dir" / "file")
+    elif isinstance(bad, str):  # a file option: missing, or a bad file
+        value = data.draw(st.sampled_from(
+            [str(io_dir / "no-such-file")]
+            + [str(io_dir / f"bad-{bad}-{i}") for i in range(len(BAD_FILES[bad]))]
+        ))
+    else:
+        value = data.draw(bad)
+    argv = _fill(base, io_dir)
+    if option in argv:
+        i = argv.index(option)
+        del argv[i : i + 2]
+    argv.append(f"{option}={value}")
+    code, err = _run_main(argv)
+    assert code == 2, (argv, err)
+    assert "Traceback" not in err
+    error_lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(error_lines) == 1 and err.splitlines()[-1] == error_lines[0], err

@@ -1,5 +1,7 @@
 import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanflats import (
     ConstructionError,
@@ -248,6 +250,30 @@ def test_verify_covering_lines_catches_degeneracies():
     c = [Point((5, 0, 0, 1)), Point((5, 0, 1, 0))]
     failure = verify_covering_lines(4, [a, b, c])
     assert failure is not None and "rank" in failure
+
+
+@st.composite
+def covering_line_configs(draw):
+    """k points base + t*direction (t = 1..k) on each of d-1 lines, from
+    coordinate ranges small enough that degeneracies are common."""
+    d, k = draw(st.integers(4, 5)), draw(st.integers(2, 3))
+    span = draw(st.sampled_from([1, 2, 60]))
+    coord = st.integers(-span, span)
+    lines = []
+    for _ in range(d - 1):
+        base = draw(st.lists(coord, min_size=d, max_size=d))
+        direction = draw(st.lists(coord, min_size=d, max_size=d))
+        lines.append(
+            [Point(b + t * v for b, v in zip(base, direction)) for t in range(1, k + 1)]
+        )
+    return d, lines
+
+
+@given(covering_line_configs())
+@settings(max_examples=150, deadline=None)
+def test_verify_covering_lines_matches_exhaustive_oracle(config):
+    d, lines = config
+    assert verify_covering_lines(d, lines) == oracle.verify_covering_lines(d, lines)
 
 
 def test_theta_mk_huge_m_is_infeasible_not_overflow():

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 import oracle
@@ -17,7 +18,7 @@ from spanflats import (
     meet,
     parse_rational,
 )
-from spanflats.kernel import int_rref
+from spanflats.kernel import extend_rref, int_rref
 
 
 def test_rational_round_trip():
@@ -176,3 +177,43 @@ def test_integer_kernel_matches_fraction_oracle(pair):
         assert got.serialize_rows() == _formatted(expected)
     assert affine_rank(pts_a + pts_b) == oracle.affine_rank(pts_a + pts_b)
     assert [f1.contains(p) for p in pts_b] == [oracle.contains(rows1, p) for p in pts_b]
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer rows of one width, with zero rows, repeats and integer
+    combinations of earlier rows mixed in."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.integers(-4, 4) | st.integers(-10**9, 10**9)
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "combination"]))
+        if kind == "zero" or (kind != "fresh" and not rows):
+            rows.append([0] * ncols)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@given(integer_matrices())
+@settings(max_examples=300)
+def test_extend_rref_fold_matches_fraction_oracle(rows):
+    basis = ((), ())
+    for n, row in enumerate(rows, start=1):
+        grown = extend_rref(basis, row)
+        rank = len(oracle.rref(rows[:n])[0])
+        assert (grown is None) == (rank == len(basis[0]))
+        basis = grown or basis
+        assert len(basis[0]) == rank
+    assert int_rref(rows) == basis
+    red, pivots = oracle.rref(rows)
+    assert basis[1] == pivots
+    for got, want, pc in zip(basis[0], red, pivots):
+        assert got[pc] > 0 and gcd(*got) == 1
+        assert [F(v, got[pc]) for v in got] == list(want)

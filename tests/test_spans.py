@@ -23,7 +23,7 @@ from spanflats import (
     spanned_flats,
     spanned_hyperplane_count,
 )
-from spanflats.spans import read_point_file, write_point_file
+from spanflats.spans import _candidate_flats, read_point_file, write_point_file
 
 
 # --- independent oracles ----------------------------------------------------
@@ -167,6 +167,37 @@ def test_incidences_match_attach_oracle(pts, f, data):
         expected = oracle.attach_incidences(mine.flats, points)
         assert mine.per_flat_points == expected
         assert mine.masks == tuple(sum(1 << i for i in idxs) for idxs in expected)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.tuples(
+            point_lists(d, 1, 7, lo=-2, hi=2, max_den=2), st.integers(0, d - 1)
+        )
+    ),
+    st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_prefix_walk_matches_subset_scan_oracle(case, data):
+    pts, f = case
+    pts = pts + data.draw(st.lists(st.sampled_from(pts), max_size=3))
+    assert spanned_flats(pts, f) == oracle.subset_scan(pts, f)
+
+
+@given(
+    st.integers(1, 4).flatmap(lambda d: point_lists(d, 1, 6, lo=-2, hi=2, max_den=3)),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_candidate_masks_match_contains_oracle(pts, point_flats, data):
+    pts = pts + data.draw(st.lists(st.sampled_from(pts), max_size=3))
+    candidates = _candidate_flats(pts, range(1, pts[0].dim), point_flats)
+    flats = [flat for flat, _, _ in candidates]
+    expected = oracle.attach_incidences(flats, pts)
+    assert [mask for _, _, mask in candidates] == [
+        sum(1 << i for i in idxs) for idxs in expected
+    ]
 
 
 @given(point_lists(3, 2, 6, lo=-3, hi=3, max_den=2))
