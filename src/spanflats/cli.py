@@ -113,15 +113,28 @@ def _write_output(args, text: str) -> None:
 
 def pmap(fn: Callable, items: Sequence, jobs: int) -> list:
     """Order-preserving map, fanned out over processes when jobs > 1; never
-    more processes than items or cores."""
+    more processes than items or cores.
+
+    Falls back to a serial map when the pool cannot start or take the items
+    (OSError or BrokenProcessPool) or a worker dies while results are
+    collected (BrokenProcessPool). An item's own error, OSError included,
+    is raised at once and the item is not run again."""
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(item) for item in items]
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    except (OSError, BrokenProcessPool):
+        pool = ProcessPoolExecutor(max_workers=workers)
+    except OSError:
         return [fn(item) for item in items]
+    with pool:
+        try:
+            results = pool.map(fn, items)  # starts the workers, submits every item
+        except (OSError, BrokenProcessPool):
+            return [fn(item) for item in items]
+        try:
+            return list(results)
+        except BrokenProcessPool:
+            return [fn(item) for item in items]
 
 
 def _check_size(name: str, value: int) -> int:

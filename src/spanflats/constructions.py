@@ -13,11 +13,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, isqrt
-from typing import Sequence
+from math import gcd, isqrt, lcm
+from typing import Iterator, Sequence
 
 from .formulas import iroot
-from .incidence import BiArrangement
+from .incidence import BiArrangement, hyperplane_degrees
 from .kernel import Basis, Flat, Point, extend_rref, hyperplane, int_rref
 from .kernel import affine_rank  # noqa: F401  (bench/test_bench.py traces this copy)
 
@@ -41,12 +41,13 @@ def _grid_lines(pairs: Sequence[tuple[int, int]]) -> list[Flat]:
     return [hyperplane((-a, 1), b) for a, b in pairs]
 
 
-def windowed_grid_degrees(
+def _grid_vertices(
     pairs: Sequence[tuple[int, int]], window: tuple[int, int] | None = None
-) -> dict[tuple[Fraction, Fraction], int]:
-    """Vertices of the lines y = a*x + b, with the number of lines through
-    each; with ``window = (x_max, y_max)`` only those with |x| <= x_max and
-    0 <= y < y_max.
+) -> Iterator[tuple[int, int, int, int]]:
+    """(count, p, q, key) for each vertex (x, y) = (p/q, key/q) of the lines
+    y = a*x + b with the count of lines through it, p/q in lowest terms and
+    q > 0; with ``window = (x_max, y_max)`` only those with |x| <= x_max and
+    0 <= y < y_max. Each vertex is yielded once.
 
     Two lines meet at x = beta/delta for a slope difference delta and an
     intercept difference beta, so those fractions are the only candidate x
@@ -63,13 +64,27 @@ def windowed_grid_degrees(
             if window is None or abs(beta) <= delta * window[0]:
                 g = gcd(beta, delta)
                 candidates.add((beta // g, delta // g))
-    degrees: dict[tuple[Fraction, Fraction], int] = {}
     for p, q in candidates:
         at_x = Counter(a * p + b * q for a, b in pairs)
         for key, count in at_x.items():
             if count >= 2 and (window is None or 0 <= key < window[1] * q):
-                degrees[(Fraction(p, q), Fraction(key, q))] = count
-    return degrees
+                yield count, p, q, key
+
+
+def windowed_grid_degrees(
+    pairs: Sequence[tuple[int, int]], window: tuple[int, int] | None = None
+) -> dict[tuple[Fraction, Fraction], int]:
+    """Vertices of the lines y = a*x + b as Fraction pairs, with the number
+    of lines through each; with ``window = (x_max, y_max)`` only those with
+    |x| <= x_max and 0 <= y < y_max.
+
+    A view over the integer vertices of ``_grid_vertices``: the vertex
+    (p/q, key/q) is exact, and Fractions are made only here, at the edge.
+    """
+    return {
+        (Fraction(p, q), Fraction(key, q)): count
+        for count, p, q, key in _grid_vertices(pairs, window)
+    }
 
 
 def erdos_grid_2d(r: int, s: int) -> LineGrid2D:
@@ -88,20 +103,36 @@ def erdos_grid_2d(r: int, s: int) -> LineGrid2D:
     )
 
 
-def _rich_line_config(k: int) -> tuple[list[tuple[int, int]], list[tuple[int, tuple[Fraction, Fraction]]]]:
+def _rich_line_config(k: int) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
     """k grid lines plus their arrangement vertices sorted richest-first.
 
     The slope range is floor(sqrt(k)) so vertex degrees grow with k, but at
     least 2 slopes whenever k >= 2 (a single-slope pencil has no vertices);
     ties between equally rich vertices break on coordinates, keeping the
     selection deterministic.
+
+    The ranking is on integers. Every vertex (p/q, key/q) has q dividing
+    L = lcm of all the q, so (x*L, y*L) = (p*L/q, key*L/q) are integers and,
+    L being positive, order the vertices as their Fraction coordinates do.
+    Each entry is (-count, x*L, y*L, p, q, key); no two vertices share
+    (x*L, y*L), so the sort never compares past the third item, and
+    ``_ranked_vertex`` turns an entry back into (count, (x, y)).
     """
     r = max(min(k, 2), isqrt(k))
     s = -(-k // r)
     pairs = [(a, b) for a in range(r) for b in range(s)][:k]
-    degrees = windowed_grid_degrees(pairs)
-    ranked = sorted(((deg, v) for v, deg in degrees.items()), key=lambda t: (-t[0], t[1]))
+    vertices = list(_grid_vertices(pairs))
+    L = lcm(*(q for _, _, q, _ in vertices))
+    ranked = sorted(
+        (-count, p * (L // q), key * (L // q), p, q, key) for count, p, q, key in vertices
+    )
     return pairs, ranked
+
+
+def _ranked_vertex(entry: tuple[int, ...]) -> tuple[int, tuple[Fraction, Fraction]]:
+    """A ``_rich_line_config`` entry as (count, (x, y)) with exact Fractions."""
+    neg_count, _, _, p, q, key = entry
+    return -neg_count, (Fraction(p, q), Fraction(key, q))
 
 
 @dataclass(frozen=True)
@@ -140,7 +171,7 @@ def bichromatic_lower_construction(
         raise ConstructionError(
             f"p = {p} exceeds the {len(ranked)} vertices of the {k}-line configuration"
         )
-    chosen = ranked[:p]
+    chosen = [_ranked_vertex(entry) for entry in ranked[:p]]
     plane_incidences = sum(deg for deg, _ in chosen)
 
     zeros = [0] * (d - 2)
@@ -223,7 +254,7 @@ def theta_mk_construction(d: int, n: int, k: int, m: int) -> ThetaMkConstruction
         vertices = [
             Point(list(coords) + [0, 0]) for coords in product(range(p), repeat=d - 2)
         ]
-    degrees = [sum(1 for v in vertices if h.contains(v)) for h in hyps]
+    degrees = hyperplane_degrees(hyps, vertices)
     order = sorted(range(n), key=lambda i: (-degrees[i], i))
     red_idx = set(order[:k])
     red = tuple(hyps[i] for i in range(n) if i in red_idx)

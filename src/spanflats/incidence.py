@@ -1,15 +1,25 @@
 """Bichromatic point-hyperplane incidence counting and the bound envelope.
 
-The counter is the exact all-pairs predicate scan; it is the reference
-semantics, not an approximation, so every optimized caller must agree with
-it bit-exactly.
+Incidences are counted by parallel class, exactly. A hyperplane's canonical
+row [a | b] is primitive, so with g = gcd(a) its primitive normal a' = a/g
+and its offset b/g (already in lowest terms, since gcd(g, b) = 1) name it
+uniquely: hyperplanes with one normal a' form a class, told apart by offset.
+A vertex with homogeneous vector (num, den) lies on a'·x = beta exactly when
+a'·num / den = beta, so one dot product per vertex per class, reduced to
+lowest terms, is looked up in the class's offset counts. The cost is
+classes × vertices + hyperplanes instead of vertices × hyperplanes, and every
+count equals the all-pairs predicate scan (kept as the oracle in the tests).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
+from typing import Sequence
 
 from .formulas import iroot
 from .kernel import Flat, GeometryError, Point
@@ -96,16 +106,65 @@ def _check_arrangement(a: BiArrangement) -> None:
             raise GeometryError(f"vertex {v.serialize()} is not in E^{a.d}")
 
 
+Normal = tuple[int, ...]
+Offset = tuple[int, int]
+
+
+def hyperplane_class(h: Flat) -> tuple[Normal, Offset]:
+    """The primitive normal a' and the offset (num, den) of a hyperplane
+    a'·x = num/den, in lowest terms with den > 0; equal exactly for equal
+    hyperplanes."""
+    *normal, b = h.rows[0]
+    g = gcd(*normal)
+    return tuple(v // g for v in normal), (b, g)
+
+
+def vertex_offset(normal: Normal, hom: Sequence[int]) -> Offset:
+    """The offset (num, den) in lowest terms of the hyperplane with this
+    primitive normal through the point with homogeneous vector ``hom``."""
+    *num, den = hom
+    s = sum(map(mul, normal, num))
+    g = gcd(s, den)
+    return s // g, den // g
+
+
+def hyperplane_degrees(hyperplanes: Sequence[Flat], vertices: Sequence[Point]) -> list[int]:
+    """The number of vertices on each hyperplane, by parallel class: each
+    vertex's offset is computed once per class and counted."""
+    keys = [hyperplane_class(h) for h in hyperplanes]
+    at = {
+        normal: Counter(vertex_offset(normal, v.hom) for v in vertices)
+        for normal in dict.fromkeys(normal for normal, _ in keys)
+    }
+    return [at[normal][offset] for normal, offset in keys]
+
+
 def count_bichromatic(a: BiArrangement) -> CountReport:
     """Exact incidence counts between the vertex set and the red (and all)
-    hyperplanes, by direct predicate evaluation."""
+    hyperplanes, by parallel class.
+
+    Each class (primitive normal a') keeps a Counter of the red offsets and
+    one of the blue. A vertex's offset under a' is a'·num / den in lowest
+    terms, and the hyperplanes of the class through the vertex are exactly
+    those with that offset, so two lookups per class give its red and blue
+    degrees. Equal to testing every vertex against every hyperplane.
+    """
     _check_arrangement(a)
+    classes: dict[Normal, tuple[Counter, Counter]] = {}
+    for color, group in enumerate((a.red, a.blue)):
+        for h in group:
+            normal, offset = hyperplane_class(h)
+            classes.setdefault(normal, (Counter(), Counter()))[color][offset] += 1
     red_degrees = []
     total = 0
     for v in a.vertices:
-        deg = sum(1 for h in a.red if h.contains(v))
-        total += deg + sum(1 for h in a.blue if h.contains(v))
-        red_degrees.append(deg)
+        red = blue = 0
+        for normal, (reds, blues) in classes.items():
+            offset = vertex_offset(normal, v.hom)
+            red += reds.get(offset, 0)
+            blue += blues.get(offset, 0)
+        red_degrees.append(red)
+        total += red + blue
     return CountReport(
         red_incidences=sum(red_degrees),
         total_incidences=total,
@@ -117,11 +176,9 @@ def count_bichromatic(a: BiArrangement) -> CountReport:
 def validate_vertices(a: BiArrangement) -> tuple[bool, bool]:
     """(every listed vertex is a true arrangement vertex,
     every listed vertex touches at least one red hyperplane)."""
-    _check_arrangement(a)
+    all_red = all(count_bichromatic(a).per_point_red_degree)
     true_vertices = set(arrangement_vertices(a.red + a.blue))
-    all_true = all(v in true_vertices for v in a.vertices)
-    all_red = all(any(h.contains(v) for h in a.red) for v in a.vertices)
-    return all_true, all_red
+    return all(v in true_vertices for v in a.vertices), all_red
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 The package computes over integers only (``int_rref``); these are the
 textbook rational versions it is checked against: Gauss-Jordan RREF, the
 nullspace-based affine hull, the homogeneous affine rank, the all-pairs
-vertex degrees of a slope/intercept line grid, and the incidence pass that
-tests every spanned flat against every point. Beside them are the
+vertex degrees of a slope/intercept line grid and their Fraction-keyed
+ranking, the incidence pass that tests every spanned flat against every
+point, and the bichromatic count that tests every vertex against every
+hyperplane. Beside them are the
 exhaustive forms of the prefix-sharing walks: the scan that eliminates every
 (f+1)-subset from scratch, and the general-position check that ranks every
 configuration of lines and picks on its own.
@@ -16,6 +18,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
+from spanflats.incidence import CountReport, _check_arrangement
 from spanflats.kernel import Flat, int_rref, rowspace_constraints
 from spanflats.kernel import affine_rank as int_affine_rank
 from spanflats.spans import SpannedSet
@@ -107,6 +110,37 @@ def grid_vertex_degrees(
     return {
         (x, y): sum(1 for a, b in pairs if a * x + b == y) for x, y in vertices
     }
+
+
+def ranked_vertices(
+    degrees: dict[tuple[Fraction, Fraction], int]
+) -> list[tuple[int, tuple[Fraction, Fraction]]]:
+    """Grid vertices as (degree, (x, y)), richest first, ties by coordinates,
+    sorted on their Fraction keys."""
+    return sorted(((deg, v) for v, deg in degrees.items()), key=lambda t: (-t[0], t[1]))
+
+
+def count_bichromatic(a) -> CountReport:
+    """Exact incidence counts between the vertex set and the red (and all)
+    hyperplanes, by testing every vertex against every hyperplane."""
+    _check_arrangement(a)
+    red_degrees = []
+    total = 0
+    for v in a.vertices:
+        deg = sum(1 for h in a.red if h.contains(v))
+        total += deg + sum(1 for h in a.blue if h.contains(v))
+        red_degrees.append(deg)
+    return CountReport(
+        red_incidences=sum(red_degrees),
+        total_incidences=total,
+        per_point_red_degree=tuple(red_degrees),
+        red_incident_vertex_count=sum(1 for deg in red_degrees if deg > 0),
+    )
+
+
+def hyperplane_degrees(hyperplanes, vertices) -> list[int]:
+    """The number of vertices on each hyperplane, testing every pair."""
+    return [sum(1 for v in vertices if h.contains(v)) for h in hyperplanes]
 
 
 def attach_incidences(flats, points) -> tuple[tuple[int, ...], ...]:

@@ -479,6 +479,39 @@ def test_broken_pool_falls_back_to_serial(tmp_path, capsys, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+
+def test_pmap_raises_an_items_own_oserror_without_rerunning(monkeypatch):
+    import spanflats.cli as cli
+
+    calls = []
+
+    def fn(item):
+        calls.append(item)
+        return item
+
+    class ItemFailsPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            def results():
+                yield items[0]
+                raise OSError(f"item {items[1]} could not write its file")
+
+            return results()
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", ItemFailsPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    with pytest.raises(OSError, match="item 1 could not"):
+        cli.pmap(fn, [0, 1, 2], 2)
+    assert calls == []
+
 # --- extreme and empty inputs ------------------------------------------------
 
 ZERO = st.just("0")

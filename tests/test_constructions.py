@@ -19,7 +19,7 @@ from spanflats import (
     verify_covering_lines,
 )
 from spanflats.cli import fit_loglog
-from spanflats.constructions import _rich_line_config, windowed_grid_degrees
+from spanflats.constructions import _rich_line_config, _ranked_vertex, windowed_grid_degrees
 
 
 # --- 2-D grid ---------------------------------------------------------------
@@ -64,6 +64,26 @@ def test_unwindowed_degrees_match_pairwise_oracle():
         pairs, _ = _rich_line_config(k)
         assert windowed_grid_degrees(pairs) == oracle.grid_vertex_degrees(pairs)
 
+
+
+def _assert_ranking_equals_fraction_sort(k):
+    # the integer keys (-count, x*L, y*L) order the vertices as the
+    # Fraction keys (-count, x, y) do, so every prefix ranked[:p] agrees
+    pairs, ranked = _rich_line_config(k)
+    expected = oracle.ranked_vertices(windowed_grid_degrees(pairs))
+    assert [_ranked_vertex(entry) for entry in ranked] == expected, k
+
+
+@pytest.mark.parametrize("k", [*range(2, 61), 299, 300])
+def test_integer_ranking_equals_fraction_sort(k):
+    _assert_ranking_equals_fraction_sort(k)
+
+
+# all of k = 2..300 takes about a minute; each run draws from it
+@given(st.integers(min_value=61, max_value=298))
+@settings(max_examples=8, deadline=None)
+def test_integer_ranking_equals_fraction_sort_sampled(k):
+    _assert_ranking_equals_fraction_sort(k)
 
 def test_grid_incidence_growth_slope():
     # richest-n vertex selection per rung keeps m = Theta(n); the incidence

@@ -1,5 +1,7 @@
 import json
+from fractions import Fraction
 
+import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +15,10 @@ from spanflats import (
     bound_envelope,
     count_bichromatic,
     hyperplane,
+    meet,
     validate_vertices,
 )
+from spanflats.incidence import hyperplane_degrees
 
 
 def axes3():
@@ -140,6 +144,73 @@ def test_count_matches_inline_scan(arrangement):
     assert sum(report.per_point_red_degree) == red
     assert report.red_incident_vertex_count <= arrangement.m
 
+
+
+SCALES = st.sampled_from([Fraction(s) for s in (1, 2, 3, -1, -2, "1/2", "-1/3", "2/3", "-3/2")])
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def parallel_family_arrangements(draw):
+    """Parallel families whose members have normals scaled by negative and
+    fractional factors and rational offsets (so parallel canonical rows
+    differ), any red/blue split, and rational vertices drawn on meets of
+    up to d of the hyperplanes and off them."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    normals = draw(
+        st.lists(
+            st.tuples(*[st.integers(min_value=-3, max_value=3)] * d).filter(any),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    hyps = []
+    for normal in normals:
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            scale = draw(SCALES)
+            h = hyperplane([scale * c for c in normal], draw(RATIONALS) * scale)
+            if h not in hyps:
+                hyps.append(h)
+    hyps = draw(st.permutations(hyps))
+    split = draw(st.integers(min_value=0, max_value=len(hyps)))
+    vertices = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        if draw(st.booleans()):
+            vertices.append(Point([draw(RATIONALS) for _ in range(d)]))
+            continue
+        chosen = draw(st.lists(st.sampled_from(hyps), min_size=1, max_size=d, unique=True))
+        flat = chosen[0]
+        for h in chosen[1:]:
+            flat = meet(flat, h) or flat  # a parallel member leaves the flat as is
+        spanning = flat.spanning_points()
+        weights = [draw(RATIONALS) for _ in spanning[1:]]
+        weights.insert(0, 1 - sum(weights))
+        vertices.append(
+            Point(sum(w * p[i] for w, p in zip(weights, spanning)) for i in range(d))
+        )
+    return BiArrangement(d, tuple(hyps[:split]), tuple(hyps[split:]), tuple(vertices))
+
+
+@given(parallel_family_arrangements())
+@settings(max_examples=300, deadline=None)
+def test_class_count_equals_all_pairs_scan(arrangement):
+    assert count_bichromatic(arrangement) == oracle.count_bichromatic(arrangement)
+    hyps = arrangement.red + arrangement.blue
+    assert hyperplane_degrees(hyps, arrangement.vertices) == oracle.hyperplane_degrees(
+        hyps, arrangement.vertices
+    )
+
+
+def test_parallel_rows_with_different_normals_are_one_class():
+    # x + 2y = 1 and x + 2y = 1/2 have canonical rows (1, 2 | 1) and (2, 4 | 1)
+    h1, h2 = hyperplane((1, 2), 1), hyperplane((1, 2), Fraction(1, 2))
+    assert h1.rows[0][:2] != h2.rows[0][:2]
+    v1, v2, off = Point((1, 0)), Point((Fraction(1, 2), 0)), Point((0, 0))
+    a = BiArrangement(2, (h1,), (h2,), (v1, v2, off))
+    report = count_bichromatic(a)
+    assert report.per_point_red_degree == (1, 0, 0)
+    assert report.total_incidences == 2
+    assert report == oracle.count_bichromatic(a)
 
 # --- envelope ---------------------------------------------------------------
 
