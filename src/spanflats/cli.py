@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 from .constructions import (
     ConstructionError,
+    beck3_instance,
     bichromatic_lower_construction,
     erdos_grid_2d,
     purdy_counterexample,
@@ -36,9 +37,7 @@ from .formulas import FormulaDomainError, purdy_counts
 from .incidence import BiArrangement, bound_envelope, count_bichromatic
 from .kernel import GeometryError, Point, common_dim, parse_rational
 from .spans import (
-    max_cover_plane_or_two_lines,
     max_degenerate_subset,
-    is_r_degenerate,
     read_point_file,
     spanned_flats,
     write_point_file,
@@ -464,67 +463,6 @@ def cmd_envelope_sweep(args) -> int:
 # ---------------------------------------------------------------- beck3
 
 
-def beck3_instance(
-    n: int, k: int, seed: int, plant: str, max_attempts: int = 32
-) -> list[Point]:
-    """n points in E^3 with exactly n-k on the planted plane (or pair of
-    skew lines) and no plane or skew line pair covering more; verified via
-    the cover detector and regenerated on failure."""
-    if k < 1 or k >= n:
-        raise ConstructionError(f"k = {k} outside 1..{n - 1}")
-    planted = n - k
-    if plant == "plane" and planted < 3:
-        raise ConstructionError("plane plant needs n-k >= 3")
-    if plant == "skew" and planted < 4:
-        raise ConstructionError("skew plant needs n-k >= 4")
-    from .kernel import affine_rank
-
-    for attempt in range(max_attempts):
-        rng = random.Random(f"beck3:{plant}:{n}:{k}:{seed}:{attempt}")
-        points: list[Point] = []
-        if plant == "plane":
-            base = [rng.randint(-20, 20) for _ in range(3)]
-            u = [rng.randint(-9, 9) for _ in range(3)]
-            v = [rng.randint(-9, 9) for _ in range(3)]
-            coeffs = set()
-            while len(coeffs) < planted:
-                coeffs.add((rng.randint(-60, 60), rng.randint(-60, 60)))
-            for alpha, beta in sorted(coeffs):
-                points.append(
-                    Point(b + alpha * uu + beta * vv for b, uu, vv in zip(base, u, v))
-                )
-            if affine_rank(points) != 3:  # plant degenerated to a line
-                continue
-        else:
-            sizes = (planted - planted // 2, planted // 2)
-            for which in range(2):
-                base = [rng.randint(-40, 40) for _ in range(3)]
-                direction = [rng.randint(-9, 9) for _ in range(3)]
-                ts = set()
-                while len(ts) < sizes[which]:
-                    ts.add(rng.randint(-60, 60))
-                for t in sorted(ts):
-                    points.append(
-                        Point(b + t * dd for b, dd in zip(base, direction))
-                    )
-            first = points[: sizes[0]]
-            second = points[sizes[0] :]
-            if affine_rank(first[:2] + second[:2]) != 4:  # lines not skew
-                continue
-        while len(points) < n:
-            candidate = Point(rng.randint(-999, 999) for _ in range(3))
-            if candidate not in points:
-                points.append(candidate)
-        if len(set(points)) != n:
-            continue
-        cover = max_cover_plane_or_two_lines(points)
-        if cover.size == planted:
-            return points
-    raise ConstructionError(
-        f"no admissible instance after {max_attempts} attempts (n={n}, k={k}, plant={plant})"
-    )
-
-
 _BECK3_COLUMNS = (
     "n",
     "k",
@@ -542,7 +480,7 @@ def _beck3_row(params: tuple) -> dict:
     n, k, seed, plant = params
     row = {"n": n, "k": k, "seed": seed, "plant": plant}
     try:
-        points = beck3_instance(n, k, seed, plant)
+        points, cover = beck3_instance(n, k, seed, plant)
     except ConstructionError as exc:
         row.update(
             hypothesis_ok=False, max_cover=-1, planes=-1, ratio=0.0,
@@ -550,10 +488,9 @@ def _beck3_row(params: tuple) -> dict:
         )
         return row
     planes = spanned_flats(points, 2)
-    cover = max_cover_plane_or_two_lines(points)
     row.update(
-        hypothesis_ok=cover.size == n - k,
-        max_cover=cover.size,
+        hypothesis_ok=cover.covered_count == n - k,
+        max_cover=cover.covered_count,
         planes=planes.count,
         ratio=planes.count / (n * k * k),
         status="ok",
@@ -566,8 +503,8 @@ def cmd_beck3(args) -> int:
     k_values = _parse_int_list(args.k_list)
     if any(k < 1 for k in k_values):
         raise GeometryError("k >= 1 required")
-    if max(k_values) >= min(n_values):
-        raise GeometryError("every k must be below every n")
+    if min(n_values) - max(k_values) < 4:
+        raise GeometryError("every n - k must be >= 4 (a plant of 3 points is always beaten)")
     if args.seeds < 1:
         raise GeometryError(f"--seeds must be >= 1, got {args.seeds}")
     cells = [
@@ -626,7 +563,8 @@ def _conjecture_stats(
 ) -> dict:
     d = points[0].dim
     n = len(points)
-    degenerate, _ = is_r_degenerate(points, r)
+    k = n - max_degenerate_subset(points, r - 1)
+    degenerate = k == 0  # the search is exact: is_r_degenerate(points, r)
     if degenerate and not keep_degenerate:
         return dict(
             degenerate=True, k=0, hyperplanes=0, codim2_flats=0,
@@ -639,7 +577,6 @@ def _conjecture_stats(
         for i in idxs:
             degree[i] += 1
     max_degree = max(degree)
-    k = n - max_degenerate_subset(points, r - 1)
     incidence_ratio = max_degree / codim2.count if codim2.count else 0.0
     span_ratio = hyps.count / (n * k ** (d - 1)) if k else 0.0
     return dict(

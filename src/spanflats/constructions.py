@@ -18,8 +18,8 @@ from typing import Iterator, Sequence
 
 from .formulas import iroot
 from .incidence import BiArrangement, hyperplane_degrees
-from .kernel import Basis, Flat, Point, extend_rref, hyperplane, int_rref
-from .kernel import affine_rank  # noqa: F401  (bench/test_bench.py traces this copy)
+from .kernel import Basis, Flat, Point, affine_rank, extend_rref, hyperplane, int_rref
+from .spans import CoverCertificate, max_cover_plane_or_two_lines
 
 
 class ConstructionError(ValueError):
@@ -374,4 +374,63 @@ def purdy_counterexample(
         last_failure = failure
     raise ConstructionError(
         f"general position not reached after {max_attempts} attempts: {last_failure}"
+    )
+
+
+def beck3_instance(
+    n: int, k: int, seed: int, plant: str, max_attempts: int = 32
+) -> tuple[list[Point], CoverCertificate]:
+    """n distinct points in E^3 with exactly n-k on the planted plane (or
+    pair of skew lines) and no plane or pair of spanned lines covering more,
+    with the cover certificate that verified it; regenerated on failure.
+
+    Both plants need n-k >= 4: with n-k = 3, any 4 points are either
+    coplanar or span two skew lines, so 4 points are always covered.
+    """
+    planted = n - k
+    if k < 1 or planted < 4:
+        raise ConstructionError(f"k >= 1 and n-k >= 4 required, got n={n}, k={k}")
+    for attempt in range(max_attempts):
+        rng = random.Random(f"beck3:{plant}:{n}:{k}:{seed}:{attempt}")
+        points: list[Point] = []
+        if plant == "plane":
+            base = [rng.randint(-20, 20) for _ in range(3)]
+            u = [rng.randint(-9, 9) for _ in range(3)]
+            v = [rng.randint(-9, 9) for _ in range(3)]
+            coeffs = set()
+            while len(coeffs) < planted:
+                coeffs.add((rng.randint(-60, 60), rng.randint(-60, 60)))
+            for alpha, beta in sorted(coeffs):
+                points.append(
+                    Point(b + alpha * uu + beta * vv for b, uu, vv in zip(base, u, v))
+                )
+            if affine_rank(points) != 3:  # plant degenerated to a line
+                continue
+        else:
+            sizes = (planted - planted // 2, planted // 2)
+            for which in range(2):
+                base = [rng.randint(-40, 40) for _ in range(3)]
+                direction = [rng.randint(-9, 9) for _ in range(3)]
+                ts = set()
+                while len(ts) < sizes[which]:
+                    ts.add(rng.randint(-60, 60))
+                for t in sorted(ts):
+                    points.append(
+                        Point(b + t * dd for b, dd in zip(base, direction))
+                    )
+            first = points[: sizes[0]]
+            second = points[sizes[0] :]
+            if affine_rank(first[:2] + second[:2]) != 4:  # lines not skew
+                continue
+        while len(points) < n:
+            candidate = Point(rng.randint(-999, 999) for _ in range(3))
+            if candidate not in points:
+                points.append(candidate)
+        if len(set(points)) != n:
+            continue
+        cover = max_cover_plane_or_two_lines(points)
+        if cover.covered_count == planted:
+            return points, cover
+    raise ConstructionError(
+        f"no admissible instance after {max_attempts} attempts (n={n}, k={k}, plant={plant})"
     )

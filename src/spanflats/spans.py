@@ -338,83 +338,51 @@ def max_degenerate_subset(points: Sequence[Point], dim_budget: int) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class PlaneOrLinePairCover:
-    """Best covers of an E^3 point set by one plane or a pair of spanned
-    lines; the skew-restricted and unrestricted pair maxima are both kept."""
+def max_cover_plane_or_two_lines(points: Sequence[Point]) -> CoverCertificate:
+    """The most input points on a single plane or on a pair of spanned lines,
+    with a witnessing certificate.
 
-    size: int
-    certificate: CoverCertificate
-    size_any_pair: int
-    certificate_any_pair: CoverCertificate
-
-
-def _pair_is_skew(points_a: Sequence[Point], points_b: Sequence[Point]) -> bool:
-    from .kernel import affine_rank
-
-    return affine_rank(list(points_a[:2]) + list(points_b[:2])) == 4
-
-
-def max_cover_plane_or_two_lines(points: Sequence[Point]) -> PlaneOrLinePairCover:
-    """Maximum number of input points on a single plane or on a pair of
-    spanned lines, with witnessing certificates (skew pairs vs all pairs)."""
+    Two distinct coplanar spanned lines hold three affinely independent
+    points, and the plane those span is a spanned plane holding every point
+    of both lines. A pair of lines that beats every plane is therefore
+    skew, and no skew test is needed. Lines are scanned by
+    decreasing size and a pair is skipped once |a| + |b| cannot reach the
+    best size; of the pairs that beat every plane, the one with the largest
+    (size, a, b) over line indices a < b is the certificate.
+    """
     if points and points[0].dim != 3:
         raise GeometryError("ambient dimension must be 3")
     unique = dedupe_points(points)
     n = len(points)
-    if len(unique) < 2:
-        if not unique:
-            cert = CoverCertificate((), 0, 0)
-        else:
-            line = _axis_line_through(unique[0])
-            cert = CoverCertificate((line,), n, 1)
-        return PlaneOrLinePairCover(n, cert, n, cert)
-
-    best_single = -1
-    best_single_cert: CoverCertificate | None = None
-
+    if not unique:
+        return CoverCertificate((), 0, 0)
+    if len(unique) == 1:
+        return CoverCertificate((_axis_line_through(unique[0]),), n, 1)
     hull = affine_hull(unique)
     if hull.dim in (1, 2):
-        best_single = n
-        best_single_cert = CoverCertificate((hull,), n, hull.dim)
-    else:
-        planes = spanned_flats(points, 2)
-        for flat, idxs in zip(planes.flats, planes.per_flat_points):
-            if len(idxs) > best_single:
-                best_single = len(idxs)
-                best_single_cert = CoverCertificate((flat,), len(idxs), 2)
+        return CoverCertificate((hull,), n, hull.dim)
+
+    planes = spanned_flats(points, 2)
+    on_plane = [mask.bit_count() for mask in planes.masks]
+    richest = on_plane.index(max(on_plane))
+    best_plane = CoverCertificate((planes.flats[richest],), on_plane[richest], 2)
 
     lines = spanned_flats(points, 1)
-
-    # only pairs beating the single-flat covers matter; collecting those
-    # rather than ranking every pair keeps the scan linear in practice
-    threshold = best_single
-    candidates = []
     masks = lines.masks
-    for a in range(len(masks)):
-        ma = masks[a]
-        for b in range(a + 1, len(masks)):
-            size = (ma | masks[b]).bit_count()
-            if size > threshold:
-                candidates.append((size, a, b))
-    candidates.sort(reverse=True)
-
-    best_any, cert_any = best_single, best_single_cert
-    best_skew, cert_skew = best_single, best_single_cert
-    line_points = [
-        dedupe_points([points[i] for i in idxs]) for idxs in lines.per_flat_points
-    ]
-    for size, a, b in candidates:
-        if size <= best_any and size <= best_skew:
+    sizes = [mask.bit_count() for mask in masks]
+    order = sorted(range(len(masks)), key=sizes.__getitem__, reverse=True)
+    best = (best_plane.covered_count + 1, -1, -1)  # a pair must beat the plane
+    for x, a in enumerate(order[:-1]):
+        if sizes[a] + sizes[order[x + 1]] < best[0]:
             break
-        fa, fb = lines.flats[a], lines.flats[b]
-        cert = CoverCertificate((fa, fb), size, 2)
-        if size > best_any:
-            best_any, cert_any = size, cert
-        if size > best_skew and _pair_is_skew(line_points[a], line_points[b]):
-            best_skew, cert_skew = size, cert
-    assert cert_any is not None and cert_skew is not None
-    return PlaneOrLinePairCover(best_skew, cert_skew, best_any, cert_any)
+        for b in order[x + 1 :]:
+            if sizes[a] + sizes[b] < best[0]:
+                break
+            best = max(best, ((masks[a] | masks[b]).bit_count(), min(a, b), max(a, b)))
+    size, a, b = best
+    if a < 0:
+        return best_plane
+    return CoverCertificate((lines.flats[a], lines.flats[b]), size, 2)
 
 
 def read_point_file(lines: Iterable[str]) -> list[Point]:

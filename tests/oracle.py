@@ -9,7 +9,9 @@ point, and the bichromatic count that tests every vertex against every
 hyperplane. Beside them are the
 exhaustive forms of the prefix-sharing walks: the scan that eliminates every
 (f+1)-subset from scratch, and the general-position check that ranks every
-configuration of lines and picks on its own.
+configuration of lines and picks on its own. Last is the plane-or-two-lines
+cover that ranks every pair of spanned lines, tests each for skewness and
+keeps the skew and the unrestricted maxima apart.
 """
 
 from __future__ import annotations
@@ -19,9 +21,15 @@ from itertools import combinations, product
 from typing import Sequence
 
 from spanflats.incidence import CountReport, _check_arrangement
-from spanflats.kernel import Flat, int_rref, rowspace_constraints
+from spanflats.kernel import Flat, affine_hull, int_rref, rowspace_constraints
 from spanflats.kernel import affine_rank as int_affine_rank
-from spanflats.spans import SpannedSet
+from spanflats.spans import (
+    CoverCertificate,
+    SpannedSet,
+    _axis_line_through,
+    dedupe_points,
+    spanned_flats,
+)
 
 
 def rref(rows):
@@ -212,3 +220,51 @@ def verify_covering_lines(d: int, line_points) -> str | None:
                                 f" expected {expected}"
                             )
     return None
+
+
+def ranked_pair_cover(points):
+    """(skew size, skew certificate, any-pair size, any-pair certificate):
+    the best single plane (or the hull, when it is a line or a plane), then
+    every pair of spanned lines ranked by (size, a, b) from the top, the
+    skew maximum and the unrestricted one each taken from the first pair
+    that beats it."""
+    unique = dedupe_points(points)
+    n = len(points)
+    if len(unique) < 2:
+        if not unique:
+            cert = CoverCertificate((), 0, 0)
+        else:
+            cert = CoverCertificate((_axis_line_through(unique[0]),), n, 1)
+        return n, cert, n, cert
+    hull = affine_hull(unique)
+    if hull.dim in (1, 2):
+        best_single, best_single_cert = n, CoverCertificate((hull,), n, hull.dim)
+    else:
+        best_single, best_single_cert = -1, None
+        planes = spanned_flats(points, 2)
+        for flat, idxs in zip(planes.flats, planes.per_flat_points):
+            if len(idxs) > best_single:
+                best_single = len(idxs)
+                best_single_cert = CoverCertificate((flat,), len(idxs), 2)
+    lines = spanned_flats(points, 1)
+    masks = lines.masks
+    ranked = sorted(
+        (
+            ((masks[a] | masks[b]).bit_count(), a, b)
+            for a, b in combinations(range(len(masks)), 2)
+        ),
+        reverse=True,
+    )
+    best_any, cert_any = best_single, best_single_cert
+    best_skew, cert_skew = best_single, best_single_cert
+    line_points = [
+        dedupe_points([points[i] for i in idxs]) for idxs in lines.per_flat_points
+    ]
+    for size, a, b in ranked:
+        cert = CoverCertificate((lines.flats[a], lines.flats[b]), size, 2)
+        if size > best_any:
+            best_any, cert_any = size, cert
+        skew = affine_rank(line_points[a][:2] + line_points[b][:2]) == 4
+        if size > best_skew and skew:
+            best_skew, cert_skew = size, cert
+    return best_skew, cert_skew, best_any, cert_any

@@ -253,10 +253,10 @@ def test_criterion_8_beck_erdos_3d():
         for k in (3, 5, 7):
             ratios = []
             for seed in range(5):
-                points = beck3_instance(n, k, seed, "plane")
+                points, _ = beck3_instance(n, k, seed, "plane")
                 cover = max_cover_plane_or_two_lines(points)
-                if cover.size != n - k:
-                    hypothesis_failures.append((n, k, seed, cover.size))
+                if cover.covered_count != n - k:
+                    hypothesis_failures.append((n, k, seed, cover.covered_count))
                 planes = spanned_flats(points, 2).count
                 ratios.append(planes / (n * k * k))
             cells[(n, k)] = ratios

@@ -40,3 +40,11 @@ def test_imported_copy_the_tracer_tests_wrap_is_still_there():
     from spanflats import constructions, kernel
 
     assert constructions.affine_rank is kernel.affine_rank
+
+
+def test_cli_beck3_instance_is_the_generator_the_tracer_wraps():
+    # one function object, so wrapping cli.beck3_instance also wraps the
+    # generator's own calls, and its edge to kernel.affine_rank still counts
+    from spanflats import cli, constructions
+
+    assert cli.beck3_instance is constructions.beck3_instance

@@ -243,10 +243,10 @@ def test_envelope_sweep_skips_infeasible(tmp_path, capsys):
 
 
 def test_beck3_instance_hypothesis():
-    pts = beck3_instance(12, 3, seed=0, plant="plane")
-    assert len(pts) == 12
-    pts_skew = beck3_instance(12, 4, seed=0, plant="skew")
-    assert len(pts_skew) == 12
+    pts, cover = beck3_instance(12, 3, seed=0, plant="plane")
+    assert len(pts) == 12 and cover.covered_count == 9
+    pts_skew, cover_skew = beck3_instance(12, 4, seed=0, plant="skew")
+    assert len(pts_skew) == 12 and cover_skew.covered_count == 8
 
 
 def test_beck3_command(tmp_path, capsys):
@@ -442,6 +442,8 @@ def test_usage_error_is_exit_2():
         "beck3 --n-list 10,x --k-list 3",
         "beck3 --n-list , --k-list 3",
         "beck3 --n-list 10 --k-list 3 --seeds 0",
+        "beck3 --n-list 5 --k-list 2 --plant skew",
+        "beck3 --n-list 6 --k-list 3 --plant plane",
         "verify-purdy --d-range 4:x --k-range 2",
         "conjecture-search --d 3 --n 0",
     ],

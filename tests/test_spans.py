@@ -260,9 +260,8 @@ def test_arrangement_vertices_rejects_non_hyperplane():
 def test_two_skew_lines_cover_everything():
     pts = [Point((t, 0, 0)) for t in range(3)] + [Point((0, t, 1)) for t in range(3)]
     cover = max_cover_plane_or_two_lines(pts)
-    assert cover.size == 6
-    assert cover.size_any_pair == 6
-    assert cover.certificate.dims_sum == 2
+    assert cover.covered_count == 6
+    assert cover.dims_sum == 2
 
 
 def test_five_generic_points_cover_four():
@@ -275,18 +274,18 @@ def test_five_generic_points_cover_four():
     ]
     skew_oracle, any_oracle = oracle_best_plane_or_pair(pts)
     cover = max_cover_plane_or_two_lines(pts)
-    assert (cover.size, cover.size_any_pair) == (skew_oracle, any_oracle) == (4, 4)
+    assert cover.covered_count == skew_oracle == any_oracle == 4
 
 
 def test_coplanar_points_cover_all():
     pts = [Point((0, 0, 0)), Point((1, 0, 0)), Point((0, 1, 0)), Point((3, 5, 0))]
-    assert max_cover_plane_or_two_lines(pts).size == 4
+    assert max_cover_plane_or_two_lines(pts).covered_count == 4
 
 
 def test_tiny_inputs_trivial_certificate():
-    assert max_cover_plane_or_two_lines([]).size == 0
+    assert max_cover_plane_or_two_lines([]).covered_count == 0
     one = max_cover_plane_or_two_lines([Point((1, 2, 3))])
-    assert one.size == 1 and one.certificate.covered_count == 1
+    assert one.covered_count == 1 and one.dims_sum == 1
 
 
 @given(point_lists(3, 2, 7, lo=-2, hi=2, max_den=1))
@@ -294,11 +293,56 @@ def test_tiny_inputs_trivial_certificate():
 def test_cover_matches_oracle(pts):
     skew_oracle, any_oracle = oracle_best_plane_or_pair(pts)
     cover = max_cover_plane_or_two_lines(pts)
-    assert cover.size == skew_oracle
-    assert cover.size_any_pair == any_oracle
+    assert cover.covered_count == skew_oracle
+    assert cover.covered_count == any_oracle
+
+
+@st.composite
+def cover_inputs(draw):
+    """E^3 point lists mixing generic points, points on the plane z = 0 and
+    points on two skew lines, with some points repeated."""
+    c = st.integers(-2, 2)
+    t = st.integers(-3, 3)
+    parts = (
+        st.tuples(c, c, c),
+        st.tuples(c, c, st.just(0)),
+        t.map(lambda v: (v, 2 * v, -v)),
+        t.map(lambda v: (1, v, 3)),
+    )
+    coords = [xyz for part in parts for xyz in draw(st.lists(part, max_size=4))]
+    coords = coords[:8] or [draw(parts[0])]
+    coords += draw(st.lists(st.sampled_from(coords), max_size=2))
+    return [Point(xyz) for xyz in coords]
+
+
+@given(cover_inputs())
+@settings(max_examples=80, deadline=None)
+def test_cover_is_the_ranked_pair_oracle_skew_and_any_pair(pts):
+    # two coplanar lines lie on a spanned plane, so the best pair is skew
+    skew_size, skew_cert, any_size, any_cert = oracle.ranked_pair_cover(pts)
+    cover = max_cover_plane_or_two_lines(pts)
+    assert skew_size == any_size == cover.covered_count
+    assert skew_cert == any_cert == cover
 
 
 # --- degeneracy -------------------------------------------------------------
+
+
+@st.composite
+def degeneracy_inputs(draw):
+    d = draw(st.integers(2, 4))
+    c = st.integers(-2, 2)
+    coords = draw(st.lists(st.tuples(*[c] * d), min_size=1, max_size=7))
+    coords += draw(st.lists(st.sampled_from(coords), max_size=2))
+    return [Point(xs) for xs in coords], draw(st.integers(1, d + 1))
+
+
+@given(degeneracy_inputs())
+@settings(max_examples=100, deadline=None)
+def test_r_degenerate_iff_max_degenerate_subset_covers_all(case):
+    # both search the same flats at cost = dimension, and both are exact
+    pts, r = case
+    assert is_r_degenerate(pts, r)[0] == (max_degenerate_subset(pts, r - 1) == len(pts))
 
 
 def test_coplanar_set_is_3_degenerate():
