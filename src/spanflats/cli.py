@@ -37,6 +37,7 @@ from .formulas import FormulaDomainError, purdy_counts
 from .incidence import BiArrangement, bound_envelope, count_bichromatic
 from .kernel import GeometryError, Point, common_dim, parse_rational
 from .spans import (
+    is_r_degenerate,
     max_degenerate_subset,
     read_point_file,
     spanned_flats,
@@ -563,8 +564,7 @@ def _conjecture_stats(
 ) -> dict:
     d = points[0].dim
     n = len(points)
-    k = n - max_degenerate_subset(points, r - 1)
-    degenerate = k == 0  # the search is exact: is_r_degenerate(points, r)
+    degenerate, _ = is_r_degenerate(points, r)
     if degenerate and not keep_degenerate:
         return dict(
             degenerate=True, k=0, hyperplanes=0, codim2_flats=0,
@@ -577,6 +577,7 @@ def _conjecture_stats(
         for i in idxs:
             degree[i] += 1
     max_degree = max(degree)
+    k = n - max_degenerate_subset(points, r - 1)
     incidence_ratio = max_degree / codim2.count if codim2.count else 0.0
     span_ratio = hyps.count / (n * k ** (d - 1)) if k else 0.0
     return dict(

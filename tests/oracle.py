@@ -223,11 +223,10 @@ def verify_covering_lines(d: int, line_points) -> str | None:
 
 
 def ranked_pair_cover(points):
-    """(skew size, skew certificate, any-pair size, any-pair certificate):
-    the best single plane (or the hull, when it is a line or a plane), then
-    every pair of spanned lines ranked by (size, a, b) from the top, the
-    skew maximum and the unrestricted one each taken from the first pair
-    that beats it."""
+    """(skew certificate, any-pair certificate): the best single plane (or
+    the hull, when it is a line or a plane), then every pair of spanned
+    lines ranked by (size, a, b) from the top, the skew maximum and the
+    unrestricted one each taken from the first pair that beats it."""
     unique = dedupe_points(points)
     n = len(points)
     if len(unique) < 2:
@@ -235,7 +234,7 @@ def ranked_pair_cover(points):
             cert = CoverCertificate((), 0, 0)
         else:
             cert = CoverCertificate((_axis_line_through(unique[0]),), n, 1)
-        return n, cert, n, cert
+        return cert, cert
     hull = affine_hull(unique)
     if hull.dim in (1, 2):
         best_single, best_single_cert = n, CoverCertificate((hull,), n, hull.dim)
@@ -267,4 +266,4 @@ def ranked_pair_cover(points):
         skew = affine_rank(line_points[a][:2] + line_points[b][:2]) == 4
         if size > best_skew and skew:
             best_skew, cert_skew = size, cert
-    return best_skew, cert_skew, best_any, cert_any
+    return cert_skew, cert_any
