@@ -22,7 +22,6 @@ import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .constructions import (
@@ -33,7 +32,7 @@ from .constructions import (
     purdy_counterexample,
     theta_mk_construction,
 )
-from .formulas import FormulaDomainError, purdy_counts
+from .formulas import FormulaDomainError, fit_loglog, purdy_counts
 from .incidence import BiArrangement, bound_envelope, count_bichromatic
 from .kernel import GeometryError, Point, common_dim, parse_rational
 from .spans import (
@@ -45,34 +44,6 @@ from .spans import (
 )
 
 SCHEMA_TABLE = "spanflats-table/1"
-
-
-@dataclass(frozen=True)
-class FitResult:
-    slope: float
-    intercept: float
-    r_squared: float
-    points_used: int
-
-
-def fit_loglog(pairs: Sequence[tuple[float, float]]) -> FitResult:
-    """Ordinary least squares of log(count) against log(x)."""
-    if len(pairs) < 2:
-        raise GeometryError("need at least 2 pairs")
-    if not all(0 < v < math.inf for pair in pairs for v in pair):
-        raise GeometryError("fit requires finite positive values")
-    xs = [math.log(x) for x, _ in pairs]
-    ys = [math.log(y) for _, y in pairs]
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    syy = sum((y - my) ** 2 for y in ys)
-    if sxx == 0:
-        raise GeometryError("fit requires at least 2 distinct x values")
-    slope = sxy / sxx
-    r_squared = 1.0 if syy == 0 else (sxy * sxy) / (sxx * syy)
-    return FitResult(slope, my - slope * mx, r_squared, len(pairs))
 
 
 def _format_cell(value) -> str:
@@ -176,11 +147,8 @@ def cmd_enumerate(args) -> int:
         points = read_point_file(fh)
     result = spanned_flats(points, args.f)
     print(result.count)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(result.to_json() + "\n")
-    elif args.emit_json:
-        sys.stdout.write(result.to_json() + "\n")
+    if args.out or args.emit_json:
+        _write_output(args, result.to_json() + "\n")
     return 0
 
 
@@ -197,10 +165,8 @@ def cmd_incidences(args) -> int:
             arrangement.m, arrangement.k, arrangement.n, arrangement.d
         ).to_json_dict()
     print(report.red_incidences)
-    text = json.dumps(doc, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_output(args, json.dumps(doc, indent=2) + "\n")
     return 0
 
 

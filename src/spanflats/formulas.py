@@ -1,9 +1,10 @@
-"""Closed-form counts for the covering-lines construction and the modified
-pigeonhole checker.
+"""Closed-form counts for the covering-lines construction, the modified
+pigeonhole checker, and the log-log fit of measured growth series.
 
-All arithmetic is exact: binomials are integer, and comparisons against
-c*k^a with fractional a are carried out by raising both sides to the
-exponent's denominator, never through floating point.
+The counts and checks are exact: binomials are integer, and comparisons
+against c*k^a with fractional a are carried out by raising both sides to the
+exponent's denominator, never through floating point. Only the fit, a
+least-squares slope of measured data, works in floats.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, inf, log
 from typing import Sequence
+
+from .kernel import GeometryError
 
 
 class FormulaDomainError(ValueError):
@@ -173,3 +176,31 @@ def pigeonhole_check(
     threshold = floor_scaled_power(c / 2, k, a - 1)
     qualifying = sum(1 for entry in allocation if entry >= threshold)
     return Fraction(2 * qualifying) >= c * k
+
+
+@dataclass(frozen=True)
+class FitResult:
+    slope: float
+    intercept: float
+    r_squared: float
+    points_used: int
+
+
+def fit_loglog(pairs: Sequence[tuple[float, float]]) -> FitResult:
+    """Ordinary least squares of log(count) against log(x)."""
+    if len(pairs) < 2:
+        raise GeometryError("need at least 2 pairs")
+    if not all(0 < v < inf for pair in pairs for v in pair):
+        raise GeometryError("fit requires finite positive values")
+    xs = [log(x) for x, _ in pairs]
+    ys = [log(y) for _, y in pairs]
+    mx = sum(xs) / len(xs)
+    my = sum(ys) / len(ys)
+    sxx = sum((x - mx) ** 2 for x in xs)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    syy = sum((y - my) ** 2 for y in ys)
+    if sxx == 0:
+        raise GeometryError("fit requires at least 2 distinct x values")
+    slope = sxy / sxx
+    r_squared = 1.0 if syy == 0 else (sxy * sxy) / (sxx * syy)
+    return FitResult(slope, my - slope * mx, r_squared, len(pairs))

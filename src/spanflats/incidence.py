@@ -58,7 +58,9 @@ class BiArrangement:
     @classmethod
     def from_json_dict(cls, data: dict) -> "BiArrangement":
         try:
-            d = int(data["d"])
+            d = data["d"]
+            if type(d) is not int:
+                raise GeometryError(f"malformed arrangement: d must be an integer, got {d!r}")
             red = tuple(Flat.parse_rows(d, rows) for rows in data["red"])
             blue = tuple(Flat.parse_rows(d, rows) for rows in data["blue"])
             vertices = tuple(Point.parse(s, d) for s in data["vertices"])

@@ -88,8 +88,8 @@ class Point:
 
     @classmethod
     def parse(cls, text: str, ambient_dim: int | None = None) -> "Point":
-        parts = [p for p in text.strip().split(",") if p.strip() != ""]
-        if not parts:
+        parts = text.split(",")
+        if any(not p.strip() for p in parts):
             raise GeometryError(f"bad point {text!r}")
         pt = cls(parse_rational(p) for p in parts)
         if ambient_dim is not None and pt.dim != ambient_dim:

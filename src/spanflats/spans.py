@@ -8,6 +8,12 @@ subset is keyed by its canonical form, so equal flats deduplicate. The
 points on each flat are the union of the subsets that span it, gathered
 during the same walk. Output order is canonical (sorted by constraint rows)
 so results are identical however the work is split.
+
+The degeneracy questions (``is_r_degenerate``, ``max_degenerate_subset``
+and ``rank_sum_cover``) are one exact cover search, ``_best_cover``, over
+spanned flats: it finds the most points that flats of total cost within a
+budget cover, pruning with the best size/cost ratio, and a decision query
+is the same search with a floor that only a full cover beats.
 """
 
 from __future__ import annotations
@@ -221,121 +227,105 @@ def _candidate_flats(
     return out
 
 
-def _search_cover(
+def _best_cover(
     candidates: list[tuple[Flat, int, int]],
-    full_mask: int,
+    n: int,
     budget: int,
     cost_of: Callable[[int], int],
-) -> list[tuple[Flat, int]] | None:
-    """Depth-first search for a cover with total cost <= budget."""
+    floor: int = 0,
+) -> tuple[int, list[tuple[Flat, int, int]] | None]:
+    """The most of the n points that candidates of total cost <= budget
+    cover, and the candidates of one cover that reaches it; (floor, None)
+    when no cover takes more than floor points.
+
+    Branch on the lowest open point (neither covered nor given up): take a
+    candidate through it, cheapest and then largest first, or give it up.
+    Any optimal cover is followed this way, so the search is exact. A state
+    is pruned when covered + min(open, remaining * ratio) cannot beat the
+    best so far, ratio being the largest size/cost of a candidate (exact, in
+    integers; tested at the root before the per-point index is built), or
+    when its (open, remaining) pair was explored with at least as many
+    points covered: the best only grows, so that visit tried every
+    completion this one could make.
+    """
     cands = [(flat, dim, mask, cost_of(dim)) for flat, dim, mask in candidates]
     cands = [c for c in cands if c[3] <= budget and c[2]]
-    if not cands:
-        return [] if full_mask == 0 else None
-    best_ratio = max(c[2].bit_count() / c[3] for c in cands)
-    by_point: dict[int, list] = {}
+    num, den = 0, 1  # the largest size/cost, compared in integers
     for c in cands:
+        if c[2].bit_count() * den > num * c[3]:
+            num, den = c[2].bit_count(), c[3]
+    if min(n, budget * num // den) <= floor:
+        return floor, None
+    by_point: list[list] = [[] for _ in range(n)]
+    for c in sorted(cands, key=lambda c: (c[3], -c[2].bit_count())):
         mask = c[2]
-        i = 0
         while mask:
-            if mask & 1:
-                by_point.setdefault(i, []).append(c)
-            mask >>= 1
-            i += 1
-    for opts in by_point.values():
-        opts.sort(key=lambda c: (c[3], -c[2].bit_count()))
-    failed: set[tuple[int, int]] = set()
+            by_point[(mask & -mask).bit_length() - 1].append(c)
+            mask &= mask - 1
+    best, cover = floor, None
+    chosen: list[tuple[Flat, int, int]] = []
+    explored: dict[tuple[int, int], int] = {}  # (open, remaining) -> covered
 
-    def go(uncovered: int, remaining: int) -> list[tuple[Flat, int]] | None:
-        if uncovered == 0:
-            return []
-        if remaining <= 0 or uncovered.bit_count() > remaining * best_ratio:
-            return None
-        key = (uncovered, remaining)
-        if key in failed:
-            return None
-        lowest = (uncovered & -uncovered).bit_length() - 1
-        for flat, dim, mask, cost in by_point.get(lowest, ()):
-            if cost > remaining:
-                continue
-            sub = go(uncovered & ~mask, remaining - cost)
-            if sub is not None:
-                return [(flat, dim)] + sub
-        failed.add(key)
-        return None
+    def go(open_: int, covered: int, remaining: int) -> None:
+        nonlocal best, cover
+        if covered > best:
+            best, cover = covered, list(chosen)
+        if covered + min(open_.bit_count(), remaining * num // den) <= best:
+            return
+        if explored.get((open_, remaining), -1) >= covered:
+            return
+        explored[open_, remaining] = covered
+        for flat, dim, mask, cost in by_point[(open_ & -open_).bit_length() - 1]:
+            if cost <= remaining:
+                chosen.append((flat, dim, mask))
+                go(open_ & ~mask, covered + (open_ & mask).bit_count(), remaining - cost)
+                chosen.pop()
+        go(open_ & (open_ - 1), covered, remaining)
 
-    return go(full_mask, budget)
+    go((1 << n) - 1, 0, budget)
+    return best, cover
 
 
 def is_r_degenerate(
     points: Sequence[Point], r: int
 ) -> tuple[bool, CoverCertificate | None]:
     """Whether flats of nonzero dimension with dimensions summing to < r
-    cover all the points; with a witnessing certificate when they do."""
+    cover all the points; with a witnessing certificate when they do. The
+    cover search at cost = dimension, where only a full cover beats the
+    floor."""
     if r < 1:
         raise GeometryError(f"r must be >= 1, got {r}")
     if not points:
         return True, CoverCertificate((), 0, 0)
-    d = points[0].dim
-    full_mask = (1 << len(points)) - 1
-    candidates = _candidate_flats(points, range(1, d), include_point_flats=False)
-    cover = _search_cover(candidates, full_mask, r - 1, cost_of=lambda dim: dim)
+    n = len(points)
+    candidates = _candidate_flats(points, range(1, points[0].dim), include_point_flats=False)
+    _, cover = _best_cover(candidates, n, r - 1, cost_of=lambda dim: dim, floor=n - 1)
     if cover is None:
         return False, None
-    flats = tuple(flat for flat, _ in cover)
-    covered = 0
-    for flat, _, mask in candidates:
-        if flat in flats:
-            covered |= mask
-    return True, CoverCertificate(
-        flats, covered.bit_count(), sum(dim for _, dim in cover)
-    )
+    flats = tuple(flat for flat, _, _ in cover)
+    return True, CoverCertificate(flats, n, sum(dim for _, dim, _ in cover))
 
 
 def rank_sum_cover(points: Sequence[Point], budget: int) -> list[Flat] | None:
     """A cover by flats (any dimension, points allowed) whose ranks sum to
-    <= budget, or None when no such cover exists."""
+    <= budget, or None when no such cover exists. The cover search at
+    cost = dimension + 1, where only a full cover beats the floor."""
     if not points:
         return []
-    d = points[0].dim
-    full_mask = (1 << len(points)) - 1
-    candidates = _candidate_flats(points, range(1, d), include_point_flats=True)
-    cover = _search_cover(candidates, full_mask, budget, cost_of=lambda dim: dim + 1)
-    if cover is None:
-        return None
-    return [flat for flat, _ in cover]
+    n = len(points)
+    candidates = _candidate_flats(points, range(1, points[0].dim), include_point_flats=True)
+    _, cover = _best_cover(candidates, n, budget, cost_of=lambda dim: dim + 1, floor=n - 1)
+    return None if cover is None else [flat for flat, _, _ in cover]
 
 
 def max_degenerate_subset(points: Sequence[Point], dim_budget: int) -> int:
     """Largest number of points coverable by flats of nonzero dimension with
-    dimensions summing to <= dim_budget."""
+    dimensions summing to <= dim_budget: the cover search at cost =
+    dimension."""
     if not points:
         return 0
-    d = points[0].dim
-    candidates = _candidate_flats(points, range(1, d), include_point_flats=False)
-    cands = sorted(
-        ((mask, dim) for _, dim, mask in candidates if dim <= dim_budget),
-        key=lambda c: -c[0].bit_count(),
-    )
-    best = 0
-
-    def go(idx: int, covered: int, remaining: int) -> None:
-        nonlocal best
-        best = max(best, covered.bit_count())
-        if idx >= len(cands) or remaining <= 0:
-            return
-        bound = covered.bit_count() + sum(
-            c[0].bit_count() for c in cands[idx : idx + remaining]
-        )
-        if bound <= best:
-            return
-        mask, dim = cands[idx]
-        if dim <= remaining and mask & ~covered:
-            go(idx + 1, covered | mask, remaining - dim)
-        go(idx + 1, covered, remaining)
-
-    go(0, 0, dim_budget)
-    return best
+    candidates = _candidate_flats(points, range(1, points[0].dim), include_point_flats=False)
+    return _best_cover(candidates, len(points), dim_budget, cost_of=lambda dim: dim)[0]
 
 
 def max_cover_plane_or_two_lines(points: Sequence[Point]) -> CoverCertificate:

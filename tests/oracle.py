@@ -9,15 +9,16 @@ point, and the bichromatic count that tests every vertex against every
 hyperplane. Beside them are the
 exhaustive forms of the prefix-sharing walks: the scan that eliminates every
 (f+1)-subset from scratch, and the general-position check that ranks every
-configuration of lines and picks on its own. Last is the plane-or-two-lines
+configuration of lines and picks on its own. Then comes the plane-or-two-lines
 cover that ranks every pair of spanned lines, tests each for skewness and
-keeps the skew and the unrestricted maxima apart.
+keeps the skew and the unrestricted maxima apart. Last is the cover search
+that tries every combination of candidate flats within the budget.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from typing import Sequence
 
 from spanflats.incidence import CountReport, _check_arrangement
@@ -267,3 +268,22 @@ def ranked_pair_cover(points):
         if size > best_skew and skew:
             best_skew, cert_skew = size, cert
     return cert_skew, cert_any
+
+
+
+def best_cover_counts(candidates, budget: int, cost_of) -> list[int]:
+    """For each b in 0..budget, the most points that (flat, dim, mask)
+    candidates of total cost <= b cover, trying every combination of
+    candidates whose costs fit the budget."""
+    cands = [(mask, cost_of(dim)) for _, dim, mask in candidates]
+    best = [0] * (budget + 1)  # by the exact cost spent
+
+    def extend(start: int, covered: int, spent: int) -> None:
+        best[spent] = max(best[spent], covered.bit_count())
+        for i in range(start, len(cands)):
+            mask, cost = cands[i]
+            if spent + cost <= budget:
+                extend(i + 1, covered | mask, spent + cost)
+
+    extend(0, 0, 0)
+    return list(accumulate(best, max))

@@ -25,8 +25,8 @@ from spanflats import (
     spanned_flats,
     theta_mk_construction,
 )
-from spanflats.cli import beck3_instance, fit_loglog
-from spanflats.formulas import ceil_scaled_power, floor_scaled_power
+from spanflats.cli import beck3_instance
+from spanflats.formulas import ceil_scaled_power, fit_loglog, floor_scaled_power
 from spanflats.spans import max_cover_plane_or_two_lines
 
 PURDY_GRID = [(4, 2), (4, 3), (4, 4), (5, 2), (5, 3)]

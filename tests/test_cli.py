@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanflats import BiArrangement, count_bichromatic
-from spanflats.cli import beck3_instance, fit_loglog, main
+from spanflats.cli import beck3_instance, main
+from spanflats.formulas import fit_loglog
 from spanflats.spans import read_point_file
 
 
@@ -455,6 +456,32 @@ def test_bad_input_is_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["0,0,0\n1,,0,0\n0,1,0\n0,0,1\n", "0,0\n1,2,\n0,1\n"])
+def test_point_file_with_empty_field_is_exit_2(tmp_path, capsys, text):
+    pts = tmp_path / "pts.txt"
+    pts.write_text(text)
+    code, out, err = run_cli(capsys, "enumerate", "--points", str(pts), "--f", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "bad point" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("d", [3.7, "3", True])
+def test_arrangement_d_that_is_not_an_integer_is_exit_2(tmp_path, capsys, d):
+    path = tmp_path / "arr.json"
+    assert run_cli(
+        capsys, "construct", "thetamk", "--d", "3", "--n", "8", "--k", "3", "--m", "4",
+        "--out", str(path),
+    )[0] == 0
+    doc = json.loads(path.read_text())
+    doc["d"] = d
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "incidences", "--arrangement", str(path))
+    assert code == 2
+    assert err.startswith("error: malformed arrangement") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_broken_pool_falls_back_to_serial(tmp_path, capsys, monkeypatch):
     from concurrent.futures.process import BrokenProcessPool
 
@@ -524,9 +551,10 @@ HUGE = (
     | st.integers(min_value=-(10**400), max_value=-sys.maxsize - 2)
 ).map(str)
 # letters only: never an integer or a rational; as a float only nan/inf
+# words that are no choice of --format, --construction or --plant
 WORDS = st.sampled_from(["x", "nan", "inf", "-inf", "Infinity", "abc"]) | st.text(
     alphabet=string.ascii_letters, min_size=1, max_size=8
-)
+).filter(lambda w: w not in {"json", "csv", "bichromatic", "thetamk", "plane", "skew", "mix"})
 BAD_INT = EMPTY | NEGATIVE | HUGE | WORDS
 BAD_COUNT = BAD_INT | ZERO
 BAD_FLOAT = EMPTY | WORDS | st.sampled_from(["1e999", "-1e999", "1" + "0" * 400])

@@ -18,8 +18,8 @@ from spanflats import (
     theta_mk_construction,
     verify_covering_lines,
 )
-from spanflats.cli import fit_loglog
 from spanflats.constructions import _rich_line_config, _ranked_vertex, windowed_grid_degrees
+from spanflats.formulas import fit_loglog
 
 
 # --- 2-D grid ---------------------------------------------------------------

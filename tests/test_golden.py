@@ -16,6 +16,10 @@ from spanflats.cli import main
 # non-integer rational coordinates make serialize_rows print non-unit entries
 RATIONAL_POINTS = "1/2,0,0\n0,1/3,0\n0,0,2/5\n1,1,1\n-3/4,2,1/7\n0,0,0\n1/2,1/3,0\n"
 SERIES = "# x count\n8 200\n16 1700\n32 13000\n64 110000\n"
+# two skew 3-point lines and one more point: two lines (dimension sum 2) cover
+# 6 of the 7, and a third line covers them all, so the set is 4-degenerate
+# but not 3-degenerate
+DEGENERATE_POINTS = "0,0,0\n1,0,0\n2,0,0\n0,1,1\n0,2,1\n0,3,1\n5,7,3\n"
 
 CONSTRUCT_BICHROMATIC = (
     "construct", "bichromatic", "--d", "3", "--n", "10", "--k", "5", "--m", "30", "--c0", "3/2",
@@ -54,6 +58,9 @@ TABLES = {
     ),
     "beck3-mix": ("beck3", "--n-list", "10", "--k-list", "3", "--seeds", "2", "--plant", "mix"),
     "conjecture-search": ("conjecture-search", "--d", "3", "--n", "6", "--samples", "4"),
+    "conjecture-search-r4": ("conjecture-search", "--d", "3", "--n", "7", "--samples", "6", "--r", "4"),
+    "conjecture-search-points-r3": ("conjecture-search", "--d", "3", "--points", "deg.txt", "--r", "3"),
+    "conjecture-search-points-r4": ("conjecture-search", "--d", "3", "--points", "deg.txt", "--r", "4"),
 }
 
 # id -> (sha256 of stdout, sha256 of the --out file or None)
@@ -62,6 +69,12 @@ GOLDEN = {
     "beck3-mix/json": ("942eaa076380da2657e95cf1be08ef5269bd51a501da5e5d8f80b030f58db1f5", None),
     "conjecture-search/csv": ("f02a669ee95ac7fc55751aef47c0db103c0d9c8f53e6f169beeb55932f4538f0", None),
     "conjecture-search/json": ("5266bf2a3e4b352f628bb5ed2ba53e6c0f560e0806b103e4ae4a57d97c32ba44", None),
+    "conjecture-search-points-r3/csv": ("0b7db298a4bb1089f74f8d6665d83f377b77e0602ad792c3e191a5bd0db6f38a", None),
+    "conjecture-search-points-r3/json": ("a4e4ad314599d07a5a026448764a4c9eab44ce8e38a7dc5ac3dd844dff4c3c07", None),
+    "conjecture-search-points-r4/csv": ("e9b0865f2f1acc2e0479b8e0f0a8e1d16bab171fc09a9083fbc898e42572dc33", None),
+    "conjecture-search-points-r4/json": ("3834f0ed3fa277bb66cda41936794835fa01274faec6773c5f55700f05721759", None),
+    "conjecture-search-r4/csv": ("b04a68870e13c82594119bdee3a76c5e8ee75d29078c7fef1c38b513fb9b2ad2", None),
+    "conjecture-search-r4/json": ("4f6fd074c0d01952596b909540a277c718b8a69b99191169f2aedda4cacbe4cd", None),
     "construct-bichromatic": ("d57710fa9f39ffb060991615f30a5bdb50e7d275fae7a4b789cce0344b8d11b8", None),
     "construct-erdos2d": ("21836d8e7881396f2d077a040c7c6d06328929448d9e55e1c02baa497bb1fd15", None),
     "construct-purdy": ("296006aa5c1e7d8f4d4e71432190dd707031119bb0b3847f33cf087c8088bb35", None),
@@ -89,6 +102,7 @@ def _sha(data: str) -> str:
 def run_case(setup, argv, out_name, directory, capsys) -> tuple[str, str | None]:
     (directory / "pts.txt").write_text(RATIONAL_POINTS)
     (directory / "series.txt").write_text(SERIES)
+    (directory / "deg.txt").write_text(DEGENERATE_POINTS)
     for pre in setup:
         assert main(list(pre)) == 0
     capsys.readouterr()

@@ -41,6 +41,12 @@ def test_point_serialization():
         Point.parse("1,2", ambient_dim=3)
 
 
+@pytest.mark.parametrize("bad", ["", ",", "1,,0,0", "1,2,", ",1,2", "1, ,2"])
+def test_point_parse_rejects_empty_fields(bad):
+    with pytest.raises(GeometryError, match="bad point"):
+        Point.parse(bad)
+
+
 def test_hull_two_points_is_line():
     line = affine_hull([Point((0, 0)), Point((1, 0))])
     assert line.dim == 1

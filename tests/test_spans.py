@@ -343,6 +343,49 @@ def test_r_degenerate_iff_max_degenerate_subset_covers_all(case):
     assert is_r_degenerate(pts, r)[0] == (max_degenerate_subset(pts, r - 1) == len(pts))
 
 
+@st.composite
+def cover_search_inputs(draw):
+    """Point lists in E^2..E^4 with coordinates in -1..1, so that rich lines
+    and planes are common: up to six drawn points and two repeats."""
+    d = draw(st.integers(2, 4))
+    c = st.integers(-1, 1)
+    coords = draw(st.lists(st.tuples(*[c] * d), min_size=1, max_size=6))
+    coords += draw(st.lists(st.sampled_from(coords), max_size=2))
+    return [Point(xs) for xs in coords]
+
+
+def assert_cover(flats, candidates, pts, cost_of, budget):
+    """The flats are candidates, their costs fit the budget and they hold
+    every point."""
+    dims = {flat: dim for flat, dim, _ in candidates}
+    assert all(flat in dims for flat in flats)
+    assert sum(cost_of(dims[flat]) for flat in flats) <= budget
+    assert all(any(flat.contains(p) for flat in flats) for p in pts)
+
+
+@given(cover_search_inputs())
+@settings(max_examples=150, deadline=None)
+def test_cover_searches_match_brute_force_oracle(pts):
+    d, n = pts[0].dim, len(pts)
+    lines_up = _candidate_flats(pts, range(1, d), include_point_flats=False)
+    with_points = _candidate_flats(pts, range(1, d), include_point_flats=True)
+    by_dim, by_rank = (lambda dim: dim), (lambda dim: dim + 1)
+    best = oracle.best_cover_counts(lines_up, d + 1, by_dim)
+    best_with_points = oracle.best_cover_counts(with_points, d + 1, by_rank)
+    for budget in range(d + 2):
+        assert max_degenerate_subset(pts, budget) == best[budget]
+        ok, cert = is_r_degenerate(pts, budget + 1)
+        assert ok == (best[budget] == n)
+        if ok:
+            assert cert.covered_count == n
+            assert cert.dims_sum == sum(dim for f, dim, _ in lines_up if f in cert.flats)
+            assert_cover(cert.flats, lines_up, pts, by_dim, budget)
+        cover = rank_sum_cover(pts, budget)
+        assert (cover is not None) == (best_with_points[budget] == n)
+        if cover is not None:
+            assert_cover(cover, with_points, pts, by_rank, budget)
+
+
 def test_coplanar_set_is_3_degenerate():
     pts = [Point((0, 0, 0)), Point((1, 0, 0)), Point((0, 1, 0)), Point((1, 1, 0))]
     ok, cert = is_r_degenerate(pts, 3)
