@@ -538,11 +538,7 @@ def _conjecture_stats(
         )
     hyps = spanned_flats(points, d - 1)
     codim2 = spanned_flats(points, d - 2)
-    degree = [0] * n
-    for idxs in hyps.per_flat_points:
-        for i in idxs:
-            degree[i] += 1
-    max_degree = max(degree)
+    max_degree = max(sum(mask >> i & 1 for mask in hyps.masks) for i in range(n))
     k = n - max_degenerate_subset(points, r - 1)
     incidence_ratio = max_degree / codim2.count if codim2.count else 0.0
     span_ratio = hyps.count / (n * k ** (d - 1)) if k else 0.0

@@ -21,6 +21,10 @@ from .incidence import BiArrangement, hyperplane_degrees
 from .kernel import Basis, Flat, Point, affine_rank, extend_rref, hyperplane, int_rref
 from .spans import CoverCertificate, max_cover_plane_or_two_lines
 
+# Fresh draws each generator makes before it gives up with ConstructionError.
+PURDY_ATTEMPTS = 64
+BECK3_ATTEMPTS = 32
+
 
 class ConstructionError(ValueError):
     """Raised when requested parameters are infeasible or verification of a
@@ -339,9 +343,7 @@ def verify_covering_lines(
     return None
 
 
-def purdy_counterexample(
-    d: int, k: int, seed: int = 0, max_attempts: int = 64
-) -> tuple[Point, ...]:
+def purdy_counterexample(d: int, k: int, seed: int = 0) -> tuple[Point, ...]:
     """k points on each of d-1 random rational lines in verified general
     position: the family spanning ~n^{d-2} hyperplanes but ~n^{d-1}
     (d-2)-flats, refuting the more-hyperplanes-than-flats conjecture.
@@ -354,7 +356,7 @@ def purdy_counterexample(
     if k < 2:
         raise ConstructionError(f"k >= 2 required, got {k}")
     last_failure = "no attempts made"
-    for attempt in range(max_attempts):
+    for attempt in range(PURDY_ATTEMPTS):
         rng = random.Random(f"covering-lines:{d}:{k}:{seed}:{attempt}")
         line_points: list[list[Point]] = []
         for _ in range(d - 1):
@@ -373,12 +375,12 @@ def purdy_counterexample(
             return tuple(p for line in line_points for p in line)
         last_failure = failure
     raise ConstructionError(
-        f"general position not reached after {max_attempts} attempts: {last_failure}"
+        f"general position not reached after {PURDY_ATTEMPTS} attempts: {last_failure}"
     )
 
 
 def beck3_instance(
-    n: int, k: int, seed: int, plant: str, max_attempts: int = 32
+    n: int, k: int, seed: int, plant: str
 ) -> tuple[list[Point], CoverCertificate]:
     """n distinct points in E^3 with exactly n-k on the planted plane (or
     pair of skew lines) and no plane or pair of spanned lines covering more,
@@ -390,7 +392,7 @@ def beck3_instance(
     planted = n - k
     if k < 1 or planted < 4:
         raise ConstructionError(f"k >= 1 and n-k >= 4 required, got n={n}, k={k}")
-    for attempt in range(max_attempts):
+    for attempt in range(BECK3_ATTEMPTS):
         rng = random.Random(f"beck3:{plant}:{n}:{k}:{seed}:{attempt}")
         points: list[Point] = []
         if plant == "plane":
@@ -432,5 +434,5 @@ def beck3_instance(
         if cover.covered_count == planted:
             return points, cover
     raise ConstructionError(
-        f"no admissible instance after {max_attempts} attempts (n={n}, k={k}, plant={plant})"
+        f"no admissible instance after {BECK3_ATTEMPTS} attempts (n={n}, k={k}, plant={plant})"
     )

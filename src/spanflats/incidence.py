@@ -59,8 +59,10 @@ class BiArrangement:
     def from_json_dict(cls, data: dict) -> "BiArrangement":
         try:
             d = data["d"]
-            if type(d) is not int:
-                raise GeometryError(f"malformed arrangement: d must be an integer, got {d!r}")
+            if type(d) is not int or d < 1:
+                raise GeometryError(
+                    f"malformed arrangement: d must be a positive integer, got {d!r}"
+                )
             red = tuple(Flat.parse_rows(d, rows) for rows in data["red"])
             blue = tuple(Flat.parse_rows(d, rows) for rows in data["blue"])
             vertices = tuple(Point.parse(s, d) for s in data["vertices"])

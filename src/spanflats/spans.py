@@ -6,21 +6,24 @@ carrying its canonical row space (``extend_rref`` adds one point per level),
 and a rank-deficient prefix is dropped with its whole subtree. Each full-rank
 subset is keyed by its canonical form, so equal flats deduplicate. The
 points on each flat are the union of the subsets that span it, gathered
-during the same walk. Output order is canonical (sorted by constraint rows)
-so results are identical however the work is split.
+during the same walk as a bitmask. A ``SpannedSet`` keeps just those keys
+and masks, in canonical order (sorted by key) so results are identical
+however the work is split; counts and incidences need nothing more, and a
+flat's constraint system is built only where one is printed or certified.
 
 The degeneracy questions (``is_r_degenerate``, ``max_degenerate_subset``
 and ``rank_sum_cover``) are one exact cover search, ``_best_cover``, over
-spanned flats: it finds the most points that flats of total cost within a
-budget cover, pruning with the best size/cost ratio, and a decision query
-is the same search with a floor that only a full cover beats.
+the spanned flats' masks: it finds the most points that flats of total cost
+within a budget cover, pruning with the best size/cost ratio, and a
+decision query is the same search with a floor that only a full cover
+beats. Only the flats of the cover it returns are built.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -39,17 +42,35 @@ from .kernel import (
 
 @dataclass(frozen=True)
 class SpannedSet:
-    """All f-flats spanned by a point set, with their incident point indices
-    (also as bitmasks over the indices)."""
+    """All f-flats spanned by a point set, as the walk finds them: each
+    flat's canonical point basis (the ``int_rref`` rows and pivots of its
+    homogeneous points; sorted) and the bitmask of the point indices on it.
+    The ``Flat`` of a key and the index tuples are derived on request."""
 
     f: int
-    flats: tuple[Flat, ...]
-    per_flat_points: tuple[tuple[int, ...], ...]
+    keys: tuple[Basis, ...]
     masks: tuple[int, ...]
 
     @property
     def count(self) -> int:
-        return len(self.flats)
+        return len(self.masks)
+
+    def flat(self, i: int) -> Flat:
+        """The constraint system of the i-th flat."""
+        rows, pivots = self.keys[i]
+        d = len(rows[0]) - 1
+        return Flat(d, rowspace_constraints(d, rows, pivots))
+
+    @property
+    def flats(self) -> tuple[Flat, ...]:
+        return tuple(map(self.flat, range(self.count)))
+
+    @property
+    def per_flat_points(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+            for mask in self.masks
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,11 +105,11 @@ def spanned_flats(points: Sequence[Point], f: int) -> SpannedSet:
     lexicographic order; each prefix carries the canonical primitive-integer
     form of its homogeneous point row space, extended by one point per
     level, and a prefix that loses rank is pruned with every subset below
-    it. A full-rank subset is keyed by that form; constraint systems are
-    materialized once per distinct flat. By the exchange lemma the points on
-    a spanned f-flat are exactly the union of the (f+1)-subsets with its
-    key, so the walk itself gathers them, as a bitmask over the indices. The
-    last two results are memoized per point sequence and f.
+    it. A full-rank subset is keyed by that form with its pivots. By the
+    exchange lemma the points on a spanned f-flat are exactly the union of
+    the (f+1)-subsets with its key, so the walk itself gathers them, as a
+    bitmask over the indices. No constraint system is built here. The last
+    two results are memoized per point sequence and f.
     """
     d = common_dim(points)
     if not 0 <= f <= d - 1:
@@ -107,7 +128,7 @@ def _walk(
         if ext is None:
             continue  # rank-deficient prefix: no subset below it spans an f-flat
         if left == 1:
-            found[ext[0]] = found.get(ext[0], 0) | mask | bits[i]
+            found[ext] = found.get(ext, 0) | mask | bits[i]
         else:
             _walk(homs, bits, found, i + 1, ext, mask | bits[i], left - 1)
 
@@ -117,20 +138,11 @@ def _walk(
 # instance, and conjecture-search at d = 3 alternates f = 1 and 2.
 @lru_cache(maxsize=2)
 def _spanned_flats(points: tuple[Point, ...], f: int) -> SpannedSet:
-    d = points[0].dim
     bits = _index_masks(points)
-    found: dict[tuple, int] = {}  # canonical key -> mask of incident indices
+    found: dict[Basis, int] = {}  # canonical key -> mask of incident indices
     _walk([p.hom for p in bits], list(bits.values()), found, 0, ((), ()), 0, f + 1)
-    keys = sorted(found)
-    flats = []
-    for key in keys:
-        pivots = [next(c for c, v in enumerate(row) if v) for row in key]
-        flats.append(Flat(d, rowspace_constraints(d, key, pivots)))
-    masks = tuple(found[key] for key in keys)
-    incident = tuple(
-        tuple(i for i in range(len(points)) if mask >> i & 1) for mask in masks
-    )
-    return SpannedSet(f, tuple(flats), incident, masks)
+    keys = tuple(sorted(found))
+    return SpannedSet(f, keys, tuple(found[key] for key in keys))
 
 
 def spanned_hyperplane_count(points: Sequence[Point]) -> int:
@@ -161,11 +173,7 @@ def max_collinear(points: Sequence[Point]) -> int:
     unique = dedupe_points(points)
     if len(unique) <= 2:
         return len(unique)
-    best = 2
-    lines = spanned_flats(unique, 1)
-    for idxs in lines.per_flat_points:
-        best = max(best, len(idxs))
-    return best
+    return max(mask.bit_count() for mask in spanned_flats(unique, 1).masks)
 
 
 @dataclass(frozen=True)
@@ -189,54 +197,44 @@ def _axis_line_through(p: Point) -> Flat:
     return Flat(d, tuple(rows))
 
 
-def _candidate_flats(
-    points: Sequence[Point], dims: Iterable[int], include_point_flats: bool
-) -> list[tuple[Flat, int, int]]:
-    """(flat, dim, incidence mask) candidates for cover searches.
+Candidate = tuple[int, int, Callable[[], Flat]]  # dim, incidence mask, builder
+
+
+def _candidate_flats(points: Sequence[Point], include_point_flats: bool) -> list[Candidate]:
+    """(dim, incidence mask, flat builder) candidates for cover searches.
 
     Covering flats can always be shrunk to the hull of the points they
-    cover, so spanned flats (plus an arbitrary line per point, for
-    singleton groups) are exhaustive candidates. The point flat of p holds
-    exactly the copies of p, and the axis line through p exactly the points
-    with the same axis line, so both masks come from grouping.
+    cover, so the spanned flats of dimension 1..d-1 are exhaustive
+    candidates, with the point flat of each point (its copies) when points
+    are allowed. Otherwise a point on no spanned line needs a line of its
+    own; that happens only for a single distinct point, or in E^1, where the
+    one line is the whole space. With two distinct points in E^2 and up, a
+    spanned line through a point costs what any line through it costs and
+    holds a superset of its points, so no other line can improve a cover.
     """
     d = points[0].dim
     copies = _index_masks(points)
-    out: list[tuple[Flat, int, int]] = []
-    seen: set[tuple] = set()
-    for f in dims:
-        if not 1 <= f <= d - 1 or f + 1 > len(copies):
-            continue
+    out: list[Candidate] = []
+    for f in range(1, min(d, len(copies))):
         spanned = spanned_flats(points, f)
-        for flat, mask in zip(spanned.flats, spanned.masks):
-            if flat.rows not in seen:
-                seen.add(flat.rows)
-                out.append((flat, f, mask))
+        out.extend((f, mask, partial(spanned.flat, i)) for i, mask in enumerate(spanned.masks))
     if include_point_flats:
-        for p, mask in copies.items():
-            out.append((affine_hull([p]), 0, mask))
-    else:
-        lines = [_axis_line_through(p) for p in copies]
-        on_axis: dict[tuple, int] = {}  # axis line rows -> mask of its points
-        for line, mask in zip(lines, copies.values()):
-            on_axis[line.rows] = on_axis.get(line.rows, 0) | mask
-        for line in lines:
-            if line.rows not in seen:
-                seen.add(line.rows)
-                out.append((line, 1, on_axis[line.rows]))
+        out.extend((0, mask, partial(affine_hull, [p])) for p, mask in copies.items())
+    elif d == 1 or len(copies) == 1:
+        out.append((1, (1 << len(points)) - 1, partial(_axis_line_through, points[0])))
     return out
 
 
 def _best_cover(
-    candidates: list[tuple[Flat, int, int]],
+    candidates: list[Candidate],
     n: int,
     budget: int,
     cost_of: Callable[[int], int],
     floor: int = 0,
-) -> tuple[int, list[tuple[Flat, int, int]] | None]:
+) -> tuple[int, list[tuple[int, Callable[[], Flat]]] | None]:
     """The most of the n points that candidates of total cost <= budget
-    cover, and the candidates of one cover that reaches it; (floor, None)
-    when no cover takes more than floor points.
+    cover, and the (dim, builder) pairs of one cover that reaches it;
+    (floor, None) when no cover takes more than floor points.
 
     Branch on the lowest open point (neither covered nor given up): take a
     candidate through it, cheapest and then largest first, or give it up.
@@ -248,22 +246,22 @@ def _best_cover(
     points covered: the best only grows, so that visit tried every
     completion this one could make.
     """
-    cands = [(flat, dim, mask, cost_of(dim)) for flat, dim, mask in candidates]
-    cands = [c for c in cands if c[3] <= budget and c[2]]
+    cands = [(dim, mask, build, cost_of(dim)) for dim, mask, build in candidates]
+    cands = [c for c in cands if c[3] <= budget]
     num, den = 0, 1  # the largest size/cost, compared in integers
-    for c in cands:
-        if c[2].bit_count() * den > num * c[3]:
-            num, den = c[2].bit_count(), c[3]
+    for _, mask, _, cost in cands:
+        if mask.bit_count() * den > num * cost:
+            num, den = mask.bit_count(), cost
     if min(n, budget * num // den) <= floor:
         return floor, None
     by_point: list[list] = [[] for _ in range(n)]
-    for c in sorted(cands, key=lambda c: (c[3], -c[2].bit_count())):
-        mask = c[2]
+    for c in sorted(cands, key=lambda c: (c[3], -c[1].bit_count())):
+        mask = c[1]
         while mask:
             by_point[(mask & -mask).bit_length() - 1].append(c)
             mask &= mask - 1
     best, cover = floor, None
-    chosen: list[tuple[Flat, int, int]] = []
+    chosen: list[tuple[int, Callable[[], Flat]]] = []
     explored: dict[tuple[int, int], int] = {}  # (open, remaining) -> covered
 
     def go(open_: int, covered: int, remaining: int) -> None:
@@ -275,9 +273,9 @@ def _best_cover(
         if explored.get((open_, remaining), -1) >= covered:
             return
         explored[open_, remaining] = covered
-        for flat, dim, mask, cost in by_point[(open_ & -open_).bit_length() - 1]:
+        for dim, mask, build, cost in by_point[(open_ & -open_).bit_length() - 1]:
             if cost <= remaining:
-                chosen.append((flat, dim, mask))
+                chosen.append((dim, build))
                 go(open_ & ~mask, covered + (open_ & mask).bit_count(), remaining - cost)
                 chosen.pop()
         go(open_ & (open_ - 1), covered, remaining)
@@ -298,12 +296,12 @@ def is_r_degenerate(
     if not points:
         return True, CoverCertificate((), 0, 0)
     n = len(points)
-    candidates = _candidate_flats(points, range(1, points[0].dim), include_point_flats=False)
+    candidates = _candidate_flats(points, include_point_flats=False)
     _, cover = _best_cover(candidates, n, r - 1, cost_of=lambda dim: dim, floor=n - 1)
     if cover is None:
         return False, None
-    flats = tuple(flat for flat, _, _ in cover)
-    return True, CoverCertificate(flats, n, sum(dim for _, dim, _ in cover))
+    flats = tuple(build() for _, build in cover)
+    return True, CoverCertificate(flats, n, sum(dim for dim, _ in cover))
 
 
 def rank_sum_cover(points: Sequence[Point], budget: int) -> list[Flat] | None:
@@ -313,9 +311,9 @@ def rank_sum_cover(points: Sequence[Point], budget: int) -> list[Flat] | None:
     if not points:
         return []
     n = len(points)
-    candidates = _candidate_flats(points, range(1, points[0].dim), include_point_flats=True)
+    candidates = _candidate_flats(points, include_point_flats=True)
     _, cover = _best_cover(candidates, n, budget, cost_of=lambda dim: dim + 1, floor=n - 1)
-    return None if cover is None else [flat for flat, _, _ in cover]
+    return None if cover is None else [build() for _, build in cover]
 
 
 def max_degenerate_subset(points: Sequence[Point], dim_budget: int) -> int:
@@ -324,7 +322,7 @@ def max_degenerate_subset(points: Sequence[Point], dim_budget: int) -> int:
     dimension."""
     if not points:
         return 0
-    candidates = _candidate_flats(points, range(1, points[0].dim), include_point_flats=False)
+    candidates = _candidate_flats(points, include_point_flats=False)
     return _best_cover(candidates, len(points), dim_budget, cost_of=lambda dim: dim)[0]
 
 
@@ -355,13 +353,12 @@ def max_cover_plane_or_two_lines(points: Sequence[Point]) -> CoverCertificate:
     planes = spanned_flats(points, 2)
     on_plane = [mask.bit_count() for mask in planes.masks]
     richest = on_plane.index(max(on_plane))
-    best_plane = CoverCertificate((planes.flats[richest],), on_plane[richest], 2)
 
     lines = spanned_flats(points, 1)
     masks = lines.masks
     sizes = [mask.bit_count() for mask in masks]
     order = sorted(range(len(masks)), key=sizes.__getitem__, reverse=True)
-    best = (best_plane.covered_count + 1, -1, -1)  # a pair must beat the plane
+    best = (on_plane[richest] + 1, -1, -1)  # a pair must beat the plane
     for x, a in enumerate(order[:-1]):
         if sizes[a] + sizes[order[x + 1]] < best[0]:
             break
@@ -371,8 +368,8 @@ def max_cover_plane_or_two_lines(points: Sequence[Point]) -> CoverCertificate:
             best = max(best, ((masks[a] | masks[b]).bit_count(), min(a, b), max(a, b)))
     size, a, b = best
     if a < 0:
-        return best_plane
-    return CoverCertificate((lines.flats[a], lines.flats[b]), size, 2)
+        return CoverCertificate((planes.flat(richest),), on_plane[richest], 2)
+    return CoverCertificate((lines.flat(a), lines.flat(b)), size, 2)
 
 
 def read_point_file(lines: Iterable[str]) -> list[Point]:

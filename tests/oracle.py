@@ -11,8 +11,11 @@ exhaustive forms of the prefix-sharing walks: the scan that eliminates every
 (f+1)-subset from scratch, and the general-position check that ranks every
 configuration of lines and picks on its own. Then comes the plane-or-two-lines
 cover that ranks every pair of spanned lines, tests each for skewness and
-keeps the skew and the unrestricted maxima apart. Last is the cover search
-that tries every combination of candidate flats within the budget.
+keeps the skew and the unrestricted maxima apart. Last come the full,
+unpruned set of cover candidates (every spanned flat of dimension 1..d-1,
+then a point flat or an axis line per point, each mask by testing every
+point) and the cover search that tries every combination of candidates
+within the budget.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from itertools import accumulate, combinations, product
 from typing import Sequence
 
 from spanflats.incidence import CountReport, _check_arrangement
-from spanflats.kernel import Flat, affine_hull, int_rref, rowspace_constraints
+from spanflats.kernel import Flat, affine_hull, int_rref
 from spanflats.kernel import affine_rank as int_affine_rank
 from spanflats.spans import (
     CoverCertificate,
@@ -162,7 +165,7 @@ def attach_incidences(flats, points) -> tuple[tuple[int, ...], ...]:
 
 def subset_scan(points, f: int) -> SpannedSet:
     """spanned_flats by eliminating every (f+1)-subset of the distinct points
-    on its own: full-rank subsets keyed by their int_rref rows, the masks of
+    on its own: full-rank subsets keyed by their int_rref basis, the masks of
     the subsets with one key OR-ed together."""
     bits: dict = {}
     for i, p in enumerate(points):
@@ -171,17 +174,19 @@ def subset_scan(points, f: int) -> SpannedSet:
     for combo, combo_bits in zip(
         combinations([p.hom for p in bits], f + 1), combinations(bits.values(), f + 1)
     ):
-        key = int_rref(combo)[0]
-        if len(key) == f + 1:
+        key = int_rref(combo)
+        if len(key[0]) == f + 1:
             found[key] = found.get(key, 0) | sum(combo_bits)
+    keys = tuple(sorted(found))
+    return SpannedSet(f, keys, tuple(found[key] for key in keys))
+
+
+def flats_and_points(points, masks):
+    """The flat and the point indices of each mask: the indices are its set
+    bits, and the flat is their hull by the rational nullspace."""
+    idxs = tuple(tuple(i for i in range(len(points)) if mask >> i & 1) for mask in masks)
     d = points[0].dim
-    keys = sorted(found)
-    flats = tuple(Flat(d, rowspace_constraints(d, key, int_rref(key)[1])) for key in keys)
-    masks = tuple(found[key] for key in keys)
-    incident = tuple(
-        tuple(i for i in range(len(points)) if mask >> i & 1) for mask in masks
-    )
-    return SpannedSet(f, flats, incident, masks)
+    return tuple(Flat(d, hull_rows([points[i] for i in ix])) for ix in idxs), idxs
 
 
 def verify_covering_lines(d: int, line_points) -> str | None:
@@ -269,6 +274,36 @@ def ranked_pair_cover(points):
             best_skew, cert_skew = size, cert
     return cert_skew, cert_any
 
+
+def _fixing(p, free: int) -> Flat:
+    """The flat through p on which x_i is free for i < free and fixed for
+    the others; its dimension is free."""
+    d = p.dim
+    return Flat(
+        d, tuple(tuple(int(j == i) for j in range(d)) + (p.coords[i],) for i in range(free, d))
+    )
+
+
+def cover_candidates(points, include_point_flats: bool):
+    """Every cover candidate as (flat, dim, mask), none pruned: each spanned
+    flat of dimension 1..d-1 from the subset scan, then the point flat of
+    each distinct point when points are allowed, else the line through it
+    with x_1 free. A flat met twice is kept once; masks come from testing
+    every flat against every point."""
+    d = points[0].dim
+    unique = dedupe_points(points)
+    dims: dict[Flat, int] = {}
+    for f in range(1, min(d, len(unique))):
+        for flat in flats_and_points(points, subset_scan(points, f).masks)[0]:
+            dims[flat] = f
+    free = 0 if include_point_flats else 1  # the point flat, or the axis line
+    for p in unique:
+        dims.setdefault(_fixing(p, free), free)
+    flats = list(dims)
+    incident = attach_incidences(flats, points)
+    return [
+        (flat, dims[flat], sum(1 << i for i in idxs)) for flat, idxs in zip(flats, incident)
+    ]
 
 
 def best_cover_counts(candidates, budget: int, cost_of) -> list[int]:

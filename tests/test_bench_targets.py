@@ -36,6 +36,16 @@ def test_spanned_flats_keeps_the_signature_the_tracer_binds():
     assert list(inspect.signature(spans.spanned_flats).parameters) == ["points", "f"]
 
 
+def test_spanned_set_has_the_attributes_the_tracer_reads():
+    # _after_spanned_flats reads count and per_flat_points of each result
+    from spanflats import Point, spans
+
+    pts = [Point(xy) for xy in ((0, 0), (1, 0), (2, 0), (0, 1), (0, 1))]
+    result = spans.spanned_flats(pts, 1)
+    assert result.count == len(result.per_flat_points) == 4
+    assert sum(map(len, result.per_flat_points)) == sum(m.bit_count() for m in result.masks)
+
+
 def test_imported_copy_the_tracer_tests_wrap_is_still_there():
     from spanflats import constructions, kernel
 

@@ -466,20 +466,22 @@ def test_point_file_with_empty_field_is_exit_2(tmp_path, capsys, text):
     assert "bad point" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("d", [3.7, "3", True])
+@pytest.mark.parametrize("d", [3.7, "3", True, 0, -1])
 def test_arrangement_d_that_is_not_an_integer_is_exit_2(tmp_path, capsys, d):
+    # d must be a positive integer, in a real arrangement and in an empty one
     path = tmp_path / "arr.json"
     assert run_cli(
         capsys, "construct", "thetamk", "--d", "3", "--n", "8", "--k", "3", "--m", "4",
         "--out", str(path),
     )[0] == 0
     doc = json.loads(path.read_text())
-    doc["d"] = d
-    path.write_text(json.dumps(doc))
-    code, _, err = run_cli(capsys, "incidences", "--arrangement", str(path))
-    assert code == 2
-    assert err.startswith("error: malformed arrangement") and len(err.splitlines()) == 1
-    assert "Traceback" not in err
+    for arrangement in (doc, {"red": [], "blue": [], "vertices": []}):
+        arrangement["d"] = d
+        path.write_text(json.dumps(arrangement))
+        code, _, err = run_cli(capsys, "incidences", "--arrangement", str(path))
+        assert code == 2
+        assert err.startswith("error: malformed arrangement") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 def test_broken_pool_falls_back_to_serial(tmp_path, capsys, monkeypatch):

@@ -23,6 +23,9 @@ from spanflats import (
     spanned_flats,
     spanned_hyperplane_count,
 )
+from spanflats import constructions, spans
+from spanflats.cli import _conjecture_row
+from spanflats.kernel import Flat
 from spanflats.spans import _candidate_flats, read_point_file, write_point_file
 
 
@@ -181,7 +184,9 @@ def test_incidences_match_attach_oracle(pts, f, data):
 def test_prefix_walk_matches_subset_scan_oracle(case, data):
     pts, f = case
     pts = pts + data.draw(st.lists(st.sampled_from(pts), max_size=3))
-    assert spanned_flats(pts, f) == oracle.subset_scan(pts, f)
+    mine, scan = spanned_flats(pts, f), oracle.subset_scan(pts, f)
+    assert mine == scan
+    assert (mine.flats, mine.per_flat_points) == oracle.flats_and_points(pts, scan.masks)
 
 
 @given(
@@ -192,12 +197,16 @@ def test_prefix_walk_matches_subset_scan_oracle(case, data):
 @settings(max_examples=120, deadline=None)
 def test_candidate_masks_match_contains_oracle(pts, point_flats, data):
     pts = pts + data.draw(st.lists(st.sampled_from(pts), max_size=3))
-    candidates = _candidate_flats(pts, range(1, pts[0].dim), point_flats)
-    flats = [flat for flat, _, _ in candidates]
+    candidates = _candidate_flats(pts, point_flats)
+    flats = [build() for _, _, build in candidates]
     expected = oracle.attach_incidences(flats, pts)
-    assert [mask for _, _, mask in candidates] == [
+    assert [mask for _, mask, _ in candidates] == [
         sum(1 << i for i in idxs) for idxs in expected
     ]
+    assert [dim for dim, _, _ in candidates] == [flat.dim for flat in flats]
+    assert len(set(flats)) == len(flats)
+    full = {flat for flat, _, _ in oracle.cover_candidates(pts, point_flats)}
+    assert set(flats) <= full
 
 
 @given(point_lists(3, 2, 6, lo=-3, hi=3, max_den=2))
@@ -366,9 +375,10 @@ def assert_cover(flats, candidates, pts, cost_of, budget):
 @given(cover_search_inputs())
 @settings(max_examples=150, deadline=None)
 def test_cover_searches_match_brute_force_oracle(pts):
+    # the package prunes the candidates; the oracle keeps them all
     d, n = pts[0].dim, len(pts)
-    lines_up = _candidate_flats(pts, range(1, d), include_point_flats=False)
-    with_points = _candidate_flats(pts, range(1, d), include_point_flats=True)
+    lines_up = oracle.cover_candidates(pts, include_point_flats=False)
+    with_points = oracle.cover_candidates(pts, include_point_flats=True)
     by_dim, by_rank = (lambda dim: dim), (lambda dim: dim + 1)
     best = oracle.best_cover_counts(lines_up, d + 1, by_dim)
     best_with_points = oracle.best_cover_counts(with_points, d + 1, by_rank)
@@ -435,6 +445,48 @@ def test_max_degenerate_subset():
     assert max_degenerate_subset(pts, 1) == 4
     # budget 2: the collinear line plus a line through the two leftovers
     assert max_degenerate_subset(pts, 2) == 6
+
+
+# --- flats built ------------------------------------------------------------
+
+
+@pytest.fixture
+def flat_builds(monkeypatch):
+    """A one-item list holding the number of Flats constructed so far, with
+    the enumeration memo emptied so that every walk runs."""
+    built = [0]
+    post_init = Flat.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Flat, "__post_init__", counting)
+    spans._spanned_flats.cache_clear()
+    return built
+
+
+def test_counts_masks_and_cover_searches_build_no_flat(flat_builds):
+    pts = [Point((t, t * t, t**3)) for t in range(8)]  # no 4 coplanar, no 3 collinear
+    assert spanned_flats(pts, 2).count == 56
+    assert [mask.bit_count() for mask in spanned_flats(pts, 1).masks] == [2] * 28
+    assert max_degenerate_subset(pts, 2) == 4
+    assert is_r_degenerate(pts, 3) == (False, None)
+    assert not _conjecture_row((0, 3, 8, 3, 0, 0.0))["degenerate"]
+    assert flat_builds[0] == 0
+
+
+def test_beck3_instance_builds_only_hull_and_certificate(flat_builds, monkeypatch):
+    covers = []
+
+    def recording_cover(points):
+        covers.append(max_cover_plane_or_two_lines(points))
+        return covers[-1]
+
+    monkeypatch.setattr(constructions, "max_cover_plane_or_two_lines", recording_cover)
+    for plant in ("plane", "skew"):
+        constructions.beck3_instance(40, 7, 0, plant)
+    assert covers and flat_builds[0] <= sum(1 + len(cover.flats) for cover in covers)
 
 
 # --- collinearity -----------------------------------------------------------
