@@ -28,6 +28,7 @@ from .constructions import (
     ConstructionError,
     beck3_instance,
     bichromatic_lower_construction,
+    check_beck3_plant,
     erdos_grid_2d,
     purdy_counterexample,
     theta_mk_construction,
@@ -468,10 +469,6 @@ def _beck3_row(params: tuple) -> dict:
 def cmd_beck3(args) -> int:
     n_values = _parse_int_list(args.n_list)
     k_values = _parse_int_list(args.k_list)
-    if any(k < 1 for k in k_values):
-        raise GeometryError("k >= 1 required")
-    if min(n_values) - max(k_values) < 4:
-        raise GeometryError("every n - k must be >= 4 (a plant of 3 points is always beaten)")
     if args.seeds < 1:
         raise GeometryError(f"--seeds must be >= 1, got {args.seeds}")
     cells = [
@@ -480,6 +477,8 @@ def cmd_beck3(args) -> int:
         for k in k_values
         for seed in range(args.seed, args.seed + args.seeds)
     ]
+    for n, k, _, plant in cells:
+        check_beck3_plant(n, k, plant)
     rows = pmap(_beck3_row, cells, args.jobs)
     emit_table(
         args,

@@ -24,6 +24,7 @@ from .spans import CoverCertificate, max_cover_plane_or_two_lines
 # Fresh draws each generator makes before it gives up with ConstructionError.
 PURDY_ATTEMPTS = 64
 BECK3_ATTEMPTS = 32
+PLANT_SPAN = 60  # beck3 plants draw t (skew) or (alpha, beta) (plane) in -60..60
 
 
 class ConstructionError(ValueError):
@@ -294,51 +295,36 @@ def _first_rank_failure(
 def verify_covering_lines(
     d: int, line_points: Sequence[Sequence[Point]]
 ) -> str | None:
-    """Check the general-position predicates for points on covering lines.
+    """None when the points on covering lines are in general position, else
+    a description of the first failing configuration.
 
-    For every subset S of lines and every choice T of at most one point per
-    remaining line with 2|S| + |T| <= d+2, the hull of S and T must have
-    rank exactly min(2|S| + |T|, d+1). Returns None when everything holds,
-    else a description of the first failed predicate. The named special
-    cases: |T| = 0 is line general position (no flat of rank 2j covers more
-    than j lines, hence no hyperplane holds more than floor(d/2) of them);
-    |S| = 0, |T| = d-1 is transversal affine independence. The row space of
-    the first two points of each line in S is eliminated once per S, and
-    the choices T extend it depth-first, sharing each prefix.
+    A configuration is a set S of lines (each by its first two points) and
+    at most one point T from each other line; general position asks each
+    with 2|S| + |T| <= d+2 for rank min(2|S| + |T|, d+1). Only those of
+    size s = min(d+1, 2*#lines) are checked, in (|S|, S, T's lines, T)
+    order, each for rank s, and the verdict is the same. A smaller one grows
+    to size s by adding a point from an unused line or by promoting a T
+    line to S (X + {a, b} independent and p on the line ab imply X + {p}
+    independent); one of d+2 points contains one of d+1 (drop a T point, or
+    swap an S line for one of its points). With d-1 lines, |S| >= 2. Each S
+    is eliminated once and the choices T extend it depth-first.
     """
     nlines = len(line_points)
-    for j in range(nlines + 1):
+    size = min(d + 1, 2 * nlines)
+    for j in range(max(0, size - nlines), size // 2 + 1):
         for subset in combinations(range(nlines), j):
             others = [i for i in range(nlines) if i not in subset]
-            max_t = min(len(others), d + 2 - 2 * j)
-            if max_t < 0:
-                continue
             basis = int_rref([p.hom for i in subset for p in line_points[i][:2]])
-            for t in range(max_t + 1):
-                if j == 0 and t < 2:
-                    continue
-                expected = min(2 * j + t, d + 1)
-                for chosen_lines in combinations(others, t):
-                    failure = _first_rank_failure(
-                        basis, [line_points[i] for i in chosen_lines], expected
-                    )
-                    if failure is None:
-                        continue
+            for chosen_lines in combinations(others, size - 2 * j):
+                failure = _first_rank_failure(
+                    basis, [line_points[i] for i in chosen_lines], size
+                )
+                if failure is not None:
                     got, picks = failure
-                    if t == 0:
-                        return (
-                            f"lines {subset} lie in a flat of rank {got}"
-                            f" (general position needs {expected})"
-                        )
-                    if j == 0 and t == d - 1:
-                        return (
-                            f"transversal {[p.serialize() for p in picks]}"
-                            " is affinely dependent"
-                        )
                     return (
                         f"lines {subset} with points"
                         f" {[p.serialize() for p in picks]} span rank {got},"
-                        f" expected {expected}"
+                        f" expected {size}"
                     )
     return None
 
@@ -349,7 +335,8 @@ def purdy_counterexample(d: int, k: int, seed: int = 0) -> tuple[Point, ...]:
     (d-2)-flats, refuting the more-hyperplanes-than-flats conjecture.
 
     Deterministic for fixed (d, k, seed); retries with fresh coordinates
-    until the general-position predicates verify exactly.
+    until ``verify_covering_lines`` finds every (d+1)-point configuration
+    of whole lines and single points on other lines affinely independent.
     """
     if d < 4:
         raise ConstructionError(f"d >= 4 required, got {d}")
@@ -379,19 +366,31 @@ def purdy_counterexample(d: int, k: int, seed: int = 0) -> tuple[Point, ...]:
     )
 
 
+def check_beck3_plant(n: int, k: int, plant: str) -> None:
+    """Raise ConstructionError unless k >= 1 and 4 <= n-k <= what the plant
+    holds. Any 4 points are coplanar or span two skew lines, so 3 planted
+    points are always beaten; a plant's points come from distinct draws,
+    (alpha, beta) on the plane, t on each skew line (the first takes more)."""
+    if k < 1 or n - k < 4:
+        raise ConstructionError(f"k >= 1 and n-k >= 4 required, got n={n}, k={k}")
+    values = 2 * PLANT_SPAN + 1
+    limit = values * values if plant == "plane" else 2 * values
+    if n - k > limit:
+        raise ConstructionError(
+            f"n - k = {n - k} exceeds the {limit} points the {plant} plant can hold"
+        )
+
+
 def beck3_instance(
     n: int, k: int, seed: int, plant: str
 ) -> tuple[list[Point], CoverCertificate]:
     """n distinct points in E^3 with exactly n-k on the planted plane (or
     pair of skew lines) and no plane or pair of spanned lines covering more,
     with the cover certificate that verified it; regenerated on failure.
-
-    Both plants need n-k >= 4: with n-k = 3, any 4 points are either
-    coplanar or span two skew lines, so 4 points are always covered.
+    Parameters the plant cannot meet are refused (``check_beck3_plant``).
     """
+    check_beck3_plant(n, k, plant)
     planted = n - k
-    if k < 1 or planted < 4:
-        raise ConstructionError(f"k >= 1 and n-k >= 4 required, got n={n}, k={k}")
     for attempt in range(BECK3_ATTEMPTS):
         rng = random.Random(f"beck3:{plant}:{n}:{k}:{seed}:{attempt}")
         points: list[Point] = []
@@ -401,7 +400,9 @@ def beck3_instance(
             v = [rng.randint(-9, 9) for _ in range(3)]
             coeffs = set()
             while len(coeffs) < planted:
-                coeffs.add((rng.randint(-60, 60), rng.randint(-60, 60)))
+                coeffs.add(
+                    (rng.randint(-PLANT_SPAN, PLANT_SPAN), rng.randint(-PLANT_SPAN, PLANT_SPAN))
+                )
             for alpha, beta in sorted(coeffs):
                 points.append(
                     Point(b + alpha * uu + beta * vv for b, uu, vv in zip(base, u, v))
@@ -415,14 +416,10 @@ def beck3_instance(
                 direction = [rng.randint(-9, 9) for _ in range(3)]
                 ts = set()
                 while len(ts) < sizes[which]:
-                    ts.add(rng.randint(-60, 60))
+                    ts.add(rng.randint(-PLANT_SPAN, PLANT_SPAN))
                 for t in sorted(ts):
-                    points.append(
-                        Point(b + t * dd for b, dd in zip(base, direction))
-                    )
-            first = points[: sizes[0]]
-            second = points[sizes[0] :]
-            if affine_rank(first[:2] + second[:2]) != 4:  # lines not skew
+                    points.append(Point(b + t * dd for b, dd in zip(base, direction)))
+            if affine_rank(points[:2] + points[sizes[0] : sizes[0] + 2]) != 4:  # not skew
                 continue
         while len(points) < n:
             candidate = Point(rng.randint(-999, 999) for _ in range(3))

@@ -33,6 +33,7 @@ from .kernel import (
     GeometryError,
     Point,
     affine_hull,
+    affine_rank,
     common_dim,
     extend_rref,
     rowspace_constraints,
@@ -346,9 +347,9 @@ def max_cover_plane_or_two_lines(points: Sequence[Point]) -> CoverCertificate:
         return CoverCertificate((), 0, 0)
     if len(unique) == 1:
         return CoverCertificate((_axis_line_through(unique[0]),), n, 1)
-    hull = affine_hull(unique)
-    if hull.dim in (1, 2):
-        return CoverCertificate((hull,), n, hull.dim)
+    rank = affine_rank(unique)
+    if rank <= 3:  # the hull is a line or a plane
+        return CoverCertificate((affine_hull(unique),), n, rank - 1)
 
     planes = spanned_flats(points, 2)
     on_plane = [mask.bit_count() for mask in planes.masks]

@@ -6,10 +6,11 @@ nullspace-based affine hull, the homogeneous affine rank, the all-pairs
 vertex degrees of a slope/intercept line grid and their Fraction-keyed
 ranking, the incidence pass that tests every spanned flat against every
 point, and the bichromatic count that tests every vertex against every
-hyperplane. Beside them are the
-exhaustive forms of the prefix-sharing walks: the scan that eliminates every
-(f+1)-subset from scratch, and the general-position check that ranks every
-configuration of lines and picks on its own. Then comes the plane-or-two-lines
+hyperplane. Beside them are the exhaustive forms of the prefix-sharing
+walks: the scan that eliminates every (f+1)-subset from scratch, and the
+general-position check that ranks every configuration of lines and picks
+on its own, with a second form that ranks only the largest configurations
+and words the package's failure message. Then comes the plane-or-two-lines
 cover that ranks every pair of spanned lines, tests each for skewness and
 keeps the skew and the unrestricted maxima apart. Last come the full,
 unpruned set of cover candidates (every spanned flat of dimension 1..d-1,
@@ -189,42 +190,47 @@ def flats_and_points(points, masks):
     return tuple(Flat(d, hull_rows([points[i] for i in ix])) for ix in idxs), idxs
 
 
-def verify_covering_lines(d: int, line_points) -> str | None:
-    """The general-position check with one affine_rank call per
-    configuration, in the package's order and with its messages."""
+def verify_covering_lines(d: int, line_points) -> bool:
+    """True when every configuration has full rank: each subset S of lines
+    and each choice T of one point on each of some other lines with
+    2|S| + |T| <= d+2, ranked on its own by affine_rank, must reach
+    min(2|S| + |T|, d+1)."""
     nlines = len(line_points)
     for j in range(nlines + 1):
         for subset in combinations(range(nlines), j):
             others = [i for i in range(nlines) if i not in subset]
-            max_t = min(len(others), d + 2 - 2 * j)
-            if max_t < 0:
-                continue
-            for t in range(max_t + 1):
-                if j == 0 and t < 2:
-                    continue
+            for t in range(min(len(others), d + 2 - 2 * j) + 1):
                 for chosen_lines in combinations(others, t):
                     for picks in product(*(line_points[i] for i in chosen_lines)):
-                        expected = min(2 * j + t, d + 1)
                         pts = list(picks)
                         for i in subset:
                             pts.extend(line_points[i][:2])
-                        got = int_affine_rank(pts)
-                        if got != expected:
-                            if t == 0:
-                                return (
-                                    f"lines {subset} lie in a flat of rank {got}"
-                                    f" (general position needs {expected})"
-                                )
-                            if j == 0 and t == d - 1:
-                                return (
-                                    f"transversal {[p.serialize() for p in picks]}"
-                                    " is affinely dependent"
-                                )
-                            return (
-                                f"lines {subset} with points"
-                                f" {[p.serialize() for p in picks]} span rank {got},"
-                                f" expected {expected}"
-                            )
+                        if int_affine_rank(pts) != min(2 * j + t, d + 1):
+                            return False
+    return True
+
+
+def first_maximal_failure(d: int, line_points) -> str | None:
+    """The package's failure message, from one affine_rank call per
+    configuration of size s = min(d+1, 2 * #lines) in the package's order
+    (|S|, S, T's lines, T); None when each has rank s."""
+    nlines = len(line_points)
+    size = min(d + 1, 2 * nlines)
+    for j in range(size // 2 + 1):
+        for subset in combinations(range(nlines), j):
+            others = [i for i in range(nlines) if i not in subset]
+            for chosen_lines in combinations(others, size - 2 * j):
+                for picks in product(*(line_points[i] for i in chosen_lines)):
+                    pts = list(picks)
+                    for i in subset:
+                        pts.extend(line_points[i][:2])
+                    got = int_affine_rank(pts)
+                    if got != size:
+                        return (
+                            f"lines {subset} with points"
+                            f" {[p.serialize() for p in picks]} span rank {got},"
+                            f" expected {size}"
+                        )
     return None
 
 

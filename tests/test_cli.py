@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanflats import BiArrangement, count_bichromatic
+from spanflats import BiArrangement, ConstructionError, count_bichromatic
 from spanflats.cli import beck3_instance, main
 from spanflats.formulas import fit_loglog
 from spanflats.spans import read_point_file
@@ -250,6 +250,13 @@ def test_beck3_instance_hypothesis():
     assert len(pts_skew) == 12 and cover_skew.covered_count == 8
 
 
+@pytest.mark.parametrize("n, plant", [(247, "skew"), (14646, "plane")])
+def test_beck3_instance_refuses_a_plant_it_cannot_hold(n, plant):
+    # 121 distinct t per skew line, 121^2 (alpha, beta) pairs on the plane
+    with pytest.raises(ConstructionError, match="can hold"):
+        beck3_instance(n, 4, seed=0, plant=plant)
+
+
 def test_beck3_command(tmp_path, capsys):
     path = tmp_path / "beck3.csv"
     code, out, _ = run_cli(
@@ -445,6 +452,9 @@ def test_usage_error_is_exit_2():
         "beck3 --n-list 10 --k-list 3 --seeds 0",
         "beck3 --n-list 5 --k-list 2 --plant skew",
         "beck3 --n-list 6 --k-list 3 --plant plane",
+        "beck3 --n-list 247 --k-list 4 --seeds 1 --plant skew",
+        "beck3 --n-list 14646 --k-list 4 --seeds 1 --plant plane",
+        "beck3 --n-list 247 --k-list 4 --seeds 2 --plant mix",
         "verify-purdy --d-range 4:x --k-range 2",
         "conjecture-search --d 3 --n 0",
     ],

@@ -274,13 +274,14 @@ def test_verify_covering_lines_catches_degeneracies():
 
 @st.composite
 def covering_line_configs(draw):
-    """k points base + t*direction (t = 1..k) on each of d-1 lines, from
-    coordinate ranges small enough that degeneracies are common."""
+    """k points base + t*direction (t = 1..k) on each of 1..d-1 lines, from
+    coordinate ranges small enough that degeneracies are common; with fewer
+    than (d+1)/2 lines the largest configuration is every line."""
     d, k = draw(st.integers(4, 5)), draw(st.integers(2, 3))
     span = draw(st.sampled_from([1, 2, 60]))
     coord = st.integers(-span, span)
     lines = []
-    for _ in range(d - 1):
+    for _ in range(draw(st.integers(1, d - 1))):
         base = draw(st.lists(coord, min_size=d, max_size=d))
         direction = draw(st.lists(coord, min_size=d, max_size=d))
         lines.append(
@@ -293,7 +294,9 @@ def covering_line_configs(draw):
 @settings(max_examples=150, deadline=None)
 def test_verify_covering_lines_matches_exhaustive_oracle(config):
     d, lines = config
-    assert verify_covering_lines(d, lines) == oracle.verify_covering_lines(d, lines)
+    failure = verify_covering_lines(d, lines)
+    assert (failure is None) == oracle.verify_covering_lines(d, lines)
+    assert failure == oracle.first_maximal_failure(d, lines)
 
 
 def test_theta_mk_huge_m_is_infeasible_not_overflow():

@@ -35,6 +35,7 @@ CASES = {
     "construct-bichromatic": ((), CONSTRUCT_BICHROMATIC, None),
     "construct-thetamk": ((), CONSTRUCT_THETAMK, None),
     "construct-purdy": ((), ("construct", "purdy", "--d", "4", "--k", "2", "--seed", "1"), None),
+    "construct-purdy-d7": ((), ("construct", "purdy", "--d", "7", "--k", "2"), None),
     "incidences-envelope-bichromatic": (
         (CONSTRUCT_BICHROMATIC + ("--out", "arr.json"),),
         ("incidences", "--arrangement", "arr.json", "--envelope", "--out", "inc.json"),
@@ -78,6 +79,7 @@ GOLDEN = {
     "construct-bichromatic": ("d57710fa9f39ffb060991615f30a5bdb50e7d275fae7a4b789cce0344b8d11b8", None),
     "construct-erdos2d": ("21836d8e7881396f2d077a040c7c6d06328929448d9e55e1c02baa497bb1fd15", None),
     "construct-purdy": ("296006aa5c1e7d8f4d4e71432190dd707031119bb0b3847f33cf087c8088bb35", None),
+    "construct-purdy-d7": ("e402806e9774ccc5b4302230b78a6675289776015b0a66d9be43522ff71de8ca", None),
     "construct-thetamk": ("1e45f7982e7404215a40b6860b580f99d13bd8da17042790d53887fceecfd7d2", None),
     "enumerate-emit-json-f1": ("be8e9a90db67c3827b582ded99e3642706b5b6f355909c6e82b4efe04da5d799", None),
     "enumerate-emit-json-f2": ("72eb694729b777b3a559da8de89ebac0f9cfa8855b7246931f573f1c3a94154f", None),
