@@ -7,7 +7,7 @@ for d=4 on the doublings k = 8..256 (n = 3k), the same window that acceptance
 criterion 3 fits: there the lower-order terms are small enough that the
 log-log slope reads the leading exponent (see that test for the arithmetic).
 Also writes results/purdy_frontier.csv, the verify-purdy rows at the largest
-cells enumerated so far: d=7 with k=2:3 and d=8 with k=2.
+cells enumerated so far: d=7 and d=8 with k=2:3, and d=9 with k=2.
 """
 
 import io
@@ -20,7 +20,7 @@ from spanflats.cli import main
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 SERIES_K = (8, 16, 32, 64, 128, 256)
-FRONTIER = (("7", "2:3"), ("8", "2"))  # (--d-range, --k-range)
+FRONTIER = (("7", "2:3"), ("8", "2:3"), ("9", "2"))  # (--d-range, --k-range)
 
 
 def write_frontier() -> int:

@@ -10,7 +10,6 @@ from .kernel import (
     affine_rank,
     format_rational,
     hyperplane,
-    join,
     meet,
     parse_rational,
 )
@@ -23,9 +22,7 @@ from .spans import (
     max_cover_plane_or_two_lines,
     max_degenerate_subset,
     rank_sum_cover,
-    spanned_codim2_count,
     spanned_flats,
-    spanned_hyperplane_count,
 )
 from .incidence import (
     BiArrangement,
@@ -81,7 +78,6 @@ __all__ = [
     "format_rational",
     "hyperplane",
     "is_r_degenerate",
-    "join",
     "max_collinear",
     "max_cover_plane_or_two_lines",
     "max_degenerate_subset",
@@ -92,9 +88,7 @@ __all__ = [
     "purdy_counts",
     "purdy_crossover",
     "rank_sum_cover",
-    "spanned_codim2_count",
     "spanned_flats",
-    "spanned_hyperplane_count",
     "theta_mk_construction",
     "validate_vertices",
     "verify_covering_lines",

@@ -1,12 +1,17 @@
-"""Batch experiment driver.
+"""Batch experiment driver: a thin shell over the library.
 
 Subcommands: enumerate, incidences, construct {erdos2d|bichromatic|thetamk|
 purdy}, verify-purdy, fit, envelope-sweep, beck3, conjecture-search.
 Exit codes: 0 success / all-match, 1 verification mismatch, 2 input error.
 
-Every table row carries the full parameter tuple and seed, and identical
-config + seed produces byte-identical output whatever --jobs is set to:
-rows are computed independently and merged in parameter order.
+Each command only parses its options, checks them, maps the row builder
+over the parameter tuples with ``pmap``, writes the table with
+``emit_table`` and prints a summary. The rows are built next to what they
+check: ``constructions.purdy_row``, ``envelope_row`` and ``beck3_row``,
+and ``spans.conjecture_row``, each with its column tuple. Every row
+carries the full parameter tuple and seed, and identical config + seed
+produces byte-identical output whatever --jobs is set to: rows are
+computed independently and merged in parameter order.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import io
 import json
 import math
 import os
-import random
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -25,20 +29,27 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence
 
 from .constructions import (
+    BECK3_COLUMNS,
+    ENVELOPE_COLUMNS,
+    PURDY_COLUMNS,
     ConstructionError,
-    beck3_instance,
+    beck3_instance,  # noqa: F401  (traced by name: bench/layertrace.py TARGETS)
+    beck3_row,
     bichromatic_lower_construction,
     check_beck3_plant,
+    envelope_row,
     erdos_grid_2d,
     purdy_counterexample,
+    purdy_row,
     theta_mk_construction,
 )
-from .formulas import FormulaDomainError, fit_loglog, purdy_counts
+from .formulas import FormulaDomainError, fit_loglog
 from .incidence import BiArrangement, bound_envelope, count_bichromatic
-from .kernel import GeometryError, Point, common_dim, parse_rational
+from .kernel import GeometryError, common_dim, parse_rational
 from .spans import (
-    is_r_degenerate,
-    max_degenerate_subset,
+    CONJECTURE_COLUMNS,
+    conjecture_row,
+    conjecture_stats,
     read_point_file,
     spanned_flats,
     write_point_file,
@@ -149,7 +160,7 @@ def cmd_enumerate(args) -> int:
     result = spanned_flats(points, args.f)
     print(result.count)
     if args.out or args.emit_json:
-        _write_output(args, result.to_json() + "\n")
+        _write_output(args, json.dumps(result.to_json_dict(), indent=2) + "\n")
     return 0
 
 
@@ -195,81 +206,31 @@ def cmd_construct(args) -> int:
         }
         _write_output(args, json.dumps(doc, indent=2) + "\n")
         return 0
-    if kind in ("bichromatic", "thetamk"):
-        provenance = {
-            "command": f"construct {kind}",
-            "d": args.d,
-            "n": args.n,
-            "k": args.k,
-            "m": args.m,
-        }
-        if kind == "bichromatic":
-            built = bichromatic_lower_construction(
-                args.d, args.n, args.k, args.m, c0=parse_rational(args.c0)
-            )
-            provenance["c0"] = str(args.c0)
-        else:
-            built = theta_mk_construction(args.d, args.n, args.k, args.m)
-        doc = {
-            "schema": "spanflats-biarrangement/1",
-            "provenance": provenance,
-            **built.arrangement.to_json_dict(),
-            "predicted_red_incidences": built.red_incidences,
-        }
-        _write_output(args, json.dumps(doc, indent=2) + "\n")
-        return 0
-    raise GeometryError(f"unknown construction {kind!r}")
+    provenance = {  # bichromatic or thetamk
+        "command": f"construct {kind}",
+        "d": args.d,
+        "n": args.n,
+        "k": args.k,
+        "m": args.m,
+    }
+    if kind == "bichromatic":
+        built = bichromatic_lower_construction(
+            args.d, args.n, args.k, args.m, c0=parse_rational(args.c0)
+        )
+        provenance["c0"] = str(args.c0)
+    else:
+        built = theta_mk_construction(args.d, args.n, args.k, args.m)
+    doc = {
+        "schema": "spanflats-biarrangement/1",
+        "provenance": provenance,
+        **built.arrangement.to_json_dict(),
+        "predicted_red_incidences": built.red_incidences,
+    }
+    _write_output(args, json.dumps(doc, indent=2) + "\n")
+    return 0
 
 
 # ---------------------------------------------------------------- verify-purdy
-
-_PURDY_COLUMNS = (
-    "d",
-    "k",
-    "n",
-    "seed",
-    "h_formula",
-    "h_enumerated",
-    "g_formula",
-    "g_enumerated",
-    "h_match",
-    "g_match",
-    "g_gt_h",
-    "status",
-)
-
-
-def _verify_purdy_cell(params: tuple[int, int, int]) -> dict:
-    d, k, seed = params
-    row = {"d": d, "k": k, "n": k * (d - 1), "seed": seed}
-    counts = purdy_counts(d, k)
-    try:
-        points = purdy_counterexample(d, k, seed)
-        h_enum = spanned_flats(points, d - 1).count
-        g_enum = spanned_flats(points, d - 2).count
-    except ConstructionError as exc:
-        row.update(
-            h_formula=counts.h_total,
-            g_formula=counts.g_total,
-            h_enumerated=-1,
-            g_enumerated=-1,
-            h_match=False,
-            g_match=False,
-            g_gt_h=counts.g_total > counts.h_total,
-            status=f"error: {exc}",
-        )
-        return row
-    row.update(
-        h_formula=counts.h_total,
-        h_enumerated=h_enum,
-        g_formula=counts.g_total,
-        g_enumerated=g_enum,
-        h_match=h_enum == counts.h_total,
-        g_match=g_enum == counts.g_total,
-        g_gt_h=counts.g_total > counts.h_total,
-        status="ok",
-    )
-    return row
 
 
 def cmd_verify_purdy(args) -> int:
@@ -280,12 +241,12 @@ def cmd_verify_purdy(args) -> int:
     if min(k_values) < 2:
         raise GeometryError("k >= 2 required")
     cells = [(d, k, args.seed) for d in d_values for k in k_values]
-    rows = pmap(_verify_purdy_cell, cells, args.jobs)
+    rows = pmap(purdy_row, cells, args.jobs)
     emit_table(
         args,
         "verify-purdy",
         {"d_range": args.d_range, "k_range": args.k_range, "seed": args.seed},
-        _PURDY_COLUMNS,
+        PURDY_COLUMNS,
         rows,
     )
     ok = all(r["status"] == "ok" and r["h_match"] and r["g_match"] for r in rows)
@@ -327,70 +288,6 @@ def cmd_fit(args) -> int:
 
 # ---------------------------------------------------------------- envelope-sweep
 
-_SWEEP_COLUMNS = (
-    "step",
-    "construction",
-    "d",
-    "n_requested",
-    "k_frac",
-    "p",
-    "n",
-    "k",
-    "m",
-    "red_measured",
-    "term_mixed",
-    "term_kn",
-    "term_m",
-    "envelope",
-    "ratio",
-    "dominant",
-    "seed",
-    "status",
-)
-
-
-def _envelope_row(params: tuple) -> dict:
-    construction, d, step, n_req, k_frac, p, seed = params
-    row = {
-        "step": step,
-        "construction": construction,
-        "d": d,
-        "n_requested": n_req,
-        "k_frac": k_frac,
-        "p": p,
-        "seed": seed,
-        "status": "ok",
-    }
-    k = max(2, int(n_req * k_frac))
-    try:
-        if construction == "bichromatic":
-            built = bichromatic_lower_construction(d, n_req, k, m=p * n_req ** (d - 2))
-            arrangement = built.arrangement
-        else:
-            built = theta_mk_construction(d, n_req, k, m=p ** (d - 2))
-            arrangement = built.arrangement
-        report = count_bichromatic(arrangement)
-        env = bound_envelope(arrangement.m, arrangement.k, arrangement.n, d)
-    except (ConstructionError, GeometryError) as exc:
-        row.update(
-            n=-1, k=k, m=-1, red_measured=-1, term_mixed=0.0, term_kn=0,
-            term_m=0, envelope=0.0, ratio=0.0, dominant="", status=f"skipped: {exc}",
-        )
-        return row
-    row.update(
-        n=arrangement.n,
-        k=arrangement.k,
-        m=arrangement.m,
-        red_measured=report.red_incidences,
-        term_mixed=env.term_mixed,
-        term_kn=env.term_kn,
-        term_m=env.term_m,
-        envelope=env.total,
-        ratio=report.red_incidences / env.total,
-        dominant=env.dominant,
-    )
-    return row
-
 
 def cmd_envelope_sweep(args) -> int:
     if not 0 < args.k_frac <= 1:
@@ -406,7 +303,7 @@ def cmd_envelope_sweep(args) -> int:
         (args.construction, args.d, i, args.n0 * 2**i, args.k_frac, args.p, args.seed)
         for i in range(args.doublings + 1)
     ]
-    rows = pmap(_envelope_row, steps, args.jobs)
+    rows = pmap(envelope_row, steps, args.jobs)
     emit_table(
         args,
         "envelope-sweep",
@@ -419,7 +316,7 @@ def cmd_envelope_sweep(args) -> int:
             "p": args.p,
             "seed": args.seed,
         },
-        _SWEEP_COLUMNS,
+        ENVELOPE_COLUMNS,
         rows,
     )
     ratios = [r["ratio"] for r in rows if r["status"] == "ok"]
@@ -429,41 +326,6 @@ def cmd_envelope_sweep(args) -> int:
 
 
 # ---------------------------------------------------------------- beck3
-
-
-_BECK3_COLUMNS = (
-    "n",
-    "k",
-    "seed",
-    "plant",
-    "hypothesis_ok",
-    "max_cover",
-    "planes",
-    "ratio",
-    "status",
-)
-
-
-def _beck3_row(params: tuple) -> dict:
-    n, k, seed, plant = params
-    row = {"n": n, "k": k, "seed": seed, "plant": plant}
-    try:
-        points, cover = beck3_instance(n, k, seed, plant)
-    except ConstructionError as exc:
-        row.update(
-            hypothesis_ok=False, max_cover=-1, planes=-1, ratio=0.0,
-            status=f"error: {exc}",
-        )
-        return row
-    planes = spanned_flats(points, 2)
-    row.update(
-        hypothesis_ok=cover.covered_count == n - k,
-        max_cover=cover.covered_count,
-        planes=planes.count,
-        ratio=planes.count / (n * k * k),
-        status="ok",
-    )
-    return row
 
 
 def cmd_beck3(args) -> int:
@@ -479,7 +341,7 @@ def cmd_beck3(args) -> int:
     ]
     for n, k, _, plant in cells:
         check_beck3_plant(n, k, plant)
-    rows = pmap(_beck3_row, cells, args.jobs)
+    rows = pmap(beck3_row, cells, args.jobs)
     emit_table(
         args,
         "beck3",
@@ -490,7 +352,7 @@ def cmd_beck3(args) -> int:
             "seed": args.seed,
             "plant": args.plant,
         },
-        _BECK3_COLUMNS,
+        BECK3_COLUMNS,
         rows,
     )
     good = [r for r in rows if r["status"] == "ok"]
@@ -505,65 +367,6 @@ def cmd_beck3(args) -> int:
 
 
 # ---------------------------------------------------------------- conjecture-search
-
-_CONJ_COLUMNS = (
-    "sample",
-    "d",
-    "n",
-    "r",
-    "seed",
-    "floor",
-    "degenerate",
-    "k",
-    "hyperplanes",
-    "codim2_flats",
-    "max_point_degree",
-    "incidence_ratio",
-    "span_ratio",
-    "flagged",
-)
-
-
-def _conjecture_stats(
-    points: list[Point], r: int, floor_value: float, keep_degenerate: bool = False
-) -> dict:
-    d = points[0].dim
-    n = len(points)
-    degenerate, _ = is_r_degenerate(points, r)
-    if degenerate and not keep_degenerate:
-        return dict(
-            degenerate=True, k=0, hyperplanes=0, codim2_flats=0,
-            max_point_degree=0, incidence_ratio=0.0, span_ratio=0.0, flagged=False,
-        )
-    hyps = spanned_flats(points, d - 1)
-    codim2 = spanned_flats(points, d - 2)
-    max_degree = max(sum(mask >> i & 1 for mask in hyps.masks) for i in range(n))
-    k = n - max_degenerate_subset(points, r - 1)
-    incidence_ratio = max_degree / codim2.count if codim2.count else 0.0
-    span_ratio = hyps.count / (n * k ** (d - 1)) if k else 0.0
-    return dict(
-        degenerate=degenerate,
-        k=k,
-        hyperplanes=hyps.count,
-        codim2_flats=codim2.count,
-        max_point_degree=max_degree,
-        incidence_ratio=incidence_ratio,
-        span_ratio=span_ratio,
-        flagged=0.0 < span_ratio < floor_value or 0.0 < incidence_ratio < floor_value,
-    )
-
-
-def _conjecture_row(params: tuple) -> dict:
-    sample, d, n, r, seed, floor_value = params
-    rng = random.Random(f"conjecture:{d}:{n}:{seed}:{sample}")
-    points: list[Point] = []
-    while len(points) < n:
-        candidate = Point(rng.randint(-99, 99) for _ in range(d))
-        if candidate not in points:
-            points.append(candidate)
-    row = {"sample": sample, "d": d, "n": n, "r": r, "seed": seed, "floor": floor_value}
-    row.update(_conjecture_stats(points, r, floor_value))
-    return row
 
 
 def cmd_conjecture_search(args) -> int:
@@ -585,7 +388,7 @@ def cmd_conjecture_search(args) -> int:
             "sample": 0, "d": args.d, "n": len(points), "r": r,
             "seed": args.seed, "floor": args.floor,
         }
-        row.update(_conjecture_stats(points, r, args.floor, keep_degenerate=True))
+        row.update(conjecture_stats(points, r, args.floor, keep_degenerate=True))
         rows = [row]
     else:
         if args.samples < 1:
@@ -594,7 +397,7 @@ def cmd_conjecture_search(args) -> int:
             (sample, args.d, args.n, r, args.seed, args.floor)
             for sample in range(args.samples)
         ]
-        rows = pmap(_conjecture_row, cells, args.jobs)
+        rows = pmap(conjecture_row, cells, args.jobs)
     emit_table(
         args,
         "conjecture-search",
@@ -606,7 +409,7 @@ def cmd_conjecture_search(args) -> int:
             "seed": args.seed,
             "floor": args.floor,
         },
-        _CONJ_COLUMNS,
+        CONJECTURE_COLUMNS,
         rows,
     )
     kept = [r_ for r_ in rows if not r_["degenerate"]]
@@ -657,24 +460,24 @@ def build_parser() -> argparse.ArgumentParser:
     g = kinds.add_parser("erdos2d", parents=[common])
     g.add_argument("--r", type=int, required=True)
     g.add_argument("--s", type=int, required=True)
-    g.set_defaults(func=cmd_construct, kind="erdos2d")
+    g.set_defaults(func=cmd_construct)
     g = kinds.add_parser("bichromatic", parents=[common])
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--c0", default="1", help="scale knob linking p to m (rational)")
-    g.set_defaults(func=cmd_construct, kind="bichromatic")
+    g.set_defaults(func=cmd_construct)
     g = kinds.add_parser("thetamk", parents=[common])
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--m", type=int, required=True)
-    g.set_defaults(func=cmd_construct, kind="thetamk")
+    g.set_defaults(func=cmd_construct)
     g = kinds.add_parser("purdy", parents=[common])
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
-    g.set_defaults(func=cmd_construct, kind="purdy")
+    g.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify-purdy", parents=[common], help="formula vs enumeration table")
     p.add_argument("--d-range", required=True, help='e.g. "4" or "4:5"')

@@ -16,10 +16,19 @@ from itertools import combinations, product
 from math import gcd, isqrt, lcm
 from typing import Iterator, Sequence
 
-from .formulas import iroot
-from .incidence import BiArrangement, hyperplane_degrees
-from .kernel import Basis, Flat, Point, affine_rank, extend_rref, hyperplane, int_rref
-from .spans import CoverCertificate, max_cover_plane_or_two_lines
+from .formulas import iroot, purdy_counts
+from .incidence import BiArrangement, bound_envelope, count_bichromatic, hyperplane_degrees
+from .kernel import (
+    Basis,
+    Flat,
+    GeometryError,
+    Point,
+    affine_rank,
+    extend_rref,
+    hyperplane,
+    int_rref,
+)
+from .spans import CoverCertificate, max_cover_plane_or_two_lines, spanned_flats
 
 # Fresh draws each generator makes before it gives up with ConstructionError.
 PURDY_ATTEMPTS = 64
@@ -433,3 +442,162 @@ def beck3_instance(
     raise ConstructionError(
         f"no admissible instance after {BECK3_ATTEMPTS} attempts (n={n}, k={k}, plant={plant})"
     )
+
+
+# Experiment rows, one per parameter tuple: a generator's output checked
+# against the closed form or bound it realizes. A generator that fails gives
+# a row of sentinels with an "error: " (sweeps: "skipped: ") status.
+
+PURDY_COLUMNS = (
+    "d",
+    "k",
+    "n",
+    "seed",
+    "h_formula",
+    "h_enumerated",
+    "g_formula",
+    "g_enumerated",
+    "h_match",
+    "g_match",
+    "g_gt_h",
+    "status",
+)
+
+
+def purdy_row(params: tuple[int, int, int]) -> dict:
+    """Closed-form vs enumerated hyperplane and codim-2 counts of the
+    (d, k, seed) covering-lines counterexample."""
+    d, k, seed = params
+    row = {"d": d, "k": k, "n": k * (d - 1), "seed": seed}
+    counts = purdy_counts(d, k)
+    try:
+        points = purdy_counterexample(d, k, seed)
+        h_enum = spanned_flats(points, d - 1).count
+        g_enum = spanned_flats(points, d - 2).count
+    except ConstructionError as exc:
+        row.update(
+            h_formula=counts.h_total,
+            g_formula=counts.g_total,
+            h_enumerated=-1,
+            g_enumerated=-1,
+            h_match=False,
+            g_match=False,
+            g_gt_h=counts.g_total > counts.h_total,
+            status=f"error: {exc}",
+        )
+        return row
+    row.update(
+        h_formula=counts.h_total,
+        h_enumerated=h_enum,
+        g_formula=counts.g_total,
+        g_enumerated=g_enum,
+        h_match=h_enum == counts.h_total,
+        g_match=g_enum == counts.g_total,
+        g_gt_h=counts.g_total > counts.h_total,
+        status="ok",
+    )
+    return row
+
+
+ENVELOPE_COLUMNS = (
+    "step",
+    "construction",
+    "d",
+    "n_requested",
+    "k_frac",
+    "p",
+    "n",
+    "k",
+    "m",
+    "red_measured",
+    "term_mixed",
+    "term_kn",
+    "term_m",
+    "envelope",
+    "ratio",
+    "dominant",
+    "seed",
+    "status",
+)
+
+
+def envelope_row(params: tuple) -> dict:
+    """Measured red incidences of one rung's bichromatic or theta_mk
+    arrangement against the bound envelope's terms."""
+    construction, d, step, n_req, k_frac, p, seed = params
+    row = {
+        "step": step,
+        "construction": construction,
+        "d": d,
+        "n_requested": n_req,
+        "k_frac": k_frac,
+        "p": p,
+        "seed": seed,
+        "status": "ok",
+    }
+    k = max(2, int(n_req * k_frac))
+    try:
+        if construction == "bichromatic":
+            built = bichromatic_lower_construction(d, n_req, k, m=p * n_req ** (d - 2))
+            arrangement = built.arrangement
+        else:
+            built = theta_mk_construction(d, n_req, k, m=p ** (d - 2))
+            arrangement = built.arrangement
+        report = count_bichromatic(arrangement)
+        env = bound_envelope(arrangement.m, arrangement.k, arrangement.n, d)
+    except (ConstructionError, GeometryError) as exc:
+        row.update(
+            n=-1, k=k, m=-1, red_measured=-1, term_mixed=0.0, term_kn=0,
+            term_m=0, envelope=0.0, ratio=0.0, dominant="", status=f"skipped: {exc}",
+        )
+        return row
+    row.update(
+        n=arrangement.n,
+        k=arrangement.k,
+        m=arrangement.m,
+        red_measured=report.red_incidences,
+        term_mixed=env.term_mixed,
+        term_kn=env.term_kn,
+        term_m=env.term_m,
+        envelope=env.total,
+        ratio=report.red_incidences / env.total,
+        dominant=env.dominant,
+    )
+    return row
+
+
+BECK3_COLUMNS = (
+    "n",
+    "k",
+    "seed",
+    "plant",
+    "hypothesis_ok",
+    "max_cover",
+    "planes",
+    "ratio",
+    "status",
+)
+
+
+def beck3_row(params: tuple) -> dict:
+    """The (n, k, seed, plant) beck3 instance's hypothesis check and its
+    spanned planes against n k^2."""
+    n, k, seed, plant = params
+    row = {"n": n, "k": k, "seed": seed, "plant": plant}
+    try:
+        points, cover = beck3_instance(n, k, seed, plant)
+    except ConstructionError as exc:
+        row.update(
+            hypothesis_ok=False, max_cover=-1, planes=-1, ratio=0.0,
+            status=f"error: {exc}",
+        )
+        return row
+    planes = spanned_flats(points, 2)
+    row.update(
+        hypothesis_ok=cover.covered_count == n - k,
+        max_cover=cover.covered_count,
+        planes=planes.count,
+        ratio=planes.count / (n * k * k),
+        status="ok",
+    )
+    return row

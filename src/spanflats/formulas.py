@@ -9,7 +9,6 @@ least-squares slope of measured data, works in floats.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf, log
@@ -45,19 +44,6 @@ class PurdyCounts:
     @property
     def g_total(self) -> int:
         return sum(self.g_by_j.values())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "k": self.k,
-            "h": {str(j): v for j, v in sorted(self.h_by_j.items())},
-            "g": {str(j): v for j, v in sorted(self.g_by_j.items())},
-            "h_total": self.h_total,
-            "g_total": self.g_total,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def purdy_counts(d: int, k: int) -> PurdyCounts:

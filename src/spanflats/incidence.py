@@ -13,7 +13,6 @@ count equals the all-pairs predicate scan (kept as the oracle in the tests).
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -71,9 +70,6 @@ class BiArrangement:
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise GeometryError(f"malformed arrangement: {exc!r}") from None
         return cls(d, red, blue, vertices)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 @dataclass(frozen=True)

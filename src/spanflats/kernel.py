@@ -239,28 +239,6 @@ class Flat:
         *num, den = p.hom
         return all(sum(map(mul, row, num)) == row[-1] * den for row in self.rows)
 
-    def any_point(self) -> Point:
-        """Some point on the flat: free coordinates 0, pivots from b."""
-        coords: list[Scalar] = [0] * self.ambient_dim
-        for row, pc in zip(self.rows, self._pivots()):
-            coords[pc] = Fraction(row[-1], row[pc])
-        return Point(coords)
-
-    def spanning_points(self) -> list[Point]:
-        """dim+1 affinely independent points whose hull is the flat."""
-        pivots = self._pivots()
-        base = self.any_point()
-        pts = [base]
-        for free in range(self.ambient_dim):
-            if free in pivots:
-                continue
-            coords = list(base.coords)
-            coords[free] += 1
-            for row, pc in zip(self.rows, pivots):
-                coords[pc] -= Fraction(row[free], row[pc])
-            pts.append(Point(coords))
-        return pts
-
     def serialize_rows(self) -> list[list[str]]:
         """The rational RREF rows: each row divided by its pivot."""
         return [
@@ -301,11 +279,6 @@ def meet(f1: Flat, f2: Flat) -> Flat | None:
         return Flat(f1.ambient_dim, f1.rows + f2.rows)
     except GeometryError:
         return None
-
-
-def join(f1: Flat, f2: Flat) -> Flat:
-    """Affine hull of f1 ∪ f2."""
-    return affine_hull(f1.spanning_points() + f2.spanning_points())
 
 
 def affine_rank(points: Sequence[Point]) -> int:

@@ -21,7 +21,7 @@ beats. Only the flats of the cover it returns are built.
 
 from __future__ import annotations
 
-import json
+import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
@@ -83,9 +83,6 @@ class SpannedSet:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
 
 def dedupe_points(points: Sequence[Point]) -> list[Point]:
     return list(dict.fromkeys(points))
@@ -144,14 +141,6 @@ def _spanned_flats(points: tuple[Point, ...], f: int) -> SpannedSet:
     _walk([p.hom for p in bits], list(bits.values()), found, 0, ((), ()), 0, f + 1)
     keys = tuple(sorted(found))
     return SpannedSet(f, keys, tuple(found[key] for key in keys))
-
-
-def spanned_hyperplane_count(points: Sequence[Point]) -> int:
-    return spanned_flats(points, common_dim(points) - 1).count
-
-
-def spanned_codim2_count(points: Sequence[Point]) -> int:
-    return spanned_flats(points, common_dim(points) - 2).count
 
 
 def arrangement_vertices(hyperplanes: Sequence[Flat]) -> list[Point]:
@@ -371,6 +360,75 @@ def max_cover_plane_or_two_lines(points: Sequence[Point]) -> CoverCertificate:
     if a < 0:
         return CoverCertificate((planes.flat(richest),), on_plane[richest], 2)
     return CoverCertificate((lines.flat(a), lines.flat(b)), size, 2)
+
+
+# The columns of a conjecture-search row, in output order.
+CONJECTURE_COLUMNS = (
+    "sample",
+    "d",
+    "n",
+    "r",
+    "seed",
+    "floor",
+    "degenerate",
+    "k",
+    "hyperplanes",
+    "codim2_flats",
+    "max_point_degree",
+    "incidence_ratio",
+    "span_ratio",
+    "flagged",
+)
+
+
+def conjecture_stats(
+    points: list[Point], r: int, floor_value: float, keep_degenerate: bool = False
+) -> dict:
+    """The degeneracy and span statistics of one point set: whether it is
+    r-degenerate, k = n minus the largest (r-1)-degenerate subset, the
+    hyperplane and codim-2 counts, and the two ratios the conjectures bound
+    below, flagged when one falls under ``floor_value``. A degenerate set
+    gets zeros unless ``keep_degenerate``."""
+    d = points[0].dim
+    n = len(points)
+    degenerate, _ = is_r_degenerate(points, r)
+    if degenerate and not keep_degenerate:
+        return dict(
+            degenerate=True, k=0, hyperplanes=0, codim2_flats=0,
+            max_point_degree=0, incidence_ratio=0.0, span_ratio=0.0, flagged=False,
+        )
+    hyps = spanned_flats(points, d - 1)
+    codim2 = spanned_flats(points, d - 2)
+    max_degree = max(sum(mask >> i & 1 for mask in hyps.masks) for i in range(n))
+    k = n - max_degenerate_subset(points, r - 1)
+    incidence_ratio = max_degree / codim2.count if codim2.count else 0.0
+    span_ratio = hyps.count / (n * k ** (d - 1)) if k else 0.0
+    return dict(
+        degenerate=degenerate,
+        k=k,
+        hyperplanes=hyps.count,
+        codim2_flats=codim2.count,
+        max_point_degree=max_degree,
+        incidence_ratio=incidence_ratio,
+        span_ratio=span_ratio,
+        flagged=0.0 < span_ratio < floor_value or 0.0 < incidence_ratio < floor_value,
+    )
+
+
+def conjecture_row(params: tuple) -> dict:
+    """One conjecture-search row for (sample, d, n, r, seed, floor): n
+    distinct points with uniform integer coordinates in -99..99, seeded by
+    (d, n, seed, sample), and their ``conjecture_stats``."""
+    sample, d, n, r, seed, floor_value = params
+    rng = random.Random(f"conjecture:{d}:{n}:{seed}:{sample}")
+    points: list[Point] = []
+    while len(points) < n:
+        candidate = Point(rng.randint(-99, 99) for _ in range(d))
+        if candidate not in points:
+            points.append(candidate)
+    row = {"sample": sample, "d": d, "n": n, "r": r, "seed": seed, "floor": floor_value}
+    row.update(conjecture_stats(points, r, floor_value))
+    return row
 
 
 def read_point_file(lines: Iterable[str]) -> list[Point]:

@@ -6,7 +6,9 @@ nullspace-based affine hull, the homogeneous affine rank, the all-pairs
 vertex degrees of a slope/intercept line grid and their Fraction-keyed
 ranking, the incidence pass that tests every spanned flat against every
 point, and the bichromatic count that tests every vertex against every
-hyperplane. Beside them are the exhaustive forms of the prefix-sharing
+hyperplane, and a flat's sample points: one point on it, and dim + 1
+affinely independent points spanning it, from which two lines are tested
+for skewness. Beside them are the exhaustive forms of the prefix-sharing
 walks: the scan that eliminates every (f+1)-subset from scratch, and the
 general-position check that ranks every configuration of lines and picks
 on its own, with a second form that ranks only the largest configurations
@@ -26,7 +28,7 @@ from itertools import accumulate, combinations, product
 from typing import Sequence
 
 from spanflats.incidence import CountReport, _check_arrangement
-from spanflats.kernel import Flat, affine_hull, int_rref
+from spanflats.kernel import Flat, Point, affine_hull, int_rref
 from spanflats.kernel import affine_rank as int_affine_rank
 from spanflats.spans import (
     CoverCertificate,
@@ -107,6 +109,38 @@ def contains(rows, point) -> bool:
 
 def affine_rank(points) -> int:
     return len(rref([list(p.coords) + [Fraction(1)] for p in points])[0])
+
+
+def any_point(flat: Flat) -> Point:
+    """Some point on the flat: free coordinates 0, pivots from b."""
+    coords = [Fraction(0)] * flat.ambient_dim
+    for row in flat.rows:
+        pc = next(i for i, v in enumerate(row) if v)
+        coords[pc] = Fraction(row[-1], row[pc])
+    return Point(coords)
+
+
+def spanning_points(flat: Flat) -> list[Point]:
+    """dim+1 affinely independent points whose hull is the flat: any_point,
+    then one step along each free coordinate."""
+    pivots = [next(i for i, v in enumerate(row) if v) for row in flat.rows]
+    base = any_point(flat)
+    pts = [base]
+    for free in range(flat.ambient_dim):
+        if free in pivots:
+            continue
+        coords = list(base.coords)
+        coords[free] += 1
+        for row, pc in zip(flat.rows, pivots):
+            coords[pc] -= Fraction(row[free], row[pc])
+        pts.append(Point(coords))
+    return pts
+
+
+def skew(l1: Flat, l2: Flat) -> bool:
+    """Whether two lines are skew: their join is 3-dimensional (meeting or
+    parallel lines span a plane at most)."""
+    return affine_hull(spanning_points(l1) + spanning_points(l2)).dim == 3
 
 
 def grid_vertex_degrees(

@@ -25,7 +25,7 @@ from spanflats import (
     spanned_flats,
     theta_mk_construction,
 )
-from spanflats.cli import beck3_instance
+from spanflats.constructions import beck3_instance
 from spanflats.formulas import ceil_scaled_power, fit_loglog, floor_scaled_power
 from spanflats.spans import max_cover_plane_or_two_lines
 

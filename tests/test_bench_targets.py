@@ -2,10 +2,13 @@
 it lists must still resolve, so a refactor that moves one fails here and not
 only in a traced benchmark run."""
 
+import csv
 import importlib
 import inspect
 import types
 from pathlib import Path
+
+import pytest
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
 
@@ -58,3 +61,44 @@ def test_cli_beck3_instance_is_the_generator_the_tracer_wraps():
     from spanflats import cli, constructions
 
     assert cli.beck3_instance is constructions.beck3_instance
+
+
+def test_cli_spanned_flats_is_the_copy_the_tracer_replaces():
+    # bench/test_bench.py checks that installing the tracer rewrites cli's copy
+    from spanflats import cli, spans
+
+    assert cli.spanned_flats is spans.spanned_flats
+
+
+ROW_COMMANDS = {
+    "verify-purdy": ["verify-purdy", "--d-range", "4", "--k-range", "2:3"],
+    "envelope-sweep": [
+        "envelope-sweep", "--construction", "bichromatic", "--d", "3", "--n0", "8",
+        "--doublings", "1",
+    ],
+    "beck3": ["beck3", "--n-list", "12", "--k-list", "3", "--seeds", "2"],
+    "conjecture-search": ["conjecture-search", "--d", "3", "--n", "6", "--samples", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_COMMANDS))
+def test_row_commands_map_their_rows_through_cli_pmap(name, tmp_path, monkeypatch, capsys):
+    # bench/child.py times rows by swapping cli.pmap for a wrapper, so each
+    # table command must look pmap up by its module-global name, once, with
+    # one item per output row
+    from spanflats import cli
+
+    calls = []
+    pmap = cli.pmap
+
+    def recording_pmap(fn, items, jobs):
+        calls.append(len(items))
+        return pmap(fn, items, jobs)
+
+    monkeypatch.setattr(cli, "pmap", recording_pmap)
+    out = tmp_path / "rows.csv"
+    assert cli.main(ROW_COMMANDS[name] + ["--format", "csv", "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert calls == [len(rows)] and rows

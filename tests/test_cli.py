@@ -9,8 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanflats import BiArrangement, ConstructionError, count_bichromatic
-from spanflats.cli import beck3_instance, main
+from spanflats import BiArrangement, ConstructionError, constructions, count_bichromatic
+from spanflats.cli import main
+from spanflats.constructions import (
+    BECK3_COLUMNS,
+    PURDY_COLUMNS,
+    beck3_instance,
+    beck3_row,
+    purdy_row,
+)
 from spanflats.formulas import fit_loglog
 from spanflats.spans import read_point_file
 
@@ -238,6 +245,39 @@ def test_envelope_sweep_skips_infeasible(tmp_path, capsys):
     assert code == 0
     rows = read_csv(path)
     assert rows[0]["status"].startswith("skipped")
+
+
+# --- generator failures -----------------------------------------------------------
+
+
+def _fail(*args):
+    raise ConstructionError("no admissible instance (forced)")
+
+
+def test_purdy_row_reports_a_failed_generator(monkeypatch, capsys):
+    monkeypatch.setattr(constructions, "purdy_counterexample", _fail)
+    row = purdy_row((4, 2, 0))
+    assert set(row) == set(PURDY_COLUMNS)
+    assert row["h_enumerated"] == row["g_enumerated"] == -1
+    assert row["status"].startswith("error: ")
+    assert not row["h_match"] and not row["g_match"]
+    code, _, _ = run_cli(
+        capsys, "verify-purdy", "--d-range", "4", "--k-range", "2", "--format", "csv"
+    )
+    assert code == 1
+
+
+def test_beck3_row_reports_a_failed_generator(monkeypatch, capsys):
+    monkeypatch.setattr(constructions, "beck3_instance", _fail)
+    row = beck3_row((12, 3, 0, "plane"))
+    assert set(row) == set(BECK3_COLUMNS)
+    assert row["max_cover"] == row["planes"] == -1
+    assert row["status"].startswith("error: ")
+    assert row["hypothesis_ok"] is False
+    code, _, _ = run_cli(
+        capsys, "beck3", "--n-list", "12", "--k-list", "3", "--seeds", "1", "--format", "csv"
+    )
+    assert code == 1
 
 
 # --- beck3 ----------------------------------------------------------------------

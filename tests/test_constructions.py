@@ -12,9 +12,7 @@ from spanflats import (
     max_collinear,
     purdy_counterexample,
     purdy_counts,
-    spanned_codim2_count,
     spanned_flats,
-    spanned_hyperplane_count,
     theta_mk_construction,
     verify_covering_lines,
 )
@@ -227,8 +225,8 @@ def test_thetamk_vertices_are_true_vertices():
 def test_purdy_d4_k2_counts():
     pts = purdy_counterexample(4, 2, seed=0)
     assert len(pts) == 6
-    assert spanned_hyperplane_count(pts) == 15
-    assert spanned_codim2_count(pts) == 20
+    assert spanned_flats(pts, 3).count == 15
+    assert spanned_flats(pts, 2).count == 20
 
 
 def test_purdy_matches_formulas_on_small_grid():

@@ -41,15 +41,11 @@ def test_counts_domain():
 
 
 def test_counts_json_shape():
-    doc = purdy_counts(4, 2).to_json_dict()
-    assert doc == {
-        "d": 4,
-        "k": 2,
-        "h": {"1": 12, "2": 3},
-        "g": {"0": 8, "1": 12},
-        "h_total": 15,
-        "g_total": 20,
-    }
+    counts = purdy_counts(4, 2)
+    assert (counts.d, counts.k) == (4, 2)
+    assert counts.h_by_j == {1: 12, 2: 3}
+    assert counts.g_by_j == {0: 8, 1: 12}
+    assert (counts.h_total, counts.g_total) == (15, 20)
 
 
 @pytest.mark.parametrize("d,expected", [(4, 2), (5, 2)])

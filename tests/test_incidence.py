@@ -106,7 +106,7 @@ def test_validate_red_incidence_flag_separately():
 
 def test_biarrangement_json_round_trip():
     built = bichromatic_lower_construction(3, 8, 4, 32)
-    doc = json.loads(built.arrangement.to_json())
+    doc = json.loads(json.dumps(built.arrangement.to_json_dict()))
     again = BiArrangement.from_json_dict(doc)
     assert again == built.arrangement
 
@@ -182,7 +182,7 @@ def parallel_family_arrangements(draw):
         flat = chosen[0]
         for h in chosen[1:]:
             flat = meet(flat, h) or flat  # a parallel member leaves the flat as is
-        spanning = flat.spanning_points()
+        spanning = oracle.spanning_points(flat)
         weights = [draw(RATIONALS) for _ in spanning[1:]]
         weights.insert(0, 1 - sum(weights))
         vertices.append(

@@ -143,7 +143,7 @@ def test_meet_commutes_and_is_contained(pts_a, pts_b):
     assert m12 == m21
     if m12 is not None:
         assert m12.dim <= min(f1.dim, f2.dim)
-        probe = m12.any_point()
+        probe = oracle.any_point(m12)
         assert f1.contains(probe) and f2.contains(probe)
 
 

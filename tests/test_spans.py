@@ -19,14 +19,16 @@ from spanflats import (
     max_degenerate_subset,
     meet,
     rank_sum_cover,
-    spanned_codim2_count,
     spanned_flats,
-    spanned_hyperplane_count,
 )
 from spanflats import constructions, spans
-from spanflats.cli import _conjecture_row
 from spanflats.kernel import Flat
-from spanflats.spans import _candidate_flats, read_point_file, write_point_file
+from spanflats.spans import (
+    _candidate_flats,
+    conjecture_row,
+    read_point_file,
+    write_point_file,
+)
 
 
 # --- independent oracles ----------------------------------------------------
@@ -70,10 +72,7 @@ def oracle_best_plane_or_pair(points):
     for l1, l2 in combinations(lines, 2):
         covered = sum(1 for p in points if l1.contains(p) or l2.contains(p))
         best_any = max(best_any, covered)
-        disjoint = meet(l1, l2) is None
-        from spanflats import join
-
-        if disjoint and join(l1, l2).dim == 3:
+        if oracle.skew(l1, l2):
             best_skew = max(best_skew, covered)
     return best_skew, best_any
 
@@ -106,7 +105,7 @@ def test_five_generic_points_span_ten_planes():
         Point((0, 0, 1)),
         Point((1, 2, 3)),
     ]
-    assert spanned_hyperplane_count(pts) == 10
+    assert spanned_flats(pts, 2).count == 10
 
 
 def test_spanned_flats_range_check():
@@ -118,9 +117,9 @@ def test_spanned_flats_range_check():
 
 
 def test_empty_counts_are_empty_hull_errors():
-    for count in (spanned_hyperplane_count, spanned_codim2_count):
+    for f in (0, 1):
         with pytest.raises(GeometryError, match="empty hull"):
-            count([])
+            spanned_flats([], f)
 
 
 def test_spanned_flats_attaches_points():
@@ -212,8 +211,8 @@ def test_candidate_masks_match_contains_oracle(pts, point_flats, data):
 @given(point_lists(3, 2, 6, lo=-3, hi=3, max_den=2))
 @settings(max_examples=40, deadline=None)
 def test_hyperplane_count_monotone(pts):
-    base = spanned_hyperplane_count(pts[:-1]) if len(pts) > 2 else 0
-    assert spanned_hyperplane_count(pts) >= base
+    base = spanned_flats(pts[:-1], 2).count if len(pts) > 2 else 0
+    assert spanned_flats(pts, 2).count >= base
 
 
 @given(point_lists(3, 1, 6, lo=-3, hi=3, max_den=2), st.integers(min_value=0, max_value=2))
@@ -472,7 +471,7 @@ def test_counts_masks_and_cover_searches_build_no_flat(flat_builds):
     assert [mask.bit_count() for mask in spanned_flats(pts, 1).masks] == [2] * 28
     assert max_degenerate_subset(pts, 2) == 4
     assert is_r_degenerate(pts, 3) == (False, None)
-    assert not _conjecture_row((0, 3, 8, 3, 0, 0.0))["degenerate"]
+    assert not conjecture_row((0, 3, 8, 3, 0, 0.0))["degenerate"]
     assert flat_builds[0] == 0
 
 
