@@ -48,6 +48,7 @@ from .incidence import BiArrangement, bound_envelope, count_bichromatic
 from .kernel import GeometryError, common_dim, parse_rational
 from .spans import (
     CONJECTURE_COLUMNS,
+    check_walk_size,
     conjecture_row,
     conjecture_stats,
     read_point_file,
@@ -135,10 +136,10 @@ def _parse_int(text: str) -> int:
     return _check_size("integer", value)
 
 
-def _parse_range(text: str) -> list[int]:
-    """"4" -> [4]; "2:5" -> [2, 3, 4, 5]."""
+def _parse_range(text: str) -> range:
+    """"4" -> range(4, 5); "2:5" -> range(2, 6), ascending and never listed."""
     lo, sep, hi = text.partition(":")
-    values = list(range(_parse_int(lo), _parse_int(hi if sep else lo) + 1))
+    values = range(_parse_int(lo), _parse_int(hi if sep else lo) + 1)
     if not values:
         raise GeometryError(f"empty range {text!r}")
     return values
@@ -157,6 +158,7 @@ def _parse_int_list(text: str) -> list[int]:
 def cmd_enumerate(args) -> int:
     with open(args.points) as fh:
         points = read_point_file(fh)
+    check_walk_size(len(set(points)), args.f)
     result = spanned_flats(points, args.f)
     print(result.count)
     if args.out or args.emit_json:
@@ -236,10 +238,13 @@ def cmd_construct(args) -> int:
 def cmd_verify_purdy(args) -> int:
     d_values = _parse_range(args.d_range)
     k_values = _parse_range(args.k_range)
-    if min(d_values) < 4:
+    if d_values[0] < 4:
         raise GeometryError("d >= 4 required")
-    if min(k_values) < 2:
+    if k_values[0] < 2:
         raise GeometryError("k >= 2 required")
+    d, k = d_values[-1], k_values[-1]  # the cell with the most subsets
+    for f in (d - 2, d - 1):
+        check_walk_size(k * (d - 1), f)
     cells = [(d, k, args.seed) for d in d_values for k in k_values]
     rows = pmap(purdy_row, cells, args.jobs)
     emit_table(

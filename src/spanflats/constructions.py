@@ -129,8 +129,7 @@ def _rich_line_config(k: int) -> tuple[list[tuple[int, int]], list[tuple[int, ..
     L = lcm of all the q, so (x*L, y*L) = (p*L/q, key*L/q) are integers and,
     L being positive, order the vertices as their Fraction coordinates do.
     Each entry is (-count, x*L, y*L, p, q, key); no two vertices share
-    (x*L, y*L), so the sort never compares past the third item, and
-    ``_ranked_vertex`` turns an entry back into (count, (x, y)).
+    (x*L, y*L), so the sort never compares past the third item.
     """
     r = max(min(k, 2), isqrt(k))
     s = -(-k // r)
@@ -141,12 +140,6 @@ def _rich_line_config(k: int) -> tuple[list[tuple[int, int]], list[tuple[int, ..
         (-count, p * (L // q), key * (L // q), p, q, key) for count, p, q, key in vertices
     )
     return pairs, ranked
-
-
-def _ranked_vertex(entry: tuple[int, ...]) -> tuple[int, tuple[Fraction, Fraction]]:
-    """A ``_rich_line_config`` entry as (count, (x, y)) with exact Fractions."""
-    neg_count, _, _, p, q, key = entry
-    return -neg_count, (Fraction(p, q), Fraction(key, q))
 
 
 @dataclass(frozen=True)
@@ -185,8 +178,8 @@ def bichromatic_lower_construction(
         raise ConstructionError(
             f"p = {p} exceeds the {len(ranked)} vertices of the {k}-line configuration"
         )
-    chosen = [_ranked_vertex(entry) for entry in ranked[:p]]
-    plane_incidences = sum(deg for deg, _ in chosen)
+    chosen = ranked[:p]
+    plane_incidences = -sum(entry[0] for entry in chosen)
 
     zeros = [0] * (d - 2)
     red = tuple(
@@ -197,10 +190,11 @@ def bichromatic_lower_construction(
         for axis in range(d - 2)
         for j in range(family)
     )
+    # (meet, x/q, y/q) is the primitive vector (q·meet, x, y, q): gcd(x, q) = 1
     vertices = tuple(
-        Point(list(meet) + [x, y])
+        Point.from_hom((*(c * q for c in meet), x, y, q))
         for meet in product(range(family), repeat=d - 2)
-        for _, (x, y) in chosen
+        for *_, x, q, y in chosen
     )
     return BichromaticConstruction(
         arrangement=BiArrangement(d, red, blue, vertices),

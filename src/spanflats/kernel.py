@@ -68,6 +68,13 @@ class Point:
         nums, den = _scaled(coords)
         object.__setattr__(self, "hom", (*nums, den))
 
+    @classmethod
+    def from_hom(cls, hom: Sequence[int]) -> "Point":
+        """The point of a primitive integer ``hom`` (last entry positive)."""
+        pt = object.__new__(cls)
+        object.__setattr__(pt, "hom", tuple(hom))
+        return pt
+
     @property
     def dim(self) -> int:
         return len(self.hom) - 1
@@ -170,28 +177,26 @@ def int_rref(rows: Sequence[Sequence[int]]) -> Basis:
     return basis
 
 
-def rowspace_constraints(
-    d: int, rows: Sequence[Sequence[int]], pivots: Sequence[int]
-) -> tuple[tuple[int, ...], ...]:
-    """Constraint rows [a | b] of the flat whose homogeneous points (x, 1)
-    span the row space given in int_rref form.
-
-    A functional a·x = b vanishes on the flat exactly when (a, -b) kills
-    every row, so the free-column basis of that nullspace, scaled to
-    integers, gives the constraints.
-    """
+def nullspace_rows(rows: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int) -> list:
+    """Integer basis of {w : row·w = 0 for every row} of an int_rref basis:
+    one w per free column, the pivots' lcm there and 0 at the other ones."""
     scale = lcm(*(row[pc] for row, pc in zip(rows, pivots)))
     out = []
-    for free in range(d + 1):
+    for free in range(ncols):
         if free in pivots:
             continue
-        w = [0] * (d + 1)
+        w = [0] * ncols
         w[free] = scale
         for row, pc in zip(rows, pivots):
             w[pc] = -row[free] * (scale // row[pc])
-        w[d] = -w[d]
-        out.append(tuple(w))
-    return tuple(out)
+        out.append(w)
+    return out
+
+
+def rowspace_constraints(d: int, rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> tuple:
+    """Constraint rows [a | b] of the flat whose homogeneous points span the
+    row space given in int_rref form: a·x = b on it iff (a, -b) kills it."""
+    return tuple((*w[:d], -w[d]) for w in nullspace_rows(rows, pivots, d + 1))
 
 
 @dataclass(frozen=True)

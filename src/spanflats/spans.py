@@ -4,12 +4,12 @@ Spanned flats are found by a pruned prefix walk: the (f+1)-subsets of the
 distinct points are visited depth-first in lexicographic order, each prefix
 carrying its canonical row space (``extend_rref`` adds one point per level),
 and a rank-deficient prefix is dropped with its whole subtree. Each full-rank
-subset is keyed by its canonical form, so equal flats deduplicate. The
-points on each flat are the union of the subsets that span it, gathered
-during the same walk as a bitmask. A ``SpannedSet`` keeps just those keys
-and masks, in canonical order (sorted by key) so results are identical
-however the work is split; counts and incidences need nothing more, and a
-flat's constraint system is built only where one is printed or certified.
+subset is keyed by its canonical form, so equal flats deduplicate, and the
+points on a flat, the union of the subsets spanning it, are gathered as a
+bitmask. Hyperplanes come from the dual side of the codim-2 subsets, so one
+walk yields both top levels. A ``SpannedSet`` keeps the keys and masks in
+canonical (key) order, identical however the work is split; a flat's
+constraint system is built only where one is printed or certified.
 
 The degeneracy questions (``is_r_degenerate``, ``max_degenerate_subset``
 and ``rank_sum_cover``) are one exact cover search, ``_best_cover``, over
@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations
+from math import comb, gcd
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .kernel import (
@@ -36,6 +38,7 @@ from .kernel import (
     affine_rank,
     common_dim,
     extend_rref,
+    nullspace_rows,
     rowspace_constraints,
     solve_unique,
 )
@@ -106,41 +109,103 @@ def spanned_flats(points: Sequence[Point], f: int) -> SpannedSet:
     it. A full-rank subset is keyed by that form with its pivots. By the
     exchange lemma the points on a spanned f-flat are exactly the union of
     the (f+1)-subsets with its key, so the walk itself gathers them, as a
-    bitmask over the indices. No constraint system is built here. The last
-    two results are memoized per point sequence and f.
+    bitmask over the indices. For f = d-1 the walk gives the (d-2)-flats
+    too (``_walk_levels``); the last point sequence's levels are memoized.
     """
     d = common_dim(points)
     if not 0 <= f <= d - 1:
         raise GeometryError(f"flat dimension {f} out of range 0..{d - 1}")
-    return _spanned_flats(tuple(points), f)
+    points = tuple(points)
+    levels = _LEVELS.get(points)
+    if levels is None:
+        _LEVELS.clear()
+        levels = _LEVELS[points] = {}
+    if f not in levels:
+        levels.update(_walk_levels(points, f))
+    return levels[f]
+
+
+# Keyed on the point sequence (indices are never served to a reordering): every
+# workload asks for two levels of one set at a time, and one walk gives both.
+_LEVELS: dict[tuple[Point, ...], dict[int, SpannedSet]] = {}
+
+
+# Admits the Purdy cells (9, 3), C(24, 9) = 1,307,504 subsets, and (10, 2).
+MAX_WALK_SUBSETS = 2_000_000
+
+
+def check_walk_size(n: int, f: int) -> None:
+    """Raise GeometryError when C(n, f+1) is above ``MAX_WALK_SUBSETS``; as
+    C(n, r) >= 2^r for r = min(f+1, n-f-1), r > 20 is over without a product."""
+    r = max(min(f + 1, n - f - 1), 0)
+    if r > 20 or comb(n, r) > MAX_WALK_SUBSETS:
+        raise GeometryError(f"walk of C({n}, {f + 1}) subsets exceeds the cap {MAX_WALK_SUBSETS:,}")
 
 
 def _walk(
-    homs: list, bits: list, found: dict, start: int, basis: Basis, mask: int, left: int
+    homs: list, bits: list, found: dict, start: int, basis: Basis, mask: int, left: int, leaf=None
 ) -> None:
     """Extend the prefix (row space ``basis``, index mask ``mask``) by each
     point from ``start`` on, with ``left`` points still to pick, and OR each
-    full-rank subset's mask into ``found`` under its canonical key."""
+    full-rank subset's mask into ``found`` under its canonical key; then call
+    ``leaf``, if given, with that key, mask and the next index, if any."""
     for i in range(start, len(homs) - left + 1):
         ext = extend_rref(basis, homs[i])
         if ext is None:
             continue  # rank-deficient prefix: no subset below it spans an f-flat
-        if left == 1:
-            found[ext] = found.get(ext, 0) | mask | bits[i]
-        else:
-            _walk(homs, bits, found, i + 1, ext, mask | bits[i], left - 1)
+        if left > 1:
+            _walk(homs, bits, found, i + 1, ext, mask | bits[i], left - 1, leaf)
+            continue
+        found[ext] = found.get(ext, 0) | mask | bits[i]
+        if leaf and i + 1 < len(homs):
+            leaf(ext, mask | bits[i], i + 1)
 
 
-# Keyed on the point sequence, so indices are never served to a reordering.
-# Two entries cover the traffic: beck3 alternates the planes and lines of one
-# instance, and conjecture-search at d = 3 alternates f = 1 and 2.
-@lru_cache(maxsize=2)
-def _spanned_flats(points: tuple[Point, ...], f: int) -> SpannedSet:
-    bits = _index_masks(points)
-    found: dict[Basis, int] = {}  # canonical key -> mask of incident indices
-    _walk([p.hom for p in bits], list(bits.values()), found, 0, ((), ()), 0, f + 1)
+def _hyperplane_key(w: Sequence[int]) -> Basis:
+    """The walk's key of the hyperplane with primitive normal w, last nonzero
+    entry w_j > 0: pivot i != j has row (w_j e_i - w_i e_j)/content, e_i if i > j."""
+    n, j = len(w), max(c for c, x in enumerate(w) if x)
+    rows = []
+    for i in (c for c in range(n) if c != j):
+        g, row = gcd(w[j], w[i]), [0] * n
+        row[i], row[j] = w[j] // g, -w[i] // g
+        rows.append(tuple(row))
+    return tuple(rows), tuple(c for c in range(n) if c != j)
+
+
+def _sorted_set(f: int, found: dict[Basis, int]) -> SpannedSet:
     keys = tuple(sorted(found))
     return SpannedSet(f, keys, tuple(found[key] for key in keys))
+
+
+def _walk_levels(points: tuple[Point, ...], f: int) -> dict[int, SpannedSet]:
+    """The f-flats; for f = d-1 >= 1 also the (d-2)-flats where the walk
+    stops, whose nullspace rows (u, v) give each later point p off one the
+    hyperplane normal (v·p)u - (u·p)v, primitive, last nonzero entry > 0."""
+    bits = _index_masks(points)
+    homs, masks = [p.hom for p in bits], list(bits.values())
+    found: dict[Basis, int] = {}  # canonical key -> mask of incident indices
+    if f != len(homs[0]) - 2 or f < 1:
+        _walk(homs, masks, found, 0, ((), ()), 0, f + 1)
+        return {f: _sorted_set(f, found)}
+    normals: dict[tuple[int, ...], int] = {}
+
+    def pencil(basis: Basis, mask: int, start: int) -> None:
+        u, v = nullspace_rows(*basis, len(homs[0]))
+        for p, bit in zip(homs[start:], masks[start:]):
+            a, b = sum(map(mul, u, p)), sum(map(mul, v, p))
+            if a or b:  # else p is on the codim-2 flat
+                w = [b * x - a * y for x, y in zip(u, v)]
+                g = gcd(*w) if next(x for x in reversed(w) if x) > 0 else -gcd(*w)
+                w = tuple([x // g for x in w])
+                normals[w] = normals.get(w, 0) | mask | bit
+
+    _walk(homs, masks, found, 0, ((), ()), 0, f, pencil)
+    hyperplanes = {}
+    while normals:  # popped, so that the two tables are never both whole
+        w, mask = normals.popitem()
+        hyperplanes[_hyperplane_key(w)] = mask
+    return {f - 1: _sorted_set(f - 1, found), f: _sorted_set(f, hyperplanes)}
 
 
 def arrangement_vertices(hyperplanes: Sequence[Flat]) -> list[Point]:
@@ -205,7 +270,7 @@ def _candidate_flats(points: Sequence[Point], include_point_flats: bool) -> list
     d = points[0].dim
     copies = _index_masks(points)
     out: list[Candidate] = []
-    for f in range(1, min(d, len(copies))):
+    for f in range(min(d, len(copies)) - 1, 0, -1):  # d-1 first: its walk gives d-2 too
         spanned = spanned_flats(points, f)
         out.extend((f, mask, partial(spanned.flat, i)) for i, mask in enumerate(spanned.masks))
     if include_point_flats:

@@ -3,13 +3,22 @@ import io
 import json
 import string
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanflats import BiArrangement, ConstructionError, constructions, count_bichromatic
+from spanflats import (
+    BiArrangement,
+    ConstructionError,
+    GeometryError,
+    constructions,
+    count_bichromatic,
+    spans,
+)
 from spanflats.cli import main
 from spanflats.constructions import (
     BECK3_COLUMNS,
@@ -497,13 +506,34 @@ def test_usage_error_is_exit_2():
         "beck3 --n-list 247 --k-list 4 --seeds 2 --plant mix",
         "verify-purdy --d-range 4:x --k-range 2",
         "conjecture-search --d 3 --n 0",
+        # walks above spans.MAX_WALK_SUBSETS, rejected before any work
+        "verify-purdy --d-range 4:100000 --k-range 2",
+        "verify-purdy --d-range 4 --k-range 2:9223372036854775807",
+        "verify-purdy --d-range 11 --k-range 3",
+        "verify-purdy --d-range 9 --k-range 4",
+        "enumerate --points wide.txt --f 2",
     ],
 )
-def test_bad_input_is_exit_2(capsys, argv):
-    code, _, err = run_cli(capsys, *argv.split())
-    assert code == 2
+def test_bad_input_is_exit_2(capsys, argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # 300 points on the moment curve: C(300, 3) planes to walk
+    (tmp_path / "wide.txt").write_text("".join(f"{t},{t * t},{t**3}\n" for t in range(300)))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+    assert time.perf_counter() - start < 5
+
+
+def test_walk_cap_admits_the_frontier_cells():
+    # (9, 3): n = 24 and (10, 2): n = 18, both levels; one more point is over
+    for n, d in ((24, 9), (18, 10)):
+        for f in (d - 2, d - 1):
+            spans.check_walk_size(n, f)
+    with pytest.raises(GeometryError, match="exceeds the cap"):
+        spans.check_walk_size(25, 8)
+    assert comb(25, 9) > spans.MAX_WALK_SUBSETS >= comb(24, 9)
 
 
 @pytest.mark.parametrize("text", ["0,0,0\n1,,0,0\n0,1,0\n0,0,1\n", "0,0\n1,2,\n0,1\n"])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import oracle
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from spanflats import (
     theta_mk_construction,
     verify_covering_lines,
 )
-from spanflats.constructions import _rich_line_config, _ranked_vertex, windowed_grid_degrees
+from spanflats.constructions import _rich_line_config, windowed_grid_degrees
 from spanflats.formulas import fit_loglog
 
 
@@ -69,7 +71,9 @@ def _assert_ranking_equals_fraction_sort(k):
     # Fraction keys (-count, x, y) do, so every prefix ranked[:p] agrees
     pairs, ranked = _rich_line_config(k)
     expected = oracle.ranked_vertices(windowed_grid_degrees(pairs))
-    assert [_ranked_vertex(entry) for entry in ranked] == expected, k
+    assert [
+        (-neg_count, (Fraction(p, q), Fraction(key, q))) for neg_count, _, _, p, q, key in ranked
+    ] == expected, k
 
 
 @pytest.mark.parametrize("k", [*range(2, 61), 299, 300])

@@ -20,6 +20,13 @@ SERIES = "# x count\n8 200\n16 1700\n32 13000\n64 110000\n"
 # 6 of the 7, and a third line covers them all, so the set is 4-degenerate
 # but not 3-degenerate
 DEGENERATE_POINTS = "0,0,0\n1,0,0\n2,0,0\n0,1,1\n0,2,1\n0,3,1\n5,7,3\n"
+# E^4 with two repeated points, three collinear points and six coplanar ones
+# (x_3 = x_4 = 0), so many hyperplane walks meet points already on the
+# codim-2 flat of their prefix
+POINTS_D4 = (
+    "0,0,0,0\n1,0,0,0\n2,0,0,0\n0,1,0,0\n1,1,0,0\n-1,3,0,0\n0,0,1,0\n0,0,0,1\n"
+    "1,2,3,4\n0,0,0,0\n-1,1/2,2,3\n3,-1,0,2\n1/2,0,1,0\n1,0,0,0\n"
+)
 
 CONSTRUCT_BICHROMATIC = (
     "construct", "bichromatic", "--d", "3", "--n", "10", "--k", "5", "--m", "30", "--c0", "3/2",
@@ -31,6 +38,10 @@ CASES = {
     "enumerate-emit-json-f2": ((), ("enumerate", "--points", "pts.txt", "--f", "2", "--emit-json"), None),
     "enumerate-emit-json-f1": ((), ("enumerate", "--points", "pts.txt", "--f", "1", "--emit-json"), None),
     "enumerate-out-f1": ((), ("enumerate", "--points", "pts.txt", "--f", "1", "--out", "spanned.json"), "spanned.json"),
+    "enumerate-d4-emit-json-f3": ((), ("enumerate", "--points", "pts4.txt", "--f", "3", "--emit-json"), None),
+    "enumerate-d4-emit-json-f2": ((), ("enumerate", "--points", "pts4.txt", "--f", "2", "--emit-json"), None),
+    "enumerate-d4-out-f3": ((), ("enumerate", "--points", "pts4.txt", "--f", "3", "--out", "spanned.json"), "spanned.json"),
+    "enumerate-d4-out-f2": ((), ("enumerate", "--points", "pts4.txt", "--f", "2", "--out", "spanned.json"), "spanned.json"),
     "construct-erdos2d": ((), ("construct", "erdos2d", "--r", "3", "--s", "4"), None),
     "construct-bichromatic": ((), CONSTRUCT_BICHROMATIC, None),
     "construct-thetamk": ((), CONSTRUCT_THETAMK, None),
@@ -81,6 +92,10 @@ GOLDEN = {
     "construct-purdy": ("296006aa5c1e7d8f4d4e71432190dd707031119bb0b3847f33cf087c8088bb35", None),
     "construct-purdy-d7": ("e402806e9774ccc5b4302230b78a6675289776015b0a66d9be43522ff71de8ca", None),
     "construct-thetamk": ("1e45f7982e7404215a40b6860b580f99d13bd8da17042790d53887fceecfd7d2", None),
+    "enumerate-d4-emit-json-f2": ("28178e8a11959f314f8718887920bd9b611e7c47c735fe2cec54a071ab77ede3", None),
+    "enumerate-d4-emit-json-f3": ("cff47693e4df84731d34799fb24258999c360e6de25b29e0c1d0c65523ca3839", None),
+    "enumerate-d4-out-f2": ("87574c1abffa14d93d932b1f75f4360b83c6d1ccf3e514c6ca4de4081a9fbd31", "628229ca72d6920bc1f0e585e364926bfe26496cfbdec426c3326e270e41d609"),
+    "enumerate-d4-out-f3": ("3b2b717b495cea40b7e1adeddc02cb9a68be0e674131fd80bd1f8b159c9dbaff", "cdd9b821224ea4c2b9c4075916bd89ff0ae6bc63cf97287918c2f0fa3bac8a8c"),
     "enumerate-emit-json-f1": ("be8e9a90db67c3827b582ded99e3642706b5b6f355909c6e82b4efe04da5d799", None),
     "enumerate-emit-json-f2": ("72eb694729b777b3a559da8de89ebac0f9cfa8855b7246931f573f1c3a94154f", None),
     "enumerate-out-f1": ("6e2ae11dad0616f66bbb2b6e6556f580bb987fd911d7132aa6bee2bfc7cc7b52", "55775b5f76c3b4ac5840fea661150ad5216c3c3a37c9fc983dc13fae783098f9"),
@@ -105,6 +120,7 @@ def run_case(setup, argv, out_name, directory, capsys) -> tuple[str, str | None]
     (directory / "pts.txt").write_text(RATIONAL_POINTS)
     (directory / "series.txt").write_text(SERIES)
     (directory / "deg.txt").write_text(DEGENERATE_POINTS)
+    (directory / "pts4.txt").write_text(POINTS_D4)
     for pre in setup:
         assert main(list(pre)) == 0
     capsys.readouterr()

@@ -1,9 +1,10 @@
 from fractions import Fraction as F
 from itertools import combinations
+from math import gcd, lcm
 
 import oracle
 import pytest
-from conftest import point_lists
+from conftest import point_lists, rationals
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from spanflats import (
     spanned_flats,
 )
 from spanflats import constructions, spans
-from spanflats.kernel import Flat
+from spanflats.kernel import Flat, int_rref
 from spanflats.spans import (
     _candidate_flats,
     conjecture_row,
@@ -186,6 +187,52 @@ def test_prefix_walk_matches_subset_scan_oracle(case, data):
     mine, scan = spanned_flats(pts, f), oracle.subset_scan(pts, f)
     assert mine == scan
     assert (mine.flats, mine.per_flat_points) == oracle.flats_and_points(pts, scan.masks)
+
+
+@st.composite
+def degenerate_sets(draw):
+    """(d, points) for d = 1..5: a few points, then points on the lines and
+    planes through drawn ones, then repeats, shuffled; often fewer than d
+    distinct points."""
+    d = draw(st.integers(1, 5))
+    pts = draw(point_lists(d, 1, 5, lo=-2, hi=2, max_den=2))
+    for _ in range(draw(st.integers(0, 4))):
+        base, *others = draw(st.lists(st.sampled_from(pts), min_size=2, max_size=3))
+        ts = [draw(rationals(-2, 2, 2)) for _ in others]
+        pts.append(Point(
+            a + sum(t * (o[i] - a) for t, o in zip(ts, others)) for i, a in enumerate(base)
+        ))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    return d, draw(st.permutations(pts))
+
+
+@given(degenerate_sets())
+@settings(max_examples=150, deadline=None)
+def test_both_top_levels_match_subset_scan_in_either_order(case):
+    # an f = d-1 request walks both levels; an f = d-2 request on a cold
+    # memo walks only its own, and the other is walked when asked for
+    d, pts = case
+    expected = {f: oracle.subset_scan(pts, f) for f in (d - 1, d - 2) if f >= 0}
+    for order in (sorted(expected, reverse=True), sorted(expected)):
+        spans._LEVELS.clear()
+        for f in order:
+            assert spanned_flats(pts, f) == expected[f]
+
+
+@given(
+    st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=2, max_size=7).filter(any)
+)
+@settings(max_examples=300, deadline=None)
+def test_hyperplane_key_is_int_rref_of_the_normals_complement(w):
+    # w primitive with its last nonzero entry positive, as the walk keys it
+    last = next(x for x in reversed(w) if x)
+    w = [x // (gcd(*w) if last > 0 else -gcd(*w)) for x in w]
+    complement = [
+        [int(x * lcm(*(y.denominator for y in row))) for x in row]
+        for row in oracle.nullspace([w], len(w))
+    ]
+    assert all(sum(a * b for a, b in zip(row, w)) == 0 for row in complement)
+    assert spans._hyperplane_key(w) == int_rref(complement)
 
 
 @given(
@@ -461,7 +508,7 @@ def flat_builds(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Flat, "__post_init__", counting)
-    spans._spanned_flats.cache_clear()
+    spans._LEVELS.clear()
     return built
 
 
