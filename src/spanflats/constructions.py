@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from typing import Iterator, Sequence
 
 from .formulas import iroot, purdy_counts
@@ -28,7 +28,7 @@ from .kernel import (
     hyperplane,
     int_rref,
 )
-from .spans import CoverCertificate, max_cover_plane_or_two_lines, spanned_flats
+from .spans import MAX_WALK_SUBSETS, CoverCertificate, max_cover_plane_or_two_lines, spanned_flats
 
 # Fresh draws each generator makes before it gives up with ConstructionError.
 PURDY_ATTEMPTS = 64
@@ -236,6 +236,7 @@ def theta_mk_construction(d: int, n: int, k: int, m: int) -> ThetaMkConstruction
         if n < 2:
             raise ConstructionError("need at least 2 lines")
         hyps = [hyperplane((1, i), 0) for i in range(n)]
+        vertices = [Point((0, 0))]
         grid_count = 0
         p = 1
     else:
@@ -255,10 +256,6 @@ def theta_mk_construction(d: int, n: int, k: int, m: int) -> ThetaMkConstruction
         hyps.extend(
             hyperplane([0] * (d - 2) + [1, i], 0) for i in range(grid_count, n)
         )
-
-    if d == 2:
-        vertices = [Point((0, 0))]
-    else:
         vertices = [
             Point(list(coords) + [0, 0]) for coords in product(range(p), repeat=d - 2)
         ]
@@ -340,11 +337,22 @@ def purdy_counterexample(d: int, k: int, seed: int = 0) -> tuple[Point, ...]:
     Deterministic for fixed (d, k, seed); retries with fresh coordinates
     until ``verify_covering_lines`` finds every (d+1)-point configuration
     of whole lines and single points on other lines affinely independent.
+    Refuses, before any draw, a cell where that check covers more than
+    ``MAX_WALK_SUBSETS`` configurations: sum_j C(d-1, j) C(d-1-j, d+1-2j)
+    k^(d+1-2j) for j = 2..(d+1)//2, whose j = 2 term is at least 2^(d-3).
     """
     if d < 4:
         raise ConstructionError(f"d >= 4 required, got {d}")
     if k < 2:
         raise ConstructionError(f"k >= 2 required, got {k}")
+    if d - 3 >= MAX_WALK_SUBSETS.bit_length() or sum(
+        comb(d - 1, j) * comb(d - 1 - j, d + 1 - 2 * j) * k ** (d + 1 - 2 * j)
+        for j in range(2, (d + 1) // 2 + 1)
+    ) > MAX_WALK_SUBSETS:
+        raise ConstructionError(
+            f"general-position check at d = {d}, k = {k} exceeds the cap"
+            f" of {MAX_WALK_SUBSETS:,} configurations"
+        )
     last_failure = "no attempts made"
     for attempt in range(PURDY_ATTEMPTS):
         rng = random.Random(f"covering-lines:{d}:{k}:{seed}:{attempt}")

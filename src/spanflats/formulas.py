@@ -100,13 +100,6 @@ def iroot(x: int, e: int) -> int:
         r = s
 
 
-def _scaled_power_le(lhs: int, c: Fraction, k: int, a: Fraction) -> bool:
-    """Exact test lhs <= c * k**a for lhs >= 0, c > 0, k >= 1, a >= 0."""
-    p, q = a.numerator, a.denominator
-    u, v = c.numerator, c.denominator
-    return (lhs * v) ** q <= u**q * k**p
-
-
 def floor_scaled_power(c: Fraction, k: int, a: Fraction) -> int:
     """floor(c * k**a) computed exactly: the integer q-th root of
     floor(u^q * k^p / v^q) for c = u/v, a = p/q."""
@@ -115,16 +108,11 @@ def floor_scaled_power(c: Fraction, k: int, a: Fraction) -> int:
     return iroot(u**q * k**p // v**q, q)
 
 
-def _is_exact(value: int, c: Fraction, k: int, a: Fraction) -> bool:
-    p, q = a.numerator, a.denominator
-    u, v = c.numerator, c.denominator
-    return (value * v) ** q == u**q * k**p
-
-
 def ceil_scaled_power(c: Fraction, k: int, a: Fraction) -> int:
-    """ceil(c * k**a) computed exactly."""
+    """ceil(c * k**a) computed exactly: the floor, plus one unless it is exact."""
     f = floor_scaled_power(c, k, a)
-    return f if _is_exact(f, c, k, a) else f + 1
+    p, q = a.numerator, a.denominator
+    return f if (f * c.denominator) ** q == c.numerator**q * k**p else f + 1
 
 
 def pigeonhole_check(
@@ -147,10 +135,11 @@ def pigeonhole_check(
         raise AllocationPreconditionError(f"c = {c} outside (0, 1]")
     if a < 1:
         raise AllocationPreconditionError(f"a = {a} must be >= 1")
+    cap = floor_scaled_power(Fraction(1), k, a - 1)  # integer e <= k^(a-1) iff e <= cap
     for i, entry in enumerate(allocation):
         if entry < 0:
             raise AllocationPreconditionError(f"allocation[{i}] = {entry} negative")
-        if not _scaled_power_le(entry, Fraction(1), k, a - 1):
+        if entry > cap:
             raise AllocationPreconditionError(
                 f"allocation[{i}] = {entry} exceeds k^(a-1)"
             )

@@ -506,6 +506,9 @@ def test_usage_error_is_exit_2():
         "beck3 --n-list 247 --k-list 4 --seeds 2 --plant mix",
         "verify-purdy --d-range 4:x --k-range 2",
         "conjecture-search --d 3 --n 0",
+        # general-position checks above spans.MAX_WALK_SUBSETS configurations
+        "construct purdy --d 30 --k 2",
+        "construct purdy --d 100000 --k 2",
         # walks above spans.MAX_WALK_SUBSETS, rejected before any work
         "verify-purdy --d-range 4:100000 --k-range 2",
         "verify-purdy --d-range 4 --k-range 2:9223372036854775807",

@@ -18,6 +18,7 @@ from spanflats import (
     theta_mk_construction,
     verify_covering_lines,
 )
+from spanflats import constructions
 from spanflats.constructions import _rich_line_config, windowed_grid_degrees
 from spanflats.formulas import fit_loglog
 
@@ -263,6 +264,27 @@ def test_purdy_domain_errors():
         purdy_counterexample(3, 2)
     with pytest.raises(ConstructionError):
         purdy_counterexample(4, 1)
+
+
+def test_purdy_cap_counts_the_configurations_checked(monkeypatch):
+    # the cap's sum is the number of leaves verify_covering_lines visits
+    d, k = 6, 3
+    pts = purdy_counterexample(d, k)
+    leaves = []
+    descend = constructions._first_rank_failure
+
+    def counting(basis, lines, *rest):
+        leaves.extend([] if lines else [basis])
+        return descend(basis, lines, *rest)
+
+    monkeypatch.setattr(constructions, "_first_rank_failure", counting)
+    assert verify_covering_lines(d, [pts[i * k : (i + 1) * k] for i in range(d - 1)]) is None
+    assert len(leaves) == 330
+    monkeypatch.setattr(constructions, "MAX_WALK_SUBSETS", 329)
+    with pytest.raises(ConstructionError, match="exceeds the cap"):
+        purdy_counterexample(d, k)
+    monkeypatch.setattr(constructions, "MAX_WALK_SUBSETS", 330)
+    assert purdy_counterexample(d, k) == pts
 
 
 def test_verify_covering_lines_catches_degeneracies():
