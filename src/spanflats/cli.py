@@ -37,6 +37,7 @@ from .constructions import (
     beck3_row,
     bichromatic_lower_construction,
     check_beck3_plant,
+    check_purdy_cell,
     envelope_row,
     erdos_grid_2d,
     purdy_counterexample,
@@ -238,13 +239,8 @@ def cmd_construct(args) -> int:
 def cmd_verify_purdy(args) -> int:
     d_values = _parse_range(args.d_range)
     k_values = _parse_range(args.k_range)
-    if d_values[0] < 4:
-        raise GeometryError("d >= 4 required")
-    if k_values[0] < 2:
-        raise GeometryError("k >= 2 required")
-    d, k = d_values[-1], k_values[-1]  # the cell with the most subsets
-    for f in (d - 2, d - 1):
-        check_walk_size(k * (d - 1), f)
+    check_purdy_cell(d_values[0], k_values[0])
+    check_purdy_cell(d_values[-1], k_values[-1])  # the cell with the most subsets
     cells = [(d, k, args.seed) for d in d_values for k in k_values]
     rows = pmap(purdy_row, cells, args.jobs)
     emit_table(
@@ -346,6 +342,7 @@ def cmd_beck3(args) -> int:
     ]
     for n, k, _, plant in cells:
         check_beck3_plant(n, k, plant)
+    check_walk_size(max(n_values), 2)
     rows = pmap(beck3_row, cells, args.jobs)
     emit_table(
         args,
@@ -389,6 +386,11 @@ def cmd_conjecture_search(args) -> int:
             points = read_point_file(fh)
         if common_dim(points) != args.d:
             raise GeometryError(f"point file is E^{points[0].dim}, --d is {args.d}")
+    elif args.samples < 1:
+        raise GeometryError(f"--samples must be >= 1, got {args.samples}")
+    for f in (args.d - 2, args.d - 1):
+        check_walk_size(len(set(points)) if args.points else args.n, f)
+    if args.points:
         row = {
             "sample": 0, "d": args.d, "n": len(points), "r": r,
             "seed": args.seed, "floor": args.floor,
@@ -396,8 +398,6 @@ def cmd_conjecture_search(args) -> int:
         row.update(conjecture_stats(points, r, args.floor, keep_degenerate=True))
         rows = [row]
     else:
-        if args.samples < 1:
-            raise GeometryError(f"--samples must be >= 1, got {args.samples}")
         cells = [
             (sample, args.d, args.n, r, args.seed, args.floor)
             for sample in range(args.samples)
@@ -460,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--envelope", action="store_true", help="include the bound envelope terms")
     p.set_defaults(func=cmd_incidences)
 
-    p = sub.add_parser("construct", parents=[common], help="generate a construction")
+    p = sub.add_parser("construct", help="generate a construction")
     kinds = p.add_subparsers(dest="kind", required=True)
     g = kinds.add_parser("erdos2d", parents=[common])
     g.add_argument("--r", type=int, required=True)

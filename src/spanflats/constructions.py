@@ -12,23 +12,14 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb, gcd, isqrt, lcm
+from itertools import accumulate, product
+from math import gcd, isqrt, lcm
 from typing import Iterator, Sequence
 
 from .formulas import iroot, purdy_counts
 from .incidence import BiArrangement, bound_envelope, count_bichromatic, hyperplane_degrees
-from .kernel import (
-    Basis,
-    Flat,
-    GeometryError,
-    Point,
-    affine_rank,
-    extend_rref,
-    hyperplane,
-    int_rref,
-)
-from .spans import MAX_WALK_SUBSETS, CoverCertificate, max_cover_plane_or_two_lines, spanned_flats
+from .kernel import Flat, GeometryError, Point, affine_rank, hyperplane
+from .spans import CoverCertificate, check_walk_size, max_cover_plane_or_two_lines, spanned_flats
 
 # Fresh draws each generator makes before it gives up with ConstructionError.
 PURDY_ATTEMPTS = 64
@@ -273,60 +264,55 @@ def theta_mk_construction(d: int, n: int, k: int, m: int) -> ThetaMkConstruction
     )
 
 
-def _first_rank_failure(
-    basis: Basis, lines: Sequence[Sequence[Point]], expected: int, picks: tuple = ()
-) -> tuple[int, tuple[Point, ...]] | None:
-    """The rank and the picks of the first choice in ``product(*lines)``
-    (in its order) whose points, added to ``basis``, do not span rank
-    ``expected``; None when every choice does. Each level extends its
-    prefix's basis by one point."""
-    if not lines:
-        rank = len(basis[0])
-        return None if rank == expected else (rank, picks)
-    for p in lines[0]:
-        failure = _first_rank_failure(
-            extend_rref(basis, p.hom) or basis, lines[1:], expected, picks + (p,)
-        )
-        if failure is not None:
-            return failure
-    return None
-
-
 def verify_covering_lines(
     d: int, line_points: Sequence[Sequence[Point]]
 ) -> str | None:
     """None when the points on covering lines are in general position, else
-    a description of the first failing configuration.
+    a description of a spanned flat that shows they are not.
 
-    A configuration is a set S of lines (each by its first two points) and
-    at most one point T from each other line; general position asks each
-    with 2|S| + |T| <= d+2 for rank min(2|S| + |T|, d+1). Only those of
-    size s = min(d+1, 2*#lines) are checked, in (|S|, S, T's lines, T)
-    order, each for rank s, and the verdict is the same. A smaller one grows
-    to size s by adding a point from an unused line or by promoting a T
-    line to S (X + {a, b} independent and p on the line ab imply X + {p}
-    independent); one of d+2 points contains one of d+1 (drop a T point, or
-    swap an S line for one of its points). With d-1 lines, |S| >= 2. Each S
-    is eliminated once and the choices T extend it depth-first.
+    A configuration is a set S of lines (two points each) and one point on
+    each line of a set T of other lines. General position asks each with
+    2|S| + |T| <= d+2 for rank min(2|S| + |T|, d+1), and those of size
+    s = min(d+1, 2*#lines) decide it: a smaller one grows to size s (add a
+    point from an unused line, or promote a T line to S), and one of d+2
+    points contains one of d+1. A flat holds a line whole when it holds two
+    of its points, and so all. Lemma: some configuration of size s has rank
+    < s exactly when no (s-2)-flat is spanned or a spanned one holds w whole
+    lines and single points of p others with 2w + p >= s. Extended by points
+    of the set to rank s-1, such a configuration spans an (s-2)-flat holding
+    its S lines whole and a point of each T line; conversely such a flat
+    holds min(w, s//2) whole lines and s - 2 min(w, s//2) more points, one
+    on each of other lines (a spare whole line's if s is odd). For a Purdy
+    set s-2 = d-1, and the hyperplane walk leaves the (d-2)-flats memoized.
     """
-    nlines = len(line_points)
-    size = min(d + 1, 2 * nlines)
-    for j in range(max(0, size - nlines), size // 2 + 1):
-        for subset in combinations(range(nlines), j):
-            others = [i for i in range(nlines) if i not in subset]
-            basis = int_rref([p.hom for i in subset for p in line_points[i][:2]])
-            for chosen_lines in combinations(others, size - 2 * j):
-                failure = _first_rank_failure(
-                    basis, [line_points[i] for i in chosen_lines], size
-                )
-                if failure is not None:
-                    got, picks = failure
-                    return (
-                        f"lines {subset} with points"
-                        f" {[p.serialize() for p in picks]} span rank {got},"
-                        f" expected {size}"
-                    )
+    points = tuple(p for line in line_points for p in line)
+    s = min(d + 1, 2 * len(line_points))
+    flats = spanned_flats(points, s - 2)
+    if not flats.count:
+        return f"the points span no {s - 2}-flat"
+    ends = list(accumulate(map(len, line_points), initial=0))
+    lines = [(1 << b) - (1 << a) for a, b in zip(ends, ends[1:])]
+    for mask in flats.masks:
+        held = [min((mask & line).bit_count(), 2) for line in lines]
+        if sum(held) >= s:
+            whole, single = ([i for i, h in enumerate(held) if h == c] for c in (2, 1))
+            return (
+                f"lines {whole} whole and a point of lines {single} lie on one"
+                f" spanned {s - 2}-flat: 2*{len(whole)} + {len(single)} >= {s}"
+            )
     return None
+
+
+def check_purdy_cell(d: int, k: int) -> None:
+    """Raise unless the Purdy cell (d, k) can be built and counted: d >= 4,
+    k >= 2, and both walks its n = k(d-1) points need, the (d-2)-flats and
+    the (d-1)-flats, within ``check_walk_size``."""
+    if d < 4:
+        raise ConstructionError(f"d >= 4 required, got {d}")
+    if k < 2:
+        raise ConstructionError(f"k >= 2 required, got {k}")
+    for f in (d - 2, d - 1):
+        check_walk_size(k * (d - 1), f)
 
 
 def purdy_counterexample(d: int, k: int, seed: int = 0) -> tuple[Point, ...]:
@@ -335,24 +321,11 @@ def purdy_counterexample(d: int, k: int, seed: int = 0) -> tuple[Point, ...]:
     (d-2)-flats, refuting the more-hyperplanes-than-flats conjecture.
 
     Deterministic for fixed (d, k, seed); retries with fresh coordinates
-    until ``verify_covering_lines`` finds every (d+1)-point configuration
-    of whole lines and single points on other lines affinely independent.
-    Refuses, before any draw, a cell where that check covers more than
-    ``MAX_WALK_SUBSETS`` configurations: sum_j C(d-1, j) C(d-1-j, d+1-2j)
-    k^(d+1-2j) for j = 2..(d+1)//2, whose j = 2 term is at least 2^(d-3).
+    until ``verify_covering_lines`` finds no spanned hyperplane holding w
+    whole lines and single points of p others with 2w + p >= d+1. Refuses,
+    before any draw, a cell that ``check_purdy_cell`` rejects.
     """
-    if d < 4:
-        raise ConstructionError(f"d >= 4 required, got {d}")
-    if k < 2:
-        raise ConstructionError(f"k >= 2 required, got {k}")
-    if d - 3 >= MAX_WALK_SUBSETS.bit_length() or sum(
-        comb(d - 1, j) * comb(d - 1 - j, d + 1 - 2 * j) * k ** (d + 1 - 2 * j)
-        for j in range(2, (d + 1) // 2 + 1)
-    ) > MAX_WALK_SUBSETS:
-        raise ConstructionError(
-            f"general-position check at d = {d}, k = {k} exceeds the cap"
-            f" of {MAX_WALK_SUBSETS:,} configurations"
-        )
+    check_purdy_cell(d, k)
     last_failure = "no attempts made"
     for attempt in range(PURDY_ATTEMPTS):
         rng = random.Random(f"covering-lines:{d}:{k}:{seed}:{attempt}")
@@ -476,7 +449,7 @@ def purdy_row(params: tuple[int, int, int]) -> dict:
         points = purdy_counterexample(d, k, seed)
         h_enum = spanned_flats(points, d - 1).count
         g_enum = spanned_flats(points, d - 2).count
-    except ConstructionError as exc:
+    except (ConstructionError, GeometryError) as exc:
         row.update(
             h_formula=counts.h_total,
             g_formula=counts.g_total,

@@ -11,8 +11,7 @@ affinely independent points spanning it, from which two lines are tested
 for skewness. Beside them are the exhaustive forms of the prefix-sharing
 walks: the scan that eliminates every (f+1)-subset from scratch, and the
 general-position check that ranks every configuration of lines and picks
-on its own, with a second form that ranks only the largest configurations
-and words the package's failure message. Then comes the plane-or-two-lines
+on its own. Then comes the plane-or-two-lines
 cover that ranks every pair of spanned lines, tests each for skewness and
 keeps the skew and the unrestricted maxima apart. Last come the full,
 unpruned set of cover candidates (every spanned flat of dimension 1..d-1,
@@ -242,30 +241,6 @@ def verify_covering_lines(d: int, line_points) -> bool:
                         if int_affine_rank(pts) != min(2 * j + t, d + 1):
                             return False
     return True
-
-
-def first_maximal_failure(d: int, line_points) -> str | None:
-    """The package's failure message, from one affine_rank call per
-    configuration of size s = min(d+1, 2 * #lines) in the package's order
-    (|S|, S, T's lines, T); None when each has rank s."""
-    nlines = len(line_points)
-    size = min(d + 1, 2 * nlines)
-    for j in range(size // 2 + 1):
-        for subset in combinations(range(nlines), j):
-            others = [i for i in range(nlines) if i not in subset]
-            for chosen_lines in combinations(others, size - 2 * j):
-                for picks in product(*(line_points[i] for i in chosen_lines)):
-                    pts = list(picks)
-                    for i in subset:
-                        pts.extend(line_points[i][:2])
-                    got = int_affine_rank(pts)
-                    if got != size:
-                        return (
-                            f"lines {subset} with points"
-                            f" {[p.serialize() for p in picks]} span rank {got},"
-                            f" expected {size}"
-                        )
-    return None
 
 
 def ranked_pair_cover(points):

@@ -108,6 +108,17 @@ def test_construct_purdy_round_trips(tmp_path, capsys):
         assert len(read_point_file(fh)) == 9
 
 
+@pytest.mark.parametrize("option", [["--out", "F"], ["--seed", "5"], ["--jobs", "0"]])
+def test_construct_options_go_after_the_kind(tmp_path, capsys, monkeypatch, option):
+    # options before the kind were once parsed and then silently dropped
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", *option, "purdy", "--d", "4", "--k", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "F").exists()
+
+
 def test_construct_bichromatic_and_count(tmp_path, capsys):
     arr_path = tmp_path / "bi.json"
     code, _, _ = run_cli(
@@ -274,6 +285,12 @@ def test_purdy_row_reports_a_failed_generator(monkeypatch, capsys):
         capsys, "verify-purdy", "--d-range", "4", "--k-range", "2", "--format", "csv"
     )
     assert code == 1
+
+
+def test_purdy_row_reports_a_cell_over_the_walk_cap():
+    row = purdy_row((8, 4, 0))
+    assert row["h_enumerated"] == -1
+    assert row["status"].startswith("error: walk of C(28, 8) subsets exceeds the cap")
 
 
 def test_beck3_row_reports_a_failed_generator(monkeypatch, capsys):
@@ -506,10 +523,11 @@ def test_usage_error_is_exit_2():
         "beck3 --n-list 247 --k-list 4 --seeds 2 --plant mix",
         "verify-purdy --d-range 4:x --k-range 2",
         "conjecture-search --d 3 --n 0",
-        # general-position checks above spans.MAX_WALK_SUBSETS configurations
+        # walks above spans.MAX_WALK_SUBSETS, rejected before any work
         "construct purdy --d 30 --k 2",
         "construct purdy --d 100000 --k 2",
-        # walks above spans.MAX_WALK_SUBSETS, rejected before any work
+        "beck3 --n-list 3000 --k-list 3 --seeds 1",
+        "conjecture-search --d 3 --n 100000 --samples 1",
         "verify-purdy --d-range 4:100000 --k-range 2",
         "verify-purdy --d-range 4 --k-range 2:9223372036854775807",
         "verify-purdy --d-range 11 --k-range 3",
@@ -529,11 +547,20 @@ def test_bad_input_is_exit_2(capsys, argv, tmp_path, monkeypatch):
     assert time.perf_counter() - start < 5
 
 
+def test_construct_purdy_and_verify_purdy_refuse_the_same_cell(capsys):
+    # (8, 4): the hyperplane walk, C(28, 8) = 3,108,105, is over the cap
+    refusals = [
+        run_cli(capsys, *argv.split())
+        for argv in ("construct purdy --d 8 --k 4", "verify-purdy --d-range 8 --k-range 4")
+    ]
+    assert refusals[0] == refusals[1]
+    assert refusals[0][:2] == (2, "") and "C(28, 8)" in refusals[0][2]
+
+
 def test_walk_cap_admits_the_frontier_cells():
     # (9, 3): n = 24 and (10, 2): n = 18, both levels; one more point is over
-    for n, d in ((24, 9), (18, 10)):
-        for f in (d - 2, d - 1):
-            spans.check_walk_size(n, f)
+    for k, d in ((3, 9), (2, 10)):
+        constructions.check_purdy_cell(d, k)
     with pytest.raises(GeometryError, match="exceeds the cap"):
         spans.check_walk_size(25, 8)
     assert comb(25, 9) > spans.MAX_WALK_SUBSETS >= comb(24, 9)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import oracle
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from spanflats import (
     ConstructionError,
+    GeometryError,
     Point,
     bichromatic_lower_construction,
     count_bichromatic,
@@ -18,8 +20,8 @@ from spanflats import (
     theta_mk_construction,
     verify_covering_lines,
 )
-from spanflats import constructions
-from spanflats.constructions import _rich_line_config, windowed_grid_degrees
+from spanflats import spans
+from spanflats.constructions import _rich_line_config, purdy_row, windowed_grid_degrees
 from spanflats.formulas import fit_loglog
 
 
@@ -266,25 +268,17 @@ def test_purdy_domain_errors():
         purdy_counterexample(4, 1)
 
 
-def test_purdy_cap_counts_the_configurations_checked(monkeypatch):
-    # the cap's sum is the number of leaves verify_covering_lines visits
-    d, k = 6, 3
-    pts = purdy_counterexample(d, k)
-    leaves = []
-    descend = constructions._first_rank_failure
-
-    def counting(basis, lines, *rest):
-        leaves.extend([] if lines else [basis])
-        return descend(basis, lines, *rest)
-
-    monkeypatch.setattr(constructions, "_first_rank_failure", counting)
-    assert verify_covering_lines(d, [pts[i * k : (i + 1) * k] for i in range(d - 1)]) is None
-    assert len(leaves) == 330
-    monkeypatch.setattr(constructions, "MAX_WALK_SUBSETS", 329)
-    with pytest.raises(ConstructionError, match="exceeds the cap"):
-        purdy_counterexample(d, k)
-    monkeypatch.setattr(constructions, "MAX_WALK_SUBSETS", 330)
-    assert purdy_counterexample(d, k) == pts
+def test_purdy_cap_is_the_walk_cap_on_both_levels(monkeypatch):
+    # (6, 3): the hyperplane walk, C(15, 6), is the larger; (6, 2): the
+    # codim-2 walk, C(10, 5); each cell is refused one below it, before any draw
+    for d, k, level in ((6, 3, 5), (6, 2, 4)):
+        subsets = comb(k * (d - 1), level + 1)
+        pts = purdy_counterexample(d, k)
+        monkeypatch.setattr(spans, "MAX_WALK_SUBSETS", subsets - 1)
+        with pytest.raises(GeometryError, match=rf"C\({k * (d - 1)}, {level + 1}\) .* the cap"):
+            purdy_counterexample(d, k)
+        monkeypatch.setattr(spans, "MAX_WALK_SUBSETS", subsets)
+        assert purdy_counterexample(d, k) == pts
 
 
 def test_verify_covering_lines_catches_degeneracies():
@@ -292,8 +286,24 @@ def test_verify_covering_lines_catches_degeneracies():
     a = [Point((0, 0, 0, 0)), Point((1, 0, 0, 0))]
     b = [Point((0, 0, 0, 0)), Point((0, 1, 0, 0))]
     c = [Point((5, 0, 0, 1)), Point((5, 0, 1, 0))]
-    failure = verify_covering_lines(4, [a, b, c])
-    assert failure is not None and "rank" in failure
+    assert verify_covering_lines(4, [a, b, c]) == (
+        "lines [0, 2] whole and a point of lines [1] lie on one spanned 3-flat: 2*2 + 1 >= 5"
+    )
+    # six points on one line span no plane
+    assert verify_covering_lines(4, [[Point((t, 0, 0, 0)) for t in (1, 2, 3)]] * 2) == (
+        "the points span no 2-flat"
+    )
+
+
+def test_one_walk_serves_the_check_and_both_counts(monkeypatch):
+    # the check's hyperplane walk leaves both levels memoized for the row
+    calls = []
+    walk = spans._walk_levels
+    monkeypatch.setattr(spans, "_LEVELS", {})
+    monkeypatch.setattr(spans, "_walk_levels", lambda *args: calls.append(args) or walk(*args))
+    row = purdy_row((6, 2, 0))
+    assert row["h_match"] and row["g_match"]
+    assert len(calls) == 1
 
 
 @st.composite
@@ -318,9 +328,33 @@ def covering_line_configs(draw):
 @settings(max_examples=150, deadline=None)
 def test_verify_covering_lines_matches_exhaustive_oracle(config):
     d, lines = config
-    failure = verify_covering_lines(d, lines)
-    assert (failure is None) == oracle.verify_covering_lines(d, lines)
-    assert failure == oracle.first_maximal_failure(d, lines)
+    assert (verify_covering_lines(d, lines) is None) == oracle.verify_covering_lines(d, lines)
+
+
+@st.composite
+def purdy_shaped_configs(draw):
+    """k points on each of exactly d-1 lines in general coordinates, with
+    line 1 forced through a point of line 0 or parallel to it."""
+    d, k = draw(st.integers(4, 5)), draw(st.integers(2, 3))
+    coord = st.integers(-60, 60)
+    bases = [draw(st.lists(coord, min_size=d, max_size=d)) for _ in range(d - 1)]
+    directions = [draw(st.lists(coord, min_size=d, max_size=d)) for _ in range(d - 1)]
+    t = draw(st.integers(1, k))
+    if draw(st.booleans()):  # line 1 at its parameter 1 meets line 0 at parameter t
+        bases[1] = [b + t * v - w for b, v, w in zip(bases[0], directions[0], directions[1])]
+    else:
+        directions[1] = [t * v for v in directions[0]]
+    return d, [
+        [Point(b + s * v for b, v in zip(base, direction)) for s in range(1, k + 1)]
+        for base, direction in zip(bases, directions)
+    ]
+
+
+@given(purdy_shaped_configs())
+@settings(max_examples=60, deadline=None)
+def test_verify_covering_lines_with_a_shared_point_or_parallel_pair(config):
+    d, lines = config
+    assert (verify_covering_lines(d, lines) is None) == oracle.verify_covering_lines(d, lines)
 
 
 def test_theta_mk_huge_m_is_infeasible_not_overflow():
