@@ -441,59 +441,63 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact enumeration of spanned flats, bichromatic incidence "
         "counting, extremal constructions, and growth checks.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=1)
+    # A command takes only the flags it reads; the table commands and fit take all four.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output path (default: stdout)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
+    seeded.add_argument("--seed", type=int, default=0)
+    formats = argparse.ArgumentParser(add_help=False)
+    formats.add_argument("--format", choices=("json", "csv"), default="json")
+    table = argparse.ArgumentParser(add_help=False, parents=[formats, seeded])
+    table.add_argument("--jobs", type=int, default=1)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", parents=[common], help="spanned f-flats of a point file")
+    p = sub.add_parser("enumerate", parents=[out], help="spanned f-flats of a point file")
     p.add_argument("--points", required=True, help="point-set file, one point per line")
     p.add_argument("--f", type=int, required=True, help="flat dimension to enumerate")
     p.add_argument("--emit-json", action="store_true", help="print the JSON export to stdout")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("incidences", parents=[common], help="count red incidences of an arrangement file")
+    p = sub.add_parser("incidences", parents=[out], help="count red incidences of an arrangement file")
     p.add_argument("--arrangement", required=True, help="BiArrangement JSON file")
     p.add_argument("--envelope", action="store_true", help="include the bound envelope terms")
     p.set_defaults(func=cmd_incidences)
 
     p = sub.add_parser("construct", help="generate a construction")
     kinds = p.add_subparsers(dest="kind", required=True)
-    g = kinds.add_parser("erdos2d", parents=[common])
+    g = kinds.add_parser("erdos2d", parents=[out])
     g.add_argument("--r", type=int, required=True)
     g.add_argument("--s", type=int, required=True)
     g.set_defaults(func=cmd_construct)
-    g = kinds.add_parser("bichromatic", parents=[common])
+    g = kinds.add_parser("bichromatic", parents=[out])
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--c0", default="1", help="scale knob linking p to m (rational)")
     g.set_defaults(func=cmd_construct)
-    g = kinds.add_parser("thetamk", parents=[common])
+    g = kinds.add_parser("thetamk", parents=[out])
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--m", type=int, required=True)
     g.set_defaults(func=cmd_construct)
-    g = kinds.add_parser("purdy", parents=[common])
+    g = kinds.add_parser("purdy", parents=[seeded])
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
     g.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify-purdy", parents=[common], help="formula vs enumeration table")
+    p = sub.add_parser("verify-purdy", parents=[table], help="formula vs enumeration table")
     p.add_argument("--d-range", required=True, help='e.g. "4" or "4:5"')
     p.add_argument("--k-range", required=True, help='e.g. "2:4"')
     p.set_defaults(func=cmd_verify_purdy)
 
-    p = sub.add_parser("fit", parents=[common], help="log-log least-squares slope of a series file")
+    p = sub.add_parser("fit", parents=[table], help="log-log least-squares slope of a series file")
     p.add_argument("--series", required=True, help="file of x,count pairs")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("envelope-sweep", parents=[common], help="measured red incidences vs envelope")
+    p = sub.add_parser("envelope-sweep", parents=[table], help="measured red incidences vs envelope")
     p.add_argument("--construction", choices=("bichromatic", "thetamk"), required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n0", type=int, required=True, help="first rung of the doubling ladder")
@@ -502,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=4, help="grid scale: p vertices per 2-D copy / pencil side")
     p.set_defaults(func=cmd_envelope_sweep)
 
-    p = sub.add_parser("beck3", parents=[common], help="planted spanned-plane growth experiment")
+    p = sub.add_parser("beck3", parents=[table], help="planted spanned-plane growth experiment")
     p.add_argument("--n-list", required=True, help='e.g. "20,30,40"')
     p.add_argument("--k-list", required=True, help='e.g. "3,5,7"')
     p.add_argument("--seeds", type=int, default=5, help="seeds per (n, k) cell")
@@ -511,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "conjecture-search",
-        parents=[common],
+        parents=[table],
         help="ratio statistics over random non-degenerate sets "
         "(uniform integer coordinates; one sampler among many)",
     )
@@ -527,9 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_common(args) -> None:
-    """Checks every subcommand shares: --jobs is at least 1, and no integer
-    option but the --seed label is beyond any size a run could hold."""
-    if args.jobs < 1:
+    """Checks every subcommand shares: --jobs (where taken) is at least 1, and
+    no integer option but the --seed label is beyond any size a run could hold."""
+    if getattr(args, "jobs", 1) < 1:
         raise GeometryError(f"--jobs must be >= 1, got {args.jobs}")
     for name, value in vars(args).items():
         if type(value) is int and name != "seed":
@@ -550,6 +554,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # reported below: inside the handler the failed frames are alive
+        pass
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 def run() -> None:

@@ -11,12 +11,13 @@ walk yields both top levels. A ``SpannedSet`` keeps the keys and masks in
 canonical (key) order, identical however the work is split; a flat's
 constraint system is built only where one is printed or certified.
 
-The degeneracy questions (``is_r_degenerate``, ``max_degenerate_subset``
-and ``rank_sum_cover``) are one exact cover search, ``_best_cover``, over
-the spanned flats' masks: it finds the most points that flats of total cost
-within a budget cover, pruning with the best size/cost ratio, and a
-decision query is the same search with a floor that only a full cover
-beats. Only the flats of the cover it returns are built.
+The cover queries (``is_r_degenerate``, ``max_degenerate_subset``,
+``rank_sum_cover`` and ``max_cover_plane_or_two_lines``) are one exact
+cover search, ``_best_cover``, over the spanned flats' masks: it finds the
+most points that flats of total cost within a budget cover, pruning with
+the best size/cost ratio, and a query is the same search with a floor that
+only a better cover beats (a full cover, for a decision). Only the flats
+of the cover it returns are built.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .kernel import (
     GeometryError,
     Point,
     affine_hull,
-    affine_rank,
     common_dim,
     extend_rref,
     nullspace_rows,
@@ -85,10 +85,6 @@ class SpannedSet:
                 for flat, idxs in zip(self.flats, self.per_flat_points)
             ],
         }
-
-
-def dedupe_points(points: Sequence[Point]) -> list[Point]:
-    return list(dict.fromkeys(points))
 
 
 def _index_masks(points: Sequence[Point]) -> dict[Point, int]:
@@ -225,7 +221,7 @@ def max_collinear(points: Sequence[Point]) -> int:
     """Size of the largest collinear subset (duplicates count once)."""
     if not points:
         raise GeometryError("empty point set")
-    unique = dedupe_points(points)
+    unique = list(dict.fromkeys(points))
     if len(unique) <= 2:
         return len(unique)
     return max(mask.bit_count() for mask in spanned_flats(unique, 1).masks)
@@ -388,43 +384,25 @@ def max_cover_plane_or_two_lines(points: Sequence[Point]) -> CoverCertificate:
     Two distinct coplanar spanned lines hold three affinely independent
     points, and the plane those span is a spanned plane holding every point
     of both lines. A pair of lines that beats every plane is therefore
-    skew, and no skew test is needed. Lines are scanned by
-    decreasing size and a pair is skipped once |a| + |b| cannot reach the
-    best size; of the pairs that beat every plane, the one with the largest
-    (size, a, b) over line indices a < b is the certificate.
+    skew, and no skew test is needed. It is the cover search over the
+    spanned lines at cost = dimension and budget 2, with the richest plane
+    as its floor: the plane is the certificate unless lines beat it.
     """
     if points and points[0].dim != 3:
         raise GeometryError("ambient dimension must be 3")
-    unique = dedupe_points(points)
-    n = len(points)
-    if not unique:
+    if not points:
         return CoverCertificate((), 0, 0)
-    if len(unique) == 1:
-        return CoverCertificate((_axis_line_through(unique[0]),), n, 1)
-    rank = affine_rank(unique)
-    if rank <= 3:  # the hull is a line or a plane
-        return CoverCertificate((affine_hull(unique),), n, rank - 1)
-
-    planes = spanned_flats(points, 2)
-    on_plane = [mask.bit_count() for mask in planes.masks]
-    richest = on_plane.index(max(on_plane))
-
+    if len(set(points)) == 1:
+        return CoverCertificate((_axis_line_through(points[0]),), len(points), 1)
+    planes = spanned_flats(points, 2)  # the walk gives the lines too
     lines = spanned_flats(points, 1)
-    masks = lines.masks
-    sizes = [mask.bit_count() for mask in masks]
-    order = sorted(range(len(masks)), key=sizes.__getitem__, reverse=True)
-    best = (on_plane[richest] + 1, -1, -1)  # a pair must beat the plane
-    for x, a in enumerate(order[:-1]):
-        if sizes[a] + sizes[order[x + 1]] < best[0]:
-            break
-        for b in order[x + 1 :]:
-            if sizes[a] + sizes[b] < best[0]:
-                break
-            best = max(best, ((masks[a] | masks[b]).bit_count(), min(a, b), max(a, b)))
-    size, a, b = best
-    if a < 0:
-        return CoverCertificate((planes.flat(richest),), on_plane[richest], 2)
-    return CoverCertificate((lines.flat(a), lines.flat(b)), size, 2)
+    candidates = [(1, mask, partial(lines.flat, i)) for i, mask in enumerate(lines.masks)]
+    on_plane = [mask.bit_count() for mask in planes.masks]
+    floor = max(on_plane, default=0)
+    best, cover = _best_cover(candidates, len(points), 2, cost_of=lambda dim: dim, floor=floor)
+    if cover is None:
+        return CoverCertificate((planes.flat(on_plane.index(floor)),), floor, 2)
+    return CoverCertificate(tuple(build() for _, build in cover), best, len(cover))
 
 
 # The columns of a conjecture-search row, in output order.

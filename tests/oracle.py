@@ -11,13 +11,10 @@ affinely independent points spanning it, from which two lines are tested
 for skewness. Beside them are the exhaustive forms of the prefix-sharing
 walks: the scan that eliminates every (f+1)-subset from scratch, and the
 general-position check that ranks every configuration of lines and picks
-on its own. Then comes the plane-or-two-lines
-cover that ranks every pair of spanned lines, tests each for skewness and
-keeps the skew and the unrestricted maxima apart. Last come the full,
-unpruned set of cover candidates (every spanned flat of dimension 1..d-1,
-then a point flat or an axis line per point, each mask by testing every
-point) and the cover search that tries every combination of candidates
-within the budget.
+on its own. Last come the full, unpruned set of cover candidates (every
+spanned flat of dimension 1..d-1, then a point flat or an axis line per
+point, each mask by testing every point) and the cover search that tries
+every combination of candidates within the budget.
 """
 
 from __future__ import annotations
@@ -29,13 +26,7 @@ from typing import Sequence
 from spanflats.incidence import CountReport, _check_arrangement
 from spanflats.kernel import Flat, Point, affine_hull, int_rref
 from spanflats.kernel import affine_rank as int_affine_rank
-from spanflats.spans import (
-    CoverCertificate,
-    SpannedSet,
-    _axis_line_through,
-    dedupe_points,
-    spanned_flats,
-)
+from spanflats.spans import SpannedSet
 
 
 def rref(rows):
@@ -243,53 +234,6 @@ def verify_covering_lines(d: int, line_points) -> bool:
     return True
 
 
-def ranked_pair_cover(points):
-    """(skew certificate, any-pair certificate): the best single plane (or
-    the hull, when it is a line or a plane), then every pair of spanned
-    lines ranked by (size, a, b) from the top, the skew maximum and the
-    unrestricted one each taken from the first pair that beats it."""
-    unique = dedupe_points(points)
-    n = len(points)
-    if len(unique) < 2:
-        if not unique:
-            cert = CoverCertificate((), 0, 0)
-        else:
-            cert = CoverCertificate((_axis_line_through(unique[0]),), n, 1)
-        return cert, cert
-    hull = affine_hull(unique)
-    if hull.dim in (1, 2):
-        best_single, best_single_cert = n, CoverCertificate((hull,), n, hull.dim)
-    else:
-        best_single, best_single_cert = -1, None
-        planes = spanned_flats(points, 2)
-        for flat, idxs in zip(planes.flats, planes.per_flat_points):
-            if len(idxs) > best_single:
-                best_single = len(idxs)
-                best_single_cert = CoverCertificate((flat,), len(idxs), 2)
-    lines = spanned_flats(points, 1)
-    masks = lines.masks
-    ranked = sorted(
-        (
-            ((masks[a] | masks[b]).bit_count(), a, b)
-            for a, b in combinations(range(len(masks)), 2)
-        ),
-        reverse=True,
-    )
-    best_any, cert_any = best_single, best_single_cert
-    best_skew, cert_skew = best_single, best_single_cert
-    line_points = [
-        dedupe_points([points[i] for i in idxs]) for idxs in lines.per_flat_points
-    ]
-    for size, a, b in ranked:
-        cert = CoverCertificate((lines.flats[a], lines.flats[b]), size, 2)
-        if size > best_any:
-            best_any, cert_any = size, cert
-        skew = affine_rank(line_points[a][:2] + line_points[b][:2]) == 4
-        if size > best_skew and skew:
-            best_skew, cert_skew = size, cert
-    return cert_skew, cert_any
-
-
 def _fixing(p, free: int) -> Flat:
     """The flat through p on which x_i is free for i < free and fixed for
     the others; its dimension is free."""
@@ -306,7 +250,7 @@ def cover_candidates(points, include_point_flats: bool):
     with x_1 free. A flat met twice is kept once; masks come from testing
     every flat against every point."""
     d = points[0].dim
-    unique = dedupe_points(points)
+    unique = list(dict.fromkeys(points))
     dims: dict[Flat, int] = {}
     for f in range(1, min(d, len(unique))):
         for flat in flats_and_points(points, subset_scan(points, f).masks)[0]:

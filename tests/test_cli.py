@@ -15,6 +15,7 @@ from spanflats import (
     BiArrangement,
     ConstructionError,
     GeometryError,
+    cli,
     constructions,
     count_bichromatic,
     spans,
@@ -748,9 +749,16 @@ SUBCOMMANDS = {
          "--floor": BAD_FLOAT, "--points": "points"},
     ),
 }
-# every subcommand takes these
-COMMON = {"--jobs": BAD_COUNT, "--seed": EMPTY | WORDS, "--format": EMPTY | WORDS,
-          "--out": "missing"}
+# the shared flags each subcommand takes: --out everywhere, --seed also for
+# construct purdy, and --format and --jobs too for the table commands and fit
+OUT = {"--out": "missing"}
+SEEDED = {**OUT, "--seed": EMPTY | WORDS}
+TABLE = {**SEEDED, "--format": EMPTY | WORDS, "--jobs": BAD_COUNT}
+TAKES = {
+    "enumerate": OUT, "incidences": OUT, "erdos2d": OUT, "bichromatic": OUT, "thetamk": OUT,
+    "purdy": SEEDED, "verify-purdy": TABLE, "fit": TABLE, "envelope-sweep": TABLE,
+    "beck3": TABLE, "conjecture-search": TABLE,
+}
 
 
 @pytest.fixture(scope="module")
@@ -796,7 +804,7 @@ def test_extreme_input_bases_run(io_dir, name):
 def test_extreme_and_empty_inputs_exit_2(io_dir, data):
     name = data.draw(st.sampled_from(sorted(SUBCOMMANDS)))
     base, options = SUBCOMMANDS[name]
-    option, bad = data.draw(st.sampled_from(sorted({**options, **COMMON}.items(),
+    option, bad = data.draw(st.sampled_from(sorted({**options, **TAKES[name]}.items(),
                                                    key=lambda kv: kv[0])))
     if bad == "missing":
         value = str(io_dir / "no-such-dir" / "file")
@@ -817,3 +825,24 @@ def test_extreme_and_empty_inputs_exit_2(io_dir, data):
     assert "Traceback" not in err
     error_lines = [line for line in err.splitlines() if "error:" in line]
     assert len(error_lines) == 1 and err.splitlines()[-1] == error_lines[0], err
+
+
+@pytest.mark.parametrize("name, flag", [
+    (name, flag) for name in sorted(TAKES) for flag in ("--format=csv", "--seed=3", "--jobs=2")
+    if flag.partition("=")[0] not in TAKES[name]
+])
+def test_a_flag_the_command_does_not_read_is_exit_2(io_dir, capsys, name, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(_fill(SUBCOMMANDS[name][0], io_dir) + [flag])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def test_out_of_memory_is_exit_2(capsys, monkeypatch):
+    def exhausted(params):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "conjecture_row", exhausted)
+    code, out, err = run_cli(capsys, "conjecture-search", "--d", "3", "--n", "4", "--samples", "1")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
