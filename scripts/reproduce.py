@@ -38,6 +38,7 @@ EXPERIMENTS = {
         ("purdy_frontier.csv", "verify-purdy --d-range 7 --k-range 2:3"),
         ("purdy_frontier.csv", "verify-purdy --d-range 8 --k-range 2:3"),
         ("purdy_frontier.csv", "verify-purdy --d-range 9 --k-range 2"),
+        ("purdy_frontier.csv", "verify-purdy --d-range 10 --k-range 2"),
     ],
 }
 

@@ -388,8 +388,7 @@ def cmd_conjecture_search(args) -> int:
             raise GeometryError(f"point file is E^{points[0].dim}, --d is {args.d}")
     elif args.samples < 1:
         raise GeometryError(f"--samples must be >= 1, got {args.samples}")
-    for f in (args.d - 2, args.d - 1):
-        check_walk_size(len(set(points)) if args.points else args.n, f)
+    check_walk_size(len(set(points)) if args.points else args.n, args.d - 1)
     if args.points:
         row = {
             "sample": 0, "d": args.d, "n": len(points), "r": r,

@@ -17,7 +17,7 @@ from math import gcd, isqrt, lcm
 from typing import Iterator, Sequence
 
 from .formulas import iroot, purdy_counts
-from .incidence import BiArrangement, bound_envelope, count_bichromatic, hyperplane_degrees
+from .incidence import BiArrangement, bound_envelope, count_bichromatic
 from .kernel import Flat, GeometryError, Point, affine_rank, hyperplane
 from .spans import CoverCertificate, check_walk_size, max_cover_plane_or_two_lines, spanned_flats
 
@@ -211,11 +211,13 @@ class ThetaMkConstruction:
 def theta_mk_construction(d: int, n: int, k: int, m: int) -> ThetaMkConstruction:
     """Arrangement realizing m*k red incidences in the small-m regime.
 
-    For d >= 3, the grid hyperplanes x_a = b (a = 1..d-2, b = 0..p-1) pin
-    p^{d-2} vertices on the flat x_{d-1} = x_d = 0 and the remaining
-    hyperplanes x_{d-1} + i*x_d = 0 all contain that flat; the k hyperplanes
-    of largest vertex degree (ties by construction index) are colored red.
-    d = 2 degenerates to a pencil through one vertex.
+    With p = floor(m^{1/(d-2)}) (p = 1 for d = 2), the grid hyperplanes
+    x_a = b (a = 1..d-2, b = 0..p-1) pin p^{d-2} vertices on the flat
+    x_{d-1} = x_d = 0, and the bundle hyperplanes x_{d-1} + i*x_d = 0
+    contain that whole flat. So a grid hyperplane holds p^{d-3} vertices and
+    a bundle hyperplane all p^{d-2}; the k of largest degree (ties by
+    construction index) are colored red. For d = 2 the grid is empty and the
+    bundle is a pencil through the one vertex.
     """
     if d < 2:
         raise ConstructionError("d must be >= 2")
@@ -223,40 +225,24 @@ def theta_mk_construction(d: int, n: int, k: int, m: int) -> ThetaMkConstruction
         raise ConstructionError(f"k = {k} outside 1..{n}")
     if m < 1:
         raise ConstructionError("m must be >= 1")
-    if d == 2:
-        if n < 2:
-            raise ConstructionError("need at least 2 lines")
-        hyps = [hyperplane((1, i), 0) for i in range(n)]
-        vertices = [Point((0, 0))]
-        grid_count = 0
-        p = 1
-    else:
-        p = iroot(m, d - 2)
-        if p < 1:
-            raise ConstructionError("m too small")
-        grid_count = (d - 2) * p
-        if grid_count + 2 > n:
-            raise ConstructionError(
-                f"need n >= {grid_count + 2} hyperplanes for p = {p}, got {n}"
-            )
-        hyps = [
-            hyperplane([1 if i == axis else 0 for i in range(d)], b)
-            for axis in range(d - 2)
-            for b in range(p)
-        ]
-        hyps.extend(
-            hyperplane([0] * (d - 2) + [1, i], 0) for i in range(grid_count, n)
-        )
-        vertices = [
-            Point(list(coords) + [0, 0]) for coords in product(range(p), repeat=d - 2)
-        ]
-    degrees = hyperplane_degrees(hyps, vertices)
+    p = iroot(m, d - 2) if d > 2 else 1
+    grid_count = (d - 2) * p
+    if grid_count + 2 > n:
+        raise ConstructionError(f"need n >= {grid_count + 2} hyperplanes for p = {p}, got {n}")
+    hyps = [
+        hyperplane([1 if i == axis else 0 for i in range(d)], b)
+        for axis in range(d - 2)
+        for b in range(p)
+    ]
+    hyps.extend(hyperplane([0] * (d - 2) + [1, i], 0) for i in range(grid_count, n))
+    vertices = tuple(Point(list(coords) + [0, 0]) for coords in product(range(p), repeat=d - 2))
+    degrees = [len(vertices) // p] * grid_count + [len(vertices)] * (n - grid_count)
     order = sorted(range(n), key=lambda i: (-degrees[i], i))
     red_idx = set(order[:k])
     red = tuple(hyps[i] for i in range(n) if i in red_idx)
     blue = tuple(hyps[i] for i in range(n) if i not in red_idx)
     return ThetaMkConstruction(
-        arrangement=BiArrangement(d, red, blue, tuple(vertices)),
+        arrangement=BiArrangement(d, red, blue, vertices),
         red_incidences=sum(degrees[i] for i in red_idx),
         total_incidences=sum(degrees),
         p=p,
@@ -305,14 +291,13 @@ def verify_covering_lines(
 
 def check_purdy_cell(d: int, k: int) -> None:
     """Raise unless the Purdy cell (d, k) can be built and counted: d >= 4,
-    k >= 2, and both walks its n = k(d-1) points need, the (d-2)-flats and
-    the (d-1)-flats, within ``check_walk_size``."""
+    k >= 2, and the hyperplane walk of its n = k(d-1) points, which gives
+    the (d-2)-flats too, within ``check_walk_size``."""
     if d < 4:
         raise ConstructionError(f"d >= 4 required, got {d}")
     if k < 2:
         raise ConstructionError(f"k >= 2 required, got {k}")
-    for f in (d - 2, d - 1):
-        check_walk_size(k * (d - 1), f)
+    check_walk_size(k * (d - 1), d - 1)
 
 
 def purdy_counterexample(d: int, k: int, seed: int = 0) -> tuple[Point, ...]:

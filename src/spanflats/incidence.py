@@ -128,17 +128,6 @@ def vertex_offset(normal: Normal, hom: Sequence[int]) -> Offset:
     return s // g, den // g
 
 
-def hyperplane_degrees(hyperplanes: Sequence[Flat], vertices: Sequence[Point]) -> list[int]:
-    """The number of vertices on each hyperplane, by parallel class: each
-    vertex's offset is computed once per class and counted."""
-    keys = [hyperplane_class(h) for h in hyperplanes]
-    at = {
-        normal: Counter(vertex_offset(normal, v.hom) for v in vertices)
-        for normal in dict.fromkeys(normal for normal, _ in keys)
-    }
-    return [at[normal][offset] for normal, offset in keys]
-
-
 def count_bichromatic(a: BiArrangement) -> CountReport:
     """Exact incidence counts between the vertex set and the red (and all)
     hyperplanes, by parallel class.

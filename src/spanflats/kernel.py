@@ -50,8 +50,12 @@ def format_rational(value: Fraction) -> str:
 
 def _scaled(values: Iterable[Scalar]) -> tuple[list[int], int]:
     """The values as integer numerators over their lcm denominator, and that
-    denominator."""
-    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    denominator. Anything but an int or a Fraction is refused: Fraction()
+    would turn a float into its binary value and parse a string."""
+    vals = list(values)
+    for v in vals:
+        if not isinstance(v, (int, Fraction)):
+            raise GeometryError(f"not an int or a Fraction: {v!r}")
     den = lcm(*(v.denominator for v in vals))
     return [v.numerator * (den // v.denominator) for v in vals], den
 
@@ -291,20 +295,3 @@ def affine_rank(points: Sequence[Point]) -> int:
     if not points:
         return 0
     return len(int_rref([p.hom for p in points])[0])
-
-
-def solve_unique(flats: Sequence[Flat]) -> Point | None:
-    """The single point where the flats meet, or None if the intersection
-    is empty or has positive dimension."""
-    if not flats:
-        return None
-    d = flats[0].ambient_dim
-    rows: list[Sequence[int]] = []
-    for f in flats:
-        if f.ambient_dim != d:
-            raise GeometryError("dimension mismatch")
-        rows.extend(f.rows)
-    red, pivots = int_rref(rows)
-    if len(red) != d or d in pivots:
-        return None
-    return Point(Fraction(row[d], row[i]) for i, row in enumerate(red))

@@ -25,8 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -40,7 +39,6 @@ from .kernel import (
     extend_rref,
     nullspace_rows,
     rowspace_constraints,
-    solve_unique,
 )
 
 
@@ -131,18 +129,21 @@ MAX_WALK_SUBSETS = 2_000_000
 
 
 def check_walk_size(n: int, f: int) -> None:
-    """Raise GeometryError when C(n, f+1) is above ``MAX_WALK_SUBSETS``; as
-    C(n, r) >= 2^r for r = min(f+1, n-f-1), r > 20 is over without a product."""
-    r = max(min(f + 1, n - f - 1), 0)
-    if r > 20 or comb(n, r) > MAX_WALK_SUBSETS:
-        raise GeometryError(f"walk of C({n}, {f + 1}) subsets exceeds the cap {MAX_WALK_SUBSETS:,}")
+    """Raise GeometryError when the walk for the f-flats of n points has more
+    than ``MAX_WALK_SUBSETS`` subsets on either of its last two levels: C(n, f)
+    (the codim-2 keys of a hyperplane walk) or C(n, f+1). As C(n, r) >= 2^r
+    for r = min(j, n-j), r > 20 is over without a product."""
+    for j in (f, f + 1):
+        r = max(min(j, n - j), 0)
+        if r > 20 or comb(n, r) > MAX_WALK_SUBSETS:
+            raise GeometryError(f"walk of C({n}, {j}) subsets exceeds the cap {MAX_WALK_SUBSETS:,}")
 
 
 def _walk(
     homs: list, bits: list, found: dict, start: int, basis: Basis, mask: int, left: int, leaf=None
 ) -> None:
     """Extend the prefix (row space ``basis``, index mask ``mask``) by each
-    point from ``start`` on, with ``left`` points still to pick, and OR each
+    row from ``start`` on, with ``left`` rows still to pick, and OR each
     full-rank subset's mask into ``found`` under its canonical key; then call
     ``leaf``, if given, with that key, mask and the next index, if any."""
     for i in range(start, len(homs) - left + 1):
@@ -205,16 +206,30 @@ def _walk_levels(points: tuple[Point, ...], f: int) -> dict[int, SpannedSet]:
 
 
 def arrangement_vertices(hyperplanes: Sequence[Flat]) -> list[Point]:
-    """Deduplicated points where d of the hyperplanes meet 0-dimensionally."""
+    """Deduplicated points where d of the hyperplanes meet 0-dimensionally.
+
+    The d-subsets of the distinct constraint rows [a | b] are walked like
+    point subsets. A subset meets in one point exactly when its key has no
+    pivot in column d; its row i is then c_i x_i = b_i, so x_i = b_i / c_i.
+    The d independent constraints through a point span all the constraints
+    through it, so each vertex has one key.
+    """
     if not hyperplanes:
         return []
     d = hyperplanes[0].ambient_dim
     for h in hyperplanes:
         if h.ambient_dim != d or h.dim != d - 1:
             raise GeometryError(f"non-hyperplane input (dim {h.dim} in E^{h.ambient_dim})")
-    seen = {solve_unique(combo) for combo in combinations(hyperplanes, d)}
-    seen.discard(None)
-    return sorted(seen, key=lambda p: p.coords)
+    rows = list(dict.fromkeys(h.rows[0] for h in hyperplanes))
+    found: dict[Basis, int] = {}
+    _walk(rows, [0] * len(rows), found, 0, ((), ()), 0, d)
+    vertices = []
+    for key, pivots in found:
+        if pivots[-1] < d:  # else the d hyperplanes have no common point
+            den = lcm(*(row[i] for i, row in enumerate(key)))
+            nums = (row[d] * (den // row[i]) for i, row in enumerate(key))
+            vertices.append(Point.from_hom((*nums, den)))
+    return sorted(vertices, key=lambda p: p.coords)
 
 
 def max_collinear(points: Sequence[Point]) -> int:
@@ -222,7 +237,7 @@ def max_collinear(points: Sequence[Point]) -> int:
     if not points:
         raise GeometryError("empty point set")
     unique = list(dict.fromkeys(points))
-    if len(unique) <= 2:
+    if len(unique) <= 2 or common_dim(unique) == 1:  # in E^1 every point is on the one line
         return len(unique)
     return max(mask.bit_count() for mask in spanned_flats(unique, 1).masks)
 

@@ -5,8 +5,9 @@ textbook rational versions it is checked against: Gauss-Jordan RREF, the
 nullspace-based affine hull, the homogeneous affine rank, the all-pairs
 vertex degrees of a slope/intercept line grid and their Fraction-keyed
 ranking, the incidence pass that tests every spanned flat against every
-point, and the bichromatic count that tests every vertex against every
-hyperplane, and a flat's sample points: one point on it, and dim + 1
+point, the bichromatic count that tests every vertex against every
+hyperplane, the arrangement vertices from the RREF of every d-subset of
+hyperplanes, and a flat's sample points: one point on it, and dim + 1
 affinely independent points spanning it, from which two lines are tested
 for skewness. Beside them are the exhaustive forms of the prefix-sharing
 walks: the scan that eliminates every (f+1)-subset from scratch, and the
@@ -175,9 +176,16 @@ def count_bichromatic(a) -> CountReport:
     )
 
 
-def hyperplane_degrees(hyperplanes, vertices) -> list[int]:
-    """The number of vertices on each hyperplane, testing every pair."""
-    return [sum(1 for v in vertices if h.contains(v)) for h in hyperplanes]
+def arrangement_vertices(hyperplanes) -> list[Point]:
+    """The points where some d of the hyperplanes meet in exactly one point,
+    by the rational RREF of every d-subset's constraint rows; sorted."""
+    d = hyperplanes[0].ambient_dim
+    seen = set()
+    for combo in combinations(hyperplanes, d):
+        red, pivots = rref([row for h in combo for row in h.rows])
+        if len(red) == d and d not in pivots:
+            seen.add(Point(row[d] for row in red))
+    return sorted(seen, key=lambda p: p.coords)
 
 
 def attach_incidences(flats, points) -> tuple[tuple[int, ...], ...]:

@@ -534,12 +534,18 @@ def test_usage_error_is_exit_2():
         "verify-purdy --d-range 11 --k-range 3",
         "verify-purdy --d-range 9 --k-range 4",
         "enumerate --points wide.txt --f 2",
+        "enumerate --points tall.txt --f 13",
     ],
 )
 def test_bad_input_is_exit_2(capsys, argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     # 300 points on the moment curve: C(300, 3) planes to walk
     (tmp_path / "wide.txt").write_text("".join(f"{t},{t * t},{t**3}\n" for t in range(300)))
+    # 24 points on the moment curve in E^14: C(24, 14) hyperplanes are under
+    # the cap, but the walk passes C(24, 13) codim-2 keys on its way there
+    (tmp_path / "tall.txt").write_text(
+        "".join(",".join(str(t**e) for e in range(1, 15)) + "\n" for t in range(24))
+    )
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2 and out == ""

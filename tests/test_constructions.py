@@ -166,7 +166,13 @@ def test_bichromatic_prediction_matches_count(d, n, k, p):
 
 @pytest.mark.parametrize(
     "d,n,k,m",
-    [(3, 8, 3, 4), (3, 12, 5, 6), (4, 10, 3, 4), (4, 12, 7, 9), (5, 12, 4, 8)],
+    [
+        (3, 8, 3, 4), (3, 12, 5, 6), (4, 10, 3, 4), (4, 12, 7, 9), (5, 12, 4, 8),
+        # p = 1: every degree is 1, so the grid hyperplanes are red first by index
+        (3, 6, 2, 1), (5, 8, 3, 1), (5, 8, 6, 1),
+        # d = 2: an empty grid and a pencil through the one vertex
+        (2, 5, 3, 1), (2, 4, 4, 7),
+    ],
 )
 def test_thetamk_prediction_matches_count(d, n, k, m):
     built = theta_mk_construction(d, n, k, m)

@@ -47,6 +47,14 @@ def test_point_parse_rejects_empty_fields(bad):
         Point.parse(bad)
 
 
+@pytest.mark.parametrize("bad", [0.1, 1.0, "1/2", None])
+def test_constructors_refuse_values_that_are_not_int_or_fraction(bad):
+    with pytest.raises(GeometryError, match="not an int or a Fraction"):
+        Point((bad, 1))
+    with pytest.raises(GeometryError, match="not an int or a Fraction"):
+        hyperplane((1, bad), 0)
+
+
 def test_hull_two_points_is_line():
     line = affine_hull([Point((0, 0)), Point((1, 0))])
     assert line.dim == 1

@@ -27,7 +27,7 @@ def snapshot(directory: Path) -> dict:
 
 def test_reproduce_matches_the_committed_results(tmp_path):
     driver = load_driver()
-    # the frontier alone takes ~30 s; every other table is checked here
+    # the frontier alone takes ~36 s; every other table is checked here
     names = [name for name in driver.EXPERIMENTS if name != "frontier"]
     assert driver.reproduce(names, tmp_path, 1) == 0
     written = sorted(p.name for p in tmp_path.iterdir())

@@ -303,6 +303,36 @@ def test_four_line_vertices_by_hand():
     assert got == ["-1,0", "0,0", "0,1", "1,1"]
 
 
+@st.composite
+def hyperplane_families(draw):
+    """Hyperplanes of E^d, d = 1..4, with rational offsets; after the first,
+    each is new, a repeat of an earlier one, parallel to one, or through a
+    common pencil point."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    normals = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
+    pencil = draw(st.lists(rationals(max_den=3), min_size=d, max_size=d))
+    hyps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=7))):
+        kinds = ["new", "pencil"] + (["repeat", "parallel"] if hyps else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "repeat":
+            hyps.append(draw(st.sampled_from(hyps)))
+            continue
+        normal = draw(st.sampled_from(hyps)).rows[0][:d] if kind == "parallel" else draw(normals)
+        if kind == "pencil":
+            offset = sum(a * x for a, x in zip(normal, pencil))
+        else:
+            offset = draw(rationals(max_den=3))
+        hyps.append(hyperplane(normal, offset))
+    return hyps
+
+
+@given(hyperplane_families())
+@settings(max_examples=200, deadline=None)
+def test_arrangement_vertices_match_subset_rref_oracle(hyps):
+    assert arrangement_vertices(hyps) == oracle.arrangement_vertices(hyps)
+
+
 def test_arrangement_vertices_rejects_non_hyperplane():
     line = affine_hull([Point((0, 0, 0)), Point((1, 0, 0))])
     with pytest.raises(GeometryError, match="non-hyperplane"):
@@ -547,6 +577,8 @@ def test_max_collinear_examples():
     triangle = [Point((0, 0)), Point((1, 0)), Point((0, 1))]
     assert max_collinear(triangle) == 2
     assert max_collinear([Point((5, 5))]) == 1
+    # in E^1 every point is on the one line; duplicates count once
+    assert max_collinear([Point((1,)), Point((2,)), Point((3,)), Point((2,))]) == 3
 
 
 # --- point file format ------------------------------------------------------
