@@ -388,7 +388,9 @@ def cmd_conjecture_search(args) -> int:
             raise GeometryError(f"point file is E^{points[0].dim}, --d is {args.d}")
     elif args.samples < 1:
         raise GeometryError(f"--samples must be >= 1, got {args.samples}")
-    check_walk_size(len(set(points)) if args.points else args.n, args.d - 1)
+    n = len(set(points)) if args.points else args.n
+    for f in range(1, min(args.d, n)):  # the cover searches walk every level
+        check_walk_size(n, f)
     if args.points:
         row = {
             "sample": 0, "d": args.d, "n": len(points), "r": r,

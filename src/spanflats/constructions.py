@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd, isqrt, lcm
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .formulas import iroot, purdy_counts
 from .incidence import BiArrangement, bound_envelope, count_bichromatic
@@ -48,18 +48,20 @@ def _grid_lines(pairs: Sequence[tuple[int, int]]) -> list[Flat]:
 
 def _grid_vertices(
     pairs: Sequence[tuple[int, int]], window: tuple[int, int] | None = None
-) -> Iterator[tuple[int, int, int, int]]:
+) -> list[tuple[int, int, int, int]]:
     """(count, p, q, key) for each vertex (x, y) = (p/q, key/q) of the lines
     y = a*x + b with the count of lines through it, p/q in lowest terms and
     q > 0; with ``window = (x_max, y_max)`` only those with |x| <= x_max and
-    0 <= y < y_max. Each vertex is yielded once.
+    0 <= y < y_max. Each vertex is listed once, in (x, y) order.
 
     Two lines meet at x = beta/delta for a slope difference delta and an
     intercept difference beta, so those fractions are the only candidate x
     values and the cost is (candidates) * (lines) rather than all-pairs
     times all-lines; a candidate no two lines share is never promoted to a
     vertex. At a given x = p/q every line value y = (a*p + b*q)/q shares
-    the denominator q, so collision counting is pure integer work.
+    the denominator q, so collision counting is pure integer work. The
+    order is on integers too: every q divides L = lcm of all the q, and
+    (x*L, y*L) = (p*L/q, key*L/q) order the vertices as (x, y) do.
     """
     slopes = {a for a, _ in pairs}
     intercepts = {b for _, b in pairs}
@@ -69,27 +71,14 @@ def _grid_vertices(
             if window is None or abs(beta) <= delta * window[0]:
                 g = gcd(beta, delta)
                 candidates.add((beta // g, delta // g))
+    vertices = []
     for p, q in candidates:
         at_x = Counter(a * p + b * q for a, b in pairs)
         for key, count in at_x.items():
             if count >= 2 and (window is None or 0 <= key < window[1] * q):
-                yield count, p, q, key
-
-
-def windowed_grid_degrees(
-    pairs: Sequence[tuple[int, int]], window: tuple[int, int] | None = None
-) -> dict[tuple[Fraction, Fraction], int]:
-    """Vertices of the lines y = a*x + b as Fraction pairs, with the number
-    of lines through each; with ``window = (x_max, y_max)`` only those with
-    |x| <= x_max and 0 <= y < y_max.
-
-    A view over the integer vertices of ``_grid_vertices``: the vertex
-    (p/q, key/q) is exact, and Fractions are made only here, at the edge.
-    """
-    return {
-        (Fraction(p, q), Fraction(key, q)): count
-        for count, p, q, key in _grid_vertices(pairs, window)
-    }
+                vertices.append((count, p, q, key))
+    L = lcm(*(q for _, _, q, _ in vertices))
+    return sorted(vertices, key=lambda v: (v[1] * (L // v[2]), v[3] * (L // v[2])))
 
 
 def erdos_grid_2d(r: int, s: int) -> LineGrid2D:
@@ -100,37 +89,27 @@ def erdos_grid_2d(r: int, s: int) -> LineGrid2D:
         raise ConstructionError("r and s must be >= 1")
     pairs = [(a, b) for a in range(r) for b in range(s)]
     x_max = -(-s // r)
-    degrees = windowed_grid_degrees(pairs, (x_max, r * x_max + s))
+    vertices = _grid_vertices(pairs, (x_max, r * x_max + s))
     return LineGrid2D(
         lines=tuple(_grid_lines(pairs)),
-        vertices=tuple(Point(v) for v in sorted(degrees)),
-        incidences=sum(degrees.values()),
+        vertices=tuple(Point.from_hom((p, key, q)) for _, p, q, key in vertices),
+        incidences=sum(count for count, *_ in vertices),
     )
 
 
-def _rich_line_config(k: int) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
-    """k grid lines plus their arrangement vertices sorted richest-first.
+def _rich_line_config(k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int, int, int]]]:
+    """k grid lines plus their arrangement vertices ``(count, p, q, key)``
+    (see ``_grid_vertices``) sorted richest-first.
 
     The slope range is floor(sqrt(k)) so vertex degrees grow with k, but at
     least 2 slopes whenever k >= 2 (a single-slope pencil has no vertices);
-    ties between equally rich vertices break on coordinates, keeping the
-    selection deterministic.
-
-    The ranking is on integers. Every vertex (p/q, key/q) has q dividing
-    L = lcm of all the q, so (x*L, y*L) = (p*L/q, key*L/q) are integers and,
-    L being positive, order the vertices as their Fraction coordinates do.
-    Each entry is (-count, x*L, y*L, p, q, key); no two vertices share
-    (x*L, y*L), so the sort never compares past the third item.
+    the sort is stable, so equally rich vertices keep their (x, y) order and
+    the selection is deterministic.
     """
     r = max(min(k, 2), isqrt(k))
     s = -(-k // r)
     pairs = [(a, b) for a in range(r) for b in range(s)][:k]
-    vertices = list(_grid_vertices(pairs))
-    L = lcm(*(q for _, _, q, _ in vertices))
-    ranked = sorted(
-        (-count, p * (L // q), key * (L // q), p, q, key) for count, p, q, key in vertices
-    )
-    return pairs, ranked
+    return pairs, sorted(_grid_vertices(pairs), key=lambda v: -v[0])
 
 
 @dataclass(frozen=True)
@@ -170,7 +149,7 @@ def bichromatic_lower_construction(
             f"p = {p} exceeds the {len(ranked)} vertices of the {k}-line configuration"
         )
     chosen = ranked[:p]
-    plane_incidences = -sum(entry[0] for entry in chosen)
+    plane_incidences = sum(count for count, *_ in chosen)
 
     zeros = [0] * (d - 2)
     red = tuple(
@@ -185,7 +164,7 @@ def bichromatic_lower_construction(
     vertices = tuple(
         Point.from_hom((*(c * q for c in meet), x, y, q))
         for meet in product(range(family), repeat=d - 2)
-        for *_, x, q, y in chosen
+        for _, x, q, y in chosen
     )
     return BichromaticConstruction(
         arrangement=BiArrangement(d, red, blue, vertices),

@@ -131,8 +131,11 @@ MAX_WALK_SUBSETS = 2_000_000
 def check_walk_size(n: int, f: int) -> None:
     """Raise GeometryError when the walk for the f-flats of n points has more
     than ``MAX_WALK_SUBSETS`` subsets on either of its last two levels: C(n, f)
-    (the codim-2 keys of a hyperplane walk) or C(n, f+1). As C(n, r) >= 2^r
-    for r = min(j, n-j), r > 20 is over without a product."""
+    (the codim-2 keys of a hyperplane walk) or C(n, f+1). These are its
+    widest: a walk to depth t extends a prefix of j points only while the
+    t-j still to pick fit after it, so level j holds C(n-t+j, j) prefixes,
+    which grows with j. As C(n, r) >= 2^r for r = min(j, n-j), r > 20 is
+    over without a product."""
     for j in (f, f + 1):
         r = max(min(j, n - j), 0)
         if r > 20 or comb(n, r) > MAX_WALK_SUBSETS:

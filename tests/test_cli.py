@@ -535,6 +535,8 @@ def test_usage_error_is_exit_2():
         "verify-purdy --d-range 9 --k-range 4",
         "enumerate --points wide.txt --f 2",
         "enumerate --points tall.txt --f 13",
+        # the cover searches walk every level: C(24, 11) at f = 10 is over
+        "conjecture-search --d 20 --n 24 --samples 1",
     ],
 )
 def test_bad_input_is_exit_2(capsys, argv, tmp_path, monkeypatch):
@@ -571,6 +573,17 @@ def test_walk_cap_admits_the_frontier_cells():
     with pytest.raises(GeometryError, match="exceeds the cap"):
         spans.check_walk_size(25, 8)
     assert comb(25, 9) > spans.MAX_WALK_SUBSETS >= comb(24, 9)
+
+
+def test_walk_cap_admits_a_narrow_walk_past_the_middle_level(capsys, tmp_path):
+    # 24 points on the moment curve in E^23 at f = 22: level j of the walk
+    # holds C(2 + j, j) prefixes, 2,299 in all; that C(24, 12), the middle
+    # level of all subsets, is over the cap does not matter
+    (tmp_path / "pts.txt").write_text(
+        "".join(",".join(str(t**e) for e in range(1, 24)) + "\n" for t in range(24))
+    )
+    code, out, _ = run_cli(capsys, "enumerate", "--points", str(tmp_path / "pts.txt"), "--f", "22")
+    assert (code, out) == (0, "24\n")
 
 
 @pytest.mark.parametrize("text", ["0,0,0\n1,,0,0\n0,1,0\n0,0,1\n", "0,0\n1,2,\n0,1\n"])

@@ -21,7 +21,7 @@ from spanflats import (
     verify_covering_lines,
 )
 from spanflats import spans
-from spanflats.constructions import _rich_line_config, purdy_row, windowed_grid_degrees
+from spanflats.constructions import _grid_vertices, _rich_line_config, purdy_row
 from spanflats.formulas import fit_loglog
 
 
@@ -47,6 +47,11 @@ def test_grid_rejects_bad_params():
         erdos_grid_2d(0, 3)
 
 
+def _degrees(vertices):
+    # the Fraction view of (count, p, q, key) that the oracles speak
+    return {(Fraction(p, q), Fraction(key, q)): count for count, p, q, key in vertices}
+
+
 def test_windowed_degrees_match_pairwise_path():
     for r, s in [(2, 2), (3, 4), (4, 3), (5, 5)]:
         pairs = [(a, b) for a in range(r) for b in range(s)]
@@ -58,24 +63,25 @@ def test_windowed_degrees_match_pairwise_path():
             for v, deg in full.items()
             if abs(v[0]) <= x_max and 0 <= v[1] < y_max
         }
-        assert windowed_grid_degrees(pairs, (x_max, y_max)) == expected
+        degrees = _degrees(_grid_vertices(pairs, (x_max, y_max)))
+        assert degrees == expected and list(degrees) == sorted(degrees)
 
 
 def test_unwindowed_degrees_match_pairwise_oracle():
     # the prefix-of-grid line sets the bichromatic construction draws from
     for k in range(2, 41):
         pairs, _ = _rich_line_config(k)
-        assert windowed_grid_degrees(pairs) == oracle.grid_vertex_degrees(pairs)
-
+        degrees = _degrees(_grid_vertices(pairs))
+        assert degrees == oracle.grid_vertex_degrees(pairs) and list(degrees) == sorted(degrees)
 
 
 def _assert_ranking_equals_fraction_sort(k):
-    # the integer keys (-count, x*L, y*L) order the vertices as the
+    # the stable count sort of the (x, y)-ordered vertices orders them as the
     # Fraction keys (-count, x, y) do, so every prefix ranked[:p] agrees
     pairs, ranked = _rich_line_config(k)
-    expected = oracle.ranked_vertices(windowed_grid_degrees(pairs))
+    expected = oracle.ranked_vertices(_degrees(_grid_vertices(pairs)))
     assert [
-        (-neg_count, (Fraction(p, q), Fraction(key, q))) for neg_count, _, _, p, q, key in ranked
+        (count, (Fraction(p, q), Fraction(key, q))) for count, p, q, key in ranked
     ] == expected, k
 
 
@@ -97,9 +103,9 @@ def test_grid_incidence_growth_slope():
     for i in range(1, 6):
         r = s = 2**i
         pairs = [(a, b) for a in range(r) for b in range(s)]
-        degrees = windowed_grid_degrees(pairs, (1, r + s))
+        vertices = _grid_vertices(pairs, (1, r + s))
         n = r * s
-        top = sorted(degrees.values(), reverse=True)[:n]
+        top = sorted((count for count, *_ in vertices), reverse=True)[:n]
         series.append((n, sum(top)))
     slope = fit_loglog(series).slope
     assert 1.2 <= slope <= 1.45

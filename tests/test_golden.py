@@ -43,6 +43,8 @@ CASES = {
     "enumerate-d4-out-f3": ((), ("enumerate", "--points", "pts4.txt", "--f", "3", "--out", "spanned.json"), "spanned.json"),
     "enumerate-d4-out-f2": ((), ("enumerate", "--points", "pts4.txt", "--f", "2", "--out", "spanned.json"), "spanned.json"),
     "construct-erdos2d": ((), ("construct", "erdos2d", "--r", "3", "--s", "4"), None),
+    # x denominators 1, 2 and 3: the vertex order is taken over L = 6
+    "construct-erdos2d-r4-s6": ((), ("construct", "erdos2d", "--r", "4", "--s", "6"), None),
     "construct-bichromatic": ((), CONSTRUCT_BICHROMATIC, None),
     "construct-thetamk": ((), CONSTRUCT_THETAMK, None),
     "construct-purdy": ((), ("construct", "purdy", "--d", "4", "--k", "2", "--seed", "1"), None),
@@ -89,6 +91,7 @@ GOLDEN = {
     "conjecture-search-r4/json": ("4f6fd074c0d01952596b909540a277c718b8a69b99191169f2aedda4cacbe4cd", None),
     "construct-bichromatic": ("d57710fa9f39ffb060991615f30a5bdb50e7d275fae7a4b789cce0344b8d11b8", None),
     "construct-erdos2d": ("21836d8e7881396f2d077a040c7c6d06328929448d9e55e1c02baa497bb1fd15", None),
+    "construct-erdos2d-r4-s6": ("66d3af0c57312b60bee6abc699f568b9a4690ba00131665b49bff54abfdf5453", None),
     "construct-purdy": ("296006aa5c1e7d8f4d4e71432190dd707031119bb0b3847f33cf087c8088bb35", None),
     "construct-purdy-d7": ("e402806e9774ccc5b4302230b78a6675289776015b0a66d9be43522ff71de8ca", None),
     "construct-thetamk": ("1e45f7982e7404215a40b6860b580f99d13bd8da17042790d53887fceecfd7d2", None),
