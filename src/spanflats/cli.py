@@ -6,12 +6,15 @@ Exit codes: 0 success / all-match, 1 verification mismatch, 2 input error.
 
 Each command only parses its options, checks them, maps the row builder
 over the parameter tuples with ``pmap``, writes the table with
-``emit_table`` and prints a summary. The rows are built next to what they
-check: ``constructions.purdy_row``, ``envelope_row`` and ``beck3_row``,
-and ``spans.conjecture_row``, each with its column tuple. Every row
-carries the full parameter tuple and seed, and identical config + seed
-produces byte-identical output whatever --jobs is set to: rows are
-computed independently and merged in parameter order.
+``emit_table``, which echoes the options it names, and prints a summary.
+The rows are built next to what they check: ``constructions.purdy_row``,
+``envelope_row`` and ``beck3_row``, and ``spans.conjecture_row``, each
+from its column table, which gives every column's value for a row that
+measured nothing. Every row carries the full parameter tuple and seed,
+and identical config + seed produces byte-identical output whatever --jobs
+is set to: rows are computed independently and merged in parameter order.
+A command that prints a count and writes ``--out`` writes the file first,
+so a path it cannot write leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .constructions import (
     beck3_row,
     bichromatic_lower_construction,
     check_beck3_plant,
+    check_envelope_sweep,
     check_purdy_cell,
     envelope_row,
     erdos_grid_2d,
@@ -51,7 +55,6 @@ from .spans import (
     CONJECTURE_COLUMNS,
     check_walk_size,
     conjecture_row,
-    conjecture_stats,
     read_point_file,
     spanned_flats,
     write_point_file,
@@ -67,22 +70,24 @@ def _format_cell(value) -> str:
 
 
 def emit_table(
-    args, command: str, params: dict, columns: Sequence[str], rows: Sequence[dict]
+    args, command: str, echo: Sequence[str], columns: Sequence[str], rows: Sequence[dict]
 ) -> None:
+    """Write the rows as CSV or as the JSON table, whose params are the
+    options named in ``echo``, read from ``args``."""
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_format_cell(row.get(c, "")) for c in columns])
+            writer.writerow([_format_cell(row[c]) for c in columns])
         text = buf.getvalue()
     else:
         doc = {
             "schema": SCHEMA_TABLE,
             "command": command,
-            "params": params,
+            "params": {name: getattr(args, name) for name in echo},
             "columns": list(columns),
-            "rows": [{c: row.get(c) for c in columns} for row in rows],
+            "rows": [{c: row[c] for c in columns} for row in rows],
         }
         text = json.dumps(doc, indent=2) + "\n"
     _write_output(args, text)
@@ -161,9 +166,14 @@ def cmd_enumerate(args) -> int:
         points = read_point_file(fh)
     check_walk_size(len(set(points)), args.f)
     result = spanned_flats(points, args.f)
-    print(result.count)
-    if args.out or args.emit_json:
-        _write_output(args, json.dumps(result.to_json_dict(), indent=2) + "\n")
+    text = f"{result.count}\n"
+    if args.out or args.emit_json:  # the export goes to --out, else after the count
+        export = json.dumps(result.to_json_dict(), indent=2) + "\n"
+        if args.out:
+            _write_output(args, export)
+        else:
+            text += export
+    sys.stdout.write(text)
     return 0
 
 
@@ -179,9 +189,9 @@ def cmd_incidences(args) -> int:
         doc["envelope"] = bound_envelope(
             arrangement.m, arrangement.k, arrangement.n, arrangement.d
         ).to_json_dict()
-    print(report.red_incidences)
     if args.out:
         _write_output(args, json.dumps(doc, indent=2) + "\n")
+    print(report.red_incidences)
     return 0
 
 
@@ -243,13 +253,7 @@ def cmd_verify_purdy(args) -> int:
     check_purdy_cell(d_values[-1], k_values[-1])  # the cell with the most subsets
     cells = [(d, k, args.seed) for d in d_values for k in k_values]
     rows = pmap(purdy_row, cells, args.jobs)
-    emit_table(
-        args,
-        "verify-purdy",
-        {"d_range": args.d_range, "k_range": args.k_range, "seed": args.seed},
-        PURDY_COLUMNS,
-        rows,
-    )
+    emit_table(args, "verify-purdy", ("d_range", "k_range", "seed"), PURDY_COLUMNS, rows)
     ok = all(r["status"] == "ok" and r["h_match"] and r["g_match"] for r in rows)
     return 0 if ok else 1
 
@@ -283,7 +287,7 @@ def cmd_fit(args) -> int:
         "r_squared": result.r_squared,
         "points_used": result.points_used,
     }
-    emit_table(args, "fit", {"series": args.series}, tuple(row), [row])
+    emit_table(args, "fit", ("series",), tuple(row), [row])
     return 0
 
 
@@ -300,26 +304,14 @@ def cmd_envelope_sweep(args) -> int:
         raise GeometryError("--n0 and --p must be >= 1")
     if args.doublings < 0:
         raise GeometryError(f"--doublings must be >= 0, got {args.doublings}")
+    check_envelope_sweep(args.construction, args.d, args.n0, args.doublings, args.k_frac, args.p)
     steps = [
         (args.construction, args.d, i, args.n0 * 2**i, args.k_frac, args.p, args.seed)
         for i in range(args.doublings + 1)
     ]
     rows = pmap(envelope_row, steps, args.jobs)
-    emit_table(
-        args,
-        "envelope-sweep",
-        {
-            "construction": args.construction,
-            "d": args.d,
-            "n0": args.n0,
-            "doublings": args.doublings,
-            "k_frac": args.k_frac,
-            "p": args.p,
-            "seed": args.seed,
-        },
-        ENVELOPE_COLUMNS,
-        rows,
-    )
+    echo = ("construction", "d", "n0", "doublings", "k_frac", "p", "seed")
+    emit_table(args, "envelope-sweep", echo, ENVELOPE_COLUMNS, rows)
     ratios = [r["ratio"] for r in rows if r["status"] == "ok"]
     if ratios:
         print(f"max ratio {max(ratios):.6g} over {len(ratios)} steps")
@@ -344,19 +336,8 @@ def cmd_beck3(args) -> int:
         check_beck3_plant(n, k, plant)
     check_walk_size(max(n_values), 2)
     rows = pmap(beck3_row, cells, args.jobs)
-    emit_table(
-        args,
-        "beck3",
-        {
-            "n_list": args.n_list,
-            "k_list": args.k_list,
-            "seeds": args.seeds,
-            "seed": args.seed,
-            "plant": args.plant,
-        },
-        BECK3_COLUMNS,
-        rows,
-    )
+    echo = ("n_list", "k_list", "seeds", "seed", "plant")
+    emit_table(args, "beck3", echo, BECK3_COLUMNS, rows)
     good = [r for r in rows if r["status"] == "ok"]
     ratios = [r["ratio"] for r in good]
     if ratios:
@@ -376,9 +357,10 @@ def cmd_conjecture_search(args) -> int:
         raise GeometryError("d >= 3 required")
     if args.n < 1:
         raise GeometryError(f"--n must be >= 1, got {args.n}")
-    r = args.r if args.r is not None else args.d
-    if r < 1:
-        raise GeometryError(f"--r must be >= 1, got {r}")
+    if args.r is None:  # the threshold defaults to d, and the table echoes it resolved
+        args.r = args.d
+    if args.r < 1:
+        raise GeometryError(f"--r must be >= 1, got {args.r}")
     if not math.isfinite(args.floor):
         raise GeometryError(f"--floor must be finite, got {args.floor}")
     if args.points:
@@ -392,41 +374,24 @@ def cmd_conjecture_search(args) -> int:
     for f in range(1, min(args.d, n)):  # the cover searches walk every level
         check_walk_size(n, f)
     if args.points:
-        row = {
-            "sample": 0, "d": args.d, "n": len(points), "r": r,
-            "seed": args.seed, "floor": args.floor,
-        }
-        row.update(conjecture_stats(points, r, args.floor, keep_degenerate=True))
-        rows = [row]
+        rows = [conjecture_row((0, args.d, len(points), args.r, args.seed, args.floor), points)]
     else:
         cells = [
-            (sample, args.d, args.n, r, args.seed, args.floor)
+            (sample, args.d, args.n, args.r, args.seed, args.floor)
             for sample in range(args.samples)
         ]
         rows = pmap(conjecture_row, cells, args.jobs)
-    emit_table(
-        args,
-        "conjecture-search",
-        {
-            "d": args.d,
-            "n": args.n,
-            "r": r,
-            "samples": args.samples,
-            "seed": args.seed,
-            "floor": args.floor,
-        },
-        CONJECTURE_COLUMNS,
-        rows,
-    )
-    kept = [r_ for r_ in rows if not r_["degenerate"]]
+    echo = ("d", "n", "r", "samples", "seed", "floor")
+    emit_table(args, "conjecture-search", echo, CONJECTURE_COLUMNS, rows)
+    kept = [row for row in rows if not row["degenerate"]]
     if kept:
         for name in ("incidence_ratio", "span_ratio"):
-            values = [r_[name] for r_ in kept]
+            values = [row[name] for row in kept]
             print(
                 f"{name}: min {min(values):.6g}, median {statistics.median(values):.6g}"
                 f" over {len(values)} samples"
             )
-        flagged = sum(1 for r_ in kept if r_["flagged"])
+        flagged = sum(1 for row in kept if row["flagged"])
         print(f"flagged {flagged} of {len(kept)} samples (floor {args.floor})")
     else:
         print("all samples degenerate; nothing to report")

@@ -383,160 +383,129 @@ def beck3_instance(
     )
 
 
-# Experiment rows, one per parameter tuple: a generator's output checked
-# against the closed form or bound it realizes. A generator that fails gives
-# a row of sentinels with an "error: " (sweeps: "skipped: ") status.
+# The last rung envelope-sweep admits, per construction: at most this many
+# hyperplanes, and this many vertex-hyperplane pairs (hyperplanes times the
+# vertices the generator lays out), which the count's work scales with.
+ENVELOPE_CAPS = {"bichromatic": (2048, 10**7), "thetamk": (65536, 10**6)}
 
-PURDY_COLUMNS = (
-    "d",
-    "k",
-    "n",
-    "seed",
-    "h_formula",
-    "h_enumerated",
-    "g_formula",
-    "g_enumerated",
-    "h_match",
-    "g_match",
-    "g_gt_h",
-    "status",
-)
+
+def check_envelope_sweep(
+    construction: str, d: int, n0: int, doublings: int, k_frac: float, p: int
+) -> None:
+    """Raise unless the last and largest rung of a sweep, n = n0 * 2^doublings,
+    is within ``ENVELOPE_CAPS``. The bichromatic generator lays out
+    p * ((n - k) // (d - 2))^(d - 2) vertices, after listing the vertices
+    of its k-line grid (about k^2/2; k < n), and the theta_mk one p^(d - 2).
+    n is bounded before it is formed and the exponent clipped at 64, so the
+    check is instant for any doublings, d and p."""
+    max_n, max_pairs = ENVELOPE_CAPS[construction]
+    if doublings >= max_n.bit_length() or n0 << doublings > max_n:
+        raise ConstructionError(
+            f"last rung n0 * 2^{doublings} exceeds the {construction} cap of {max_n:,} hyperplanes"
+        )
+    n = n0 << doublings
+    if construction == "bichromatic":
+        family = max(n - max(2, int(n * k_frac)), 0) // (d - 2)
+        vertices = p * family ** min(d - 2, 64)
+    else:
+        vertices = p ** min(d - 2, 64)
+    if n * vertices > max_pairs:
+        raise ConstructionError(
+            f"last rung n = {n} exceeds the {construction} cap of {max_pairs:,}"
+            " vertex-hyperplane pairs"
+        )
+
+
+# Experiment rows, one per parameter tuple: a generator's output checked
+# against the closed form or bound it realizes. Each column table maps a
+# column to the value it keeps when the generator fails and nothing is
+# measured (None: every row sets it); such a row's status starts "error: "
+# (sweeps: "skipped: ").
+
+PURDY_COLUMNS = {
+    "d": None, "k": None, "n": None, "seed": None,
+    "h_formula": None, "h_enumerated": -1, "g_formula": None, "g_enumerated": -1,
+    "h_match": False, "g_match": False, "g_gt_h": None, "status": None,
+}
 
 
 def purdy_row(params: tuple[int, int, int]) -> dict:
     """Closed-form vs enumerated hyperplane and codim-2 counts of the
     (d, k, seed) covering-lines counterexample."""
     d, k, seed = params
-    row = {"d": d, "k": k, "n": k * (d - 1), "seed": seed}
     counts = purdy_counts(d, k)
+    row = {
+        **PURDY_COLUMNS, "d": d, "k": k, "n": k * (d - 1), "seed": seed,
+        "h_formula": counts.h_total, "g_formula": counts.g_total,
+        "g_gt_h": counts.g_total > counts.h_total,
+    }
     try:
         points = purdy_counterexample(d, k, seed)
         h_enum = spanned_flats(points, d - 1).count
         g_enum = spanned_flats(points, d - 2).count
     except (ConstructionError, GeometryError) as exc:
-        row.update(
-            h_formula=counts.h_total,
-            g_formula=counts.g_total,
-            h_enumerated=-1,
-            g_enumerated=-1,
-            h_match=False,
-            g_match=False,
-            g_gt_h=counts.g_total > counts.h_total,
-            status=f"error: {exc}",
-        )
-        return row
-    row.update(
-        h_formula=counts.h_total,
-        h_enumerated=h_enum,
-        g_formula=counts.g_total,
-        g_enumerated=g_enum,
-        h_match=h_enum == counts.h_total,
-        g_match=g_enum == counts.g_total,
-        g_gt_h=counts.g_total > counts.h_total,
-        status="ok",
-    )
-    return row
+        return {**row, "status": f"error: {exc}"}
+    return {
+        **row, "h_enumerated": h_enum, "g_enumerated": g_enum,
+        "h_match": h_enum == counts.h_total, "g_match": g_enum == counts.g_total,
+        "status": "ok",
+    }
 
 
-ENVELOPE_COLUMNS = (
-    "step",
-    "construction",
-    "d",
-    "n_requested",
-    "k_frac",
-    "p",
-    "n",
-    "k",
-    "m",
-    "red_measured",
-    "term_mixed",
-    "term_kn",
-    "term_m",
-    "envelope",
-    "ratio",
-    "dominant",
-    "seed",
-    "status",
-)
+ENVELOPE_COLUMNS = {
+    "step": None, "construction": None, "d": None, "n_requested": None, "k_frac": None,
+    "p": None, "n": -1, "k": None, "m": -1, "red_measured": -1, "term_mixed": 0.0,
+    "term_kn": 0, "term_m": 0, "envelope": 0.0, "ratio": 0.0, "dominant": "",
+    "seed": None, "status": None,
+}
 
 
 def envelope_row(params: tuple) -> dict:
     """Measured red incidences of one rung's bichromatic or theta_mk
     arrangement against the bound envelope's terms."""
     construction, d, step, n_req, k_frac, p, seed = params
-    row = {
-        "step": step,
-        "construction": construction,
-        "d": d,
-        "n_requested": n_req,
-        "k_frac": k_frac,
-        "p": p,
-        "seed": seed,
-        "status": "ok",
-    }
     k = max(2, int(n_req * k_frac))
+    row = {
+        **ENVELOPE_COLUMNS, "step": step, "construction": construction, "d": d,
+        "n_requested": n_req, "k_frac": k_frac, "p": p, "k": k, "seed": seed,
+    }
     try:
         if construction == "bichromatic":
             built = bichromatic_lower_construction(d, n_req, k, m=p * n_req ** (d - 2))
-            arrangement = built.arrangement
         else:
             built = theta_mk_construction(d, n_req, k, m=p ** (d - 2))
-            arrangement = built.arrangement
+        arrangement = built.arrangement
         report = count_bichromatic(arrangement)
         env = bound_envelope(arrangement.m, arrangement.k, arrangement.n, d)
     except (ConstructionError, GeometryError) as exc:
-        row.update(
-            n=-1, k=k, m=-1, red_measured=-1, term_mixed=0.0, term_kn=0,
-            term_m=0, envelope=0.0, ratio=0.0, dominant="", status=f"skipped: {exc}",
-        )
-        return row
-    row.update(
-        n=arrangement.n,
-        k=arrangement.k,
-        m=arrangement.m,
-        red_measured=report.red_incidences,
-        term_mixed=env.term_mixed,
-        term_kn=env.term_kn,
-        term_m=env.term_m,
-        envelope=env.total,
-        ratio=report.red_incidences / env.total,
-        dominant=env.dominant,
-    )
-    return row
+        return {**row, "status": f"skipped: {exc}"}
+    return {
+        **row, "n": arrangement.n, "k": arrangement.k, "m": arrangement.m,
+        "red_measured": report.red_incidences, "term_mixed": env.term_mixed,
+        "term_kn": env.term_kn, "term_m": env.term_m, "envelope": env.total,
+        "ratio": report.red_incidences / env.total, "dominant": env.dominant,
+        "status": "ok",
+    }
 
 
-BECK3_COLUMNS = (
-    "n",
-    "k",
-    "seed",
-    "plant",
-    "hypothesis_ok",
-    "max_cover",
-    "planes",
-    "ratio",
-    "status",
-)
+BECK3_COLUMNS = {
+    "n": None, "k": None, "seed": None, "plant": None,
+    "hypothesis_ok": False, "max_cover": -1, "planes": -1, "ratio": 0.0, "status": None,
+}
 
 
 def beck3_row(params: tuple) -> dict:
     """The (n, k, seed, plant) beck3 instance's hypothesis check and its
     spanned planes against n k^2."""
     n, k, seed, plant = params
-    row = {"n": n, "k": k, "seed": seed, "plant": plant}
+    row = {**BECK3_COLUMNS, "n": n, "k": k, "seed": seed, "plant": plant}
     try:
         points, cover = beck3_instance(n, k, seed, plant)
     except ConstructionError as exc:
-        row.update(
-            hypothesis_ok=False, max_cover=-1, planes=-1, ratio=0.0,
-            status=f"error: {exc}",
-        )
-        return row
+        return {**row, "status": f"error: {exc}"}
     planes = spanned_flats(points, 2)
-    row.update(
-        hypothesis_ok=cover.covered_count == n - k,
-        max_cover=cover.covered_count,
-        planes=planes.count,
-        ratio=planes.count / (n * k * k),
-        status="ok",
-    )
-    return row
+    return {
+        **row, "hypothesis_ok": cover.covered_count == n - k,
+        "max_cover": cover.covered_count, "planes": planes.count,
+        "ratio": planes.count / (n * k * k), "status": "ok",
+    }

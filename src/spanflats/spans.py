@@ -423,23 +423,13 @@ def max_cover_plane_or_two_lines(points: Sequence[Point]) -> CoverCertificate:
     return CoverCertificate(tuple(build() for _, build in cover), best, len(cover))
 
 
-# The columns of a conjecture-search row, in output order.
-CONJECTURE_COLUMNS = (
-    "sample",
-    "d",
-    "n",
-    "r",
-    "seed",
-    "floor",
-    "degenerate",
-    "k",
-    "hyperplanes",
-    "codim2_flats",
-    "max_point_degree",
-    "incidence_ratio",
-    "span_ratio",
-    "flagged",
-)
+# The columns of a conjecture-search row, in output order, each with the
+# value a degenerate sample keeps (None: every row sets it).
+CONJECTURE_COLUMNS = {
+    "sample": None, "d": None, "n": None, "r": None, "seed": None, "floor": None,
+    "degenerate": None, "k": 0, "hyperplanes": 0, "codim2_flats": 0,
+    "max_point_degree": 0, "incidence_ratio": 0.0, "span_ratio": 0.0, "flagged": False,
+}
 
 
 def conjecture_stats(
@@ -449,15 +439,13 @@ def conjecture_stats(
     r-degenerate, k = n minus the largest (r-1)-degenerate subset, the
     hyperplane and codim-2 counts, and the two ratios the conjectures bound
     below, flagged when one falls under ``floor_value``. A degenerate set
-    gets zeros unless ``keep_degenerate``."""
+    gets only ``degenerate=True`` unless ``keep_degenerate``; its other
+    columns keep their ``CONJECTURE_COLUMNS`` values."""
     d = points[0].dim
     n = len(points)
     degenerate, _ = is_r_degenerate(points, r)
     if degenerate and not keep_degenerate:
-        return dict(
-            degenerate=True, k=0, hyperplanes=0, codim2_flats=0,
-            max_point_degree=0, incidence_ratio=0.0, span_ratio=0.0, flagged=False,
-        )
+        return {"degenerate": True}
     hyps = spanned_flats(points, d - 1)
     codim2 = spanned_flats(points, d - 2)
     max_degree = max(sum(mask >> i & 1 for mask in hyps.masks) for i in range(n))
@@ -476,20 +464,24 @@ def conjecture_stats(
     )
 
 
-def conjecture_row(params: tuple) -> dict:
-    """One conjecture-search row for (sample, d, n, r, seed, floor): n
-    distinct points with uniform integer coordinates in -99..99, seeded by
-    (d, n, seed, sample), and their ``conjecture_stats``."""
+def conjecture_row(params: tuple, points: list[Point] | None = None) -> dict:
+    """One conjecture-search row for (sample, d, n, r, seed, floor): the
+    ``conjecture_stats`` of the given ``points``, with every statistic even
+    if they are degenerate, or else of n distinct points with uniform
+    integer coordinates in -99..99, seeded by (d, n, seed, sample)."""
     sample, d, n, r, seed, floor_value = params
-    rng = random.Random(f"conjecture:{d}:{n}:{seed}:{sample}")
-    points: list[Point] = []
-    while len(points) < n:
-        candidate = Point(rng.randint(-99, 99) for _ in range(d))
-        if candidate not in points:
-            points.append(candidate)
-    row = {"sample": sample, "d": d, "n": n, "r": r, "seed": seed, "floor": floor_value}
-    row.update(conjecture_stats(points, r, floor_value))
-    return row
+    given = points is not None
+    if not given:
+        rng = random.Random(f"conjecture:{d}:{n}:{seed}:{sample}")
+        points = []
+        while len(points) < n:
+            candidate = Point(rng.randint(-99, 99) for _ in range(d))
+            if candidate not in points:
+                points.append(candidate)
+    return {
+        **CONJECTURE_COLUMNS, "sample": sample, "d": d, "n": n, "r": r, "seed": seed,
+        "floor": floor_value, **conjecture_stats(points, r, floor_value, keep_degenerate=given),
+    }
 
 
 def read_point_file(lines: Iterable[str]) -> list[Point]:

@@ -26,6 +26,7 @@ from spanflats.constructions import (
     PURDY_COLUMNS,
     beck3_instance,
     beck3_row,
+    check_envelope_sweep,
     purdy_row,
 )
 from spanflats.formulas import fit_loglog
@@ -74,6 +75,23 @@ def test_enumerate_writes_export(tmp_path, capsys):
     assert code == 0 and out.strip() == "3"
     doc = json.loads(out_path.read_text())
     assert doc["count"] == 3 and len(doc["flats"]) == 3
+
+
+@pytest.mark.parametrize("command", ["enumerate", "incidences"])
+def test_unwritable_out_leaves_stdout_empty(tmp_path, capsys, command):
+    # both print a count; the --out file is written first, so a path that
+    # cannot be written fails before the count is printed
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0,0,0\n1,0,0\n0,1,0\n0,0,1\n")
+    arr = tmp_path / "arr.json"
+    assert main(["construct", "thetamk", "--d", "3", "--n", "8", "--k", "3", "--m", "4",
+                 "--out", str(arr)]) == 0
+    inputs = {"enumerate": ["--points", str(pts), "--f", "0"],
+              "incidences": ["--arrangement", str(arr)]}
+    missing = str(tmp_path / "no-such-dir" / "x.json")
+    code, out, err = run_cli(capsys, command, *inputs[command], "--out", missing)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_enumerate_empty_file(tmp_path, capsys):
@@ -268,6 +286,29 @@ def test_envelope_sweep_skips_infeasible(tmp_path, capsys):
     assert rows[0]["status"].startswith("skipped")
 
 
+def test_envelope_cap_admits_the_committed_sweeps():
+    # (construction, d, n0, doublings, k_frac, p) as scripts/reproduce.py runs them
+    for construction, d, doublings in (
+        ("bichromatic", 3, 7), ("thetamk", 3, 7), ("bichromatic", 4, 5)
+    ):
+        check_envelope_sweep(construction, d, 8, doublings, 0.5, 4)
+    check_envelope_sweep("bichromatic", 3, 8, 8, 0.5, 4)  # n = 2048: 8,388,608 pairs
+    check_envelope_sweep("thetamk", 3, 8, 13, 0.5, 4)  # n = 65,536
+
+
+@pytest.mark.parametrize("params, message", [
+    (("bichromatic", 3, 8, 9, 0.5, 4), "cap of 2,048 hyperplanes"),
+    (("thetamk", 3, 8, 14, 0.5, 4), "cap of 65,536 hyperplanes"),
+    (("thetamk", 3, 2**62, 1, 0.5, 4), "cap of 65,536 hyperplanes"),
+    (("bichromatic", 4, 8, 6, 0.5, 4), "cap of 10,000,000 vertex-hyperplane pairs"),
+    (("thetamk", 4, 8, 10, 0.5, 30), "cap of 1,000,000 vertex-hyperplane pairs"),
+    (("thetamk", 2**62, 8, 0, 0.5, 2), "cap of 1,000,000 vertex-hyperplane pairs"),
+])
+def test_envelope_cap_refuses_a_last_rung_over_it(params, message):
+    with pytest.raises(ConstructionError, match=message):
+        check_envelope_sweep(*params)
+
+
 # --- generator failures -----------------------------------------------------------
 
 
@@ -289,9 +330,20 @@ def test_purdy_row_reports_a_failed_generator(monkeypatch, capsys):
 
 
 def test_purdy_row_reports_a_cell_over_the_walk_cap():
-    row = purdy_row((8, 4, 0))
-    assert row["h_enumerated"] == -1
-    assert row["status"].startswith("error: walk of C(28, 8) subsets exceeds the cap")
+    # the formula columns are filled before the generator runs
+    assert purdy_row((8, 4, 0)) == {
+        "d": 8, "k": 4, "n": 28, "seed": 0, "h_formula": 58947, "h_enumerated": -1,
+        "g_formula": 73392, "g_enumerated": -1, "h_match": False, "g_match": False,
+        "g_gt_h": True, "status": "error: walk of C(28, 8) subsets exceeds the cap 2,000,000",
+    }
+
+
+def test_beck3_row_reports_a_plant_it_cannot_meet():
+    assert beck3_row((7, 4, 0, "plane")) == {
+        "n": 7, "k": 4, "seed": 0, "plant": "plane", "hypothesis_ok": False,
+        "max_cover": -1, "planes": -1, "ratio": 0.0,
+        "status": "error: k >= 1 and n-k >= 4 required, got n=7, k=4",
+    }
 
 
 def test_beck3_row_reports_a_failed_generator(monkeypatch, capsys):
@@ -537,6 +589,9 @@ def test_usage_error_is_exit_2():
         "enumerate --points tall.txt --f 13",
         # the cover searches walk every level: C(24, 11) at f = 10 is over
         "conjecture-search --d 20 --n 24 --samples 1",
+        # last rungs of 8 * 2^40 hyperplanes, over constructions.ENVELOPE_CAPS
+        "envelope-sweep --construction bichromatic --d 3 --n0 8 --doublings 40",
+        "envelope-sweep --construction thetamk --d 3 --n0 8 --doublings 40",
     ],
 )
 def test_bad_input_is_exit_2(capsys, argv, tmp_path, monkeypatch):

@@ -70,9 +70,16 @@ TABLES = {
     "envelope-sweep-thetamk": (
         "envelope-sweep", "--construction", "thetamk", "--d", "3", "--n0", "8", "--doublings", "2",
     ),
+    # two skipped rungs (k >= n, then too few grid vertices) before one ok rung
+    "envelope-sweep-skipped": (
+        "envelope-sweep", "--construction", "bichromatic", "--d", "3", "--n0", "2", "--doublings", "2",
+    ),
     "beck3-mix": ("beck3", "--n-list", "10", "--k-list", "3", "--seeds", "2", "--plant", "mix"),
     "conjecture-search": ("conjecture-search", "--d", "3", "--n", "6", "--samples", "4"),
     "conjecture-search-r4": ("conjecture-search", "--d", "3", "--n", "7", "--samples", "6", "--r", "4"),
+    # any 4 points lie on two lines (dimensions sum 2 < r = 3), so every
+    # sample is degenerate and every row keeps the column table's fallbacks
+    "conjecture-search-degenerate": ("conjecture-search", "--d", "3", "--n", "4", "--samples", "2"),
     "conjecture-search-points-r3": ("conjecture-search", "--d", "3", "--points", "deg.txt", "--r", "3"),
     "conjecture-search-points-r4": ("conjecture-search", "--d", "3", "--points", "deg.txt", "--r", "4"),
 }
@@ -83,6 +90,8 @@ GOLDEN = {
     "beck3-mix/json": ("942eaa076380da2657e95cf1be08ef5269bd51a501da5e5d8f80b030f58db1f5", None),
     "conjecture-search/csv": ("f02a669ee95ac7fc55751aef47c0db103c0d9c8f53e6f169beeb55932f4538f0", None),
     "conjecture-search/json": ("5266bf2a3e4b352f628bb5ed2ba53e6c0f560e0806b103e4ae4a57d97c32ba44", None),
+    "conjecture-search-degenerate/csv": ("316e96e47390b114113bc4208d1eaefe31f53a79cdbee73544d3b0c05c01ef3f", None),
+    "conjecture-search-degenerate/json": ("104148cab868a63f15ccc635d9673c920629ce6d7fd330e9d48c484ee799f56c", None),
     "conjecture-search-points-r3/csv": ("0b7db298a4bb1089f74f8d6665d83f377b77e0602ad792c3e191a5bd0db6f38a", None),
     "conjecture-search-points-r3/json": ("a4e4ad314599d07a5a026448764a4c9eab44ce8e38a7dc5ac3dd844dff4c3c07", None),
     "conjecture-search-points-r4/csv": ("e9b0865f2f1acc2e0479b8e0f0a8e1d16bab171fc09a9083fbc898e42572dc33", None),
@@ -104,6 +113,8 @@ GOLDEN = {
     "enumerate-out-f1": ("6e2ae11dad0616f66bbb2b6e6556f580bb987fd911d7132aa6bee2bfc7cc7b52", "55775b5f76c3b4ac5840fea661150ad5216c3c3a37c9fc983dc13fae783098f9"),
     "envelope-sweep-bichromatic/csv": ("5557cfcc4af364c62fe069c84718b4f16b0055ae696db3ac02ed138701725aa6", None),
     "envelope-sweep-bichromatic/json": ("a78d51b81ca1f709cf85a69c2b12fc4294f4f2fa4d162f1f2218ba3bb6beb5e2", None),
+    "envelope-sweep-skipped/csv": ("91ae37718eb2856e8f6143a10a800473a2c06c1f3cf0e4f5df715a40a0018bc0", None),
+    "envelope-sweep-skipped/json": ("3b5db28b8b6505b5a219a69ef93de96a7d520fa0a32c0a9cae8f4007d6b43e62", None),
     "envelope-sweep-thetamk/csv": ("826f8f5767211aefbaefb901d8f0e3a4f3ad79bef718436995e8f0a8438769f8", None),
     "envelope-sweep-thetamk/json": ("ce79b73d610c5af090840d97f7a05ea6b5b7bfa90efec67f8487f0e01956c943", None),
     "fit/csv": ("c59e8cd7b87090c1fefee0075154810cca88b95ecd285236fbabfa1435a3d643", None),
