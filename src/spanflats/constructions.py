@@ -396,8 +396,10 @@ def check_envelope_sweep(
     is within ``ENVELOPE_CAPS``. The bichromatic generator lays out
     p * ((n - k) // (d - 2))^(d - 2) vertices, after listing the vertices
     of its k-line grid (about k^2/2; k < n), and the theta_mk one p^(d - 2).
-    n is bounded before it is formed and the exponent clipped at 64, so the
-    check is instant for any doublings, d and p."""
+    A bichromatic sweep with d > n is refused too: n - k <= n - 2 < d - 2
+    leaves no blue hyperplane on any rung. n is bounded before it is formed
+    and the exponent clipped at 64, so the check is instant for any
+    doublings, d and p."""
     max_n, max_pairs = ENVELOPE_CAPS[construction]
     if doublings >= max_n.bit_length() or n0 << doublings > max_n:
         raise ConstructionError(
@@ -405,6 +407,8 @@ def check_envelope_sweep(
         )
     n = n0 << doublings
     if construction == "bichromatic":
+        if d > n:
+            raise ConstructionError(f"d = {d} > n = {n}: no rung has room for a blue hyperplane")
         family = max(n - max(2, int(n * k_frac)), 0) // (d - 2)
         vertices = p * family ** min(d - 2, 64)
     else:

@@ -13,11 +13,13 @@ constraint system is built only where one is printed or certified.
 
 The cover queries (``is_r_degenerate``, ``max_degenerate_subset``,
 ``rank_sum_cover`` and ``max_cover_plane_or_two_lines``) are one exact
-cover search, ``_best_cover``, over the spanned flats' masks: it finds the
-most points that flats of total cost within a budget cover, pruning with
-the best size/cost ratio, and a query is the same search with a floor that
-only a better cover beats (a full cover, for a decision). Only the flats
-of the cover it returns are built.
+cover search, ``_best_cover``, over candidates that carry their cost (a
+flat's dimension, or its rank where point flats are allowed; decided in
+``_candidate_flats``) and their mask: it finds the most points that flats
+of total cost within a budget cover, pruning with the best size/cost
+ratio, and a query is the same search with a floor that only a better
+cover beats (a full cover, for a decision). Only the flats of the cover it
+returns are built.
 """
 
 from __future__ import annotations
@@ -251,59 +253,55 @@ class CoverCertificate:
 
     flats: tuple[Flat, ...]
     covered_count: int
-    dims_sum: int
+
+    @property
+    def dims_sum(self) -> int:
+        return sum(flat.dim for flat in self.flats)
 
 
 def _axis_line_through(p: Point) -> Flat:
-    """A line through p in the first coordinate direction (x_1 free)."""
-    d = p.dim
-    rows = []
-    for i in range(1, d):
-        row = [0] * (d + 1)
-        row[i] = p.hom[d]
-        row[d] = p.hom[i]
-        rows.append(tuple(row))
-    return Flat(d, tuple(rows))
+    """The line through p in the first coordinate direction (x_1 free)."""
+    return affine_hull([p, Point((p[0] + 1, *p.coords[1:]))])
 
 
-Candidate = tuple[int, int, Callable[[], Flat]]  # dim, incidence mask, builder
+Candidate = tuple[int, int, Callable[[], Flat]]  # cost, incidence mask, builder
 
 
-def _candidate_flats(points: Sequence[Point], include_point_flats: bool) -> list[Candidate]:
-    """(dim, incidence mask, flat builder) candidates for cover searches.
+def _candidate_flats(points: Sequence[Point], by_rank: bool) -> list[Candidate]:
+    """(cost, incidence mask, flat builder) candidates for cover searches: a
+    flat costs its dimension, or its rank when ``by_rank``.
 
     Covering flats can always be shrunk to the hull of the points they
     cover, so the spanned flats of dimension 1..d-1 are exhaustive
-    candidates, with the point flat of each point (its copies) when points
-    are allowed. Otherwise a point on no spanned line needs a line of its
-    own; that happens only for a single distinct point, or in E^1, where the
-    one line is the whole space. With two distinct points in E^2 and up, a
-    spanned line through a point costs what any line through it costs and
-    holds a superset of its points, so no other line can improve a cover.
+    candidates, with the point flat of each point (its copies) when flats
+    cost their rank. Otherwise a point on no spanned line needs a line of
+    its own; that happens only for a single distinct point, or in E^1,
+    where the one line is the whole space. With two distinct points in E^2
+    and up, a spanned line through a point costs what any line through it
+    costs and holds a superset of its points, so no other line can improve
+    a cover. No points give no candidates.
     """
-    d = points[0].dim
+    d = points[0].dim if points else 0
     copies = _index_masks(points)
     out: list[Candidate] = []
     for f in range(min(d, len(copies)) - 1, 0, -1):  # d-1 first: its walk gives d-2 too
         spanned = spanned_flats(points, f)
-        out.extend((f, mask, partial(spanned.flat, i)) for i, mask in enumerate(spanned.masks))
-    if include_point_flats:
-        out.extend((0, mask, partial(affine_hull, [p])) for p, mask in copies.items())
+        out.extend(
+            (f + by_rank, mask, partial(spanned.flat, i)) for i, mask in enumerate(spanned.masks)
+        )
+    if by_rank:
+        out.extend((1, mask, partial(affine_hull, [p])) for p, mask in copies.items())
     elif d == 1 or len(copies) == 1:
         out.append((1, (1 << len(points)) - 1, partial(_axis_line_through, points[0])))
     return out
 
 
 def _best_cover(
-    candidates: list[Candidate],
-    n: int,
-    budget: int,
-    cost_of: Callable[[int], int],
-    floor: int = 0,
-) -> tuple[int, list[tuple[int, Callable[[], Flat]]] | None]:
+    candidates: list[Candidate], n: int, budget: int, floor: int = 0
+) -> tuple[int, list[Callable[[], Flat]] | None]:
     """The most of the n points that candidates of total cost <= budget
-    cover, and the (dim, builder) pairs of one cover that reaches it;
-    (floor, None) when no cover takes more than floor points.
+    cover, and the builders of one cover that reaches it; (floor, None)
+    when no cover takes more than floor points.
 
     Branch on the lowest open point (neither covered nor given up): take a
     candidate through it, cheapest and then largest first, or give it up.
@@ -315,22 +313,21 @@ def _best_cover(
     points covered: the best only grows, so that visit tried every
     completion this one could make.
     """
-    cands = [(dim, mask, build, cost_of(dim)) for dim, mask, build in candidates]
-    cands = [c for c in cands if c[3] <= budget]
+    cands = [c for c in candidates if c[0] <= budget]
     num, den = 0, 1  # the largest size/cost, compared in integers
-    for _, mask, _, cost in cands:
+    for cost, mask, _ in cands:
         if mask.bit_count() * den > num * cost:
             num, den = mask.bit_count(), cost
     if min(n, budget * num // den) <= floor:
         return floor, None
-    by_point: list[list] = [[] for _ in range(n)]
-    for c in sorted(cands, key=lambda c: (c[3], -c[1].bit_count())):
+    by_point: list[list[Candidate]] = [[] for _ in range(n)]
+    for c in sorted(cands, key=lambda c: (c[0], -c[1].bit_count())):
         mask = c[1]
         while mask:
             by_point[(mask & -mask).bit_length() - 1].append(c)
             mask &= mask - 1
     best, cover = floor, None
-    chosen: list[tuple[int, Callable[[], Flat]]] = []
+    chosen: list[Callable[[], Flat]] = []
     explored: dict[tuple[int, int], int] = {}  # (open, remaining) -> covered
 
     def go(open_: int, covered: int, remaining: int) -> None:
@@ -342,9 +339,9 @@ def _best_cover(
         if explored.get((open_, remaining), -1) >= covered:
             return
         explored[open_, remaining] = covered
-        for dim, mask, build, cost in by_point[(open_ & -open_).bit_length() - 1]:
+        for cost, mask, build in by_point[(open_ & -open_).bit_length() - 1]:
             if cost <= remaining:
-                chosen.append((dim, build))
+                chosen.append(build)
                 go(open_ & ~mask, covered + (open_ & mask).bit_count(), remaining - cost)
                 chosen.pop()
         go(open_ & (open_ - 1), covered, remaining)
@@ -362,37 +359,27 @@ def is_r_degenerate(
     floor."""
     if r < 1:
         raise GeometryError(f"r must be >= 1, got {r}")
-    if not points:
-        return True, CoverCertificate((), 0, 0)
     n = len(points)
-    candidates = _candidate_flats(points, include_point_flats=False)
-    _, cover = _best_cover(candidates, n, r - 1, cost_of=lambda dim: dim, floor=n - 1)
+    _, cover = _best_cover(_candidate_flats(points, by_rank=False), n, r - 1, floor=n - 1)
     if cover is None:
         return False, None
-    flats = tuple(build() for _, build in cover)
-    return True, CoverCertificate(flats, n, sum(dim for dim, _ in cover))
+    return True, CoverCertificate(tuple(build() for build in cover), n)
 
 
 def rank_sum_cover(points: Sequence[Point], budget: int) -> list[Flat] | None:
     """A cover by flats (any dimension, points allowed) whose ranks sum to
     <= budget, or None when no such cover exists. The cover search at
-    cost = dimension + 1, where only a full cover beats the floor."""
-    if not points:
-        return []
+    cost = rank, where only a full cover beats the floor."""
     n = len(points)
-    candidates = _candidate_flats(points, include_point_flats=True)
-    _, cover = _best_cover(candidates, n, budget, cost_of=lambda dim: dim + 1, floor=n - 1)
-    return None if cover is None else [build() for _, build in cover]
+    _, cover = _best_cover(_candidate_flats(points, by_rank=True), n, budget, floor=n - 1)
+    return None if cover is None else [build() for build in cover]
 
 
 def max_degenerate_subset(points: Sequence[Point], dim_budget: int) -> int:
     """Largest number of points coverable by flats of nonzero dimension with
     dimensions summing to <= dim_budget: the cover search at cost =
     dimension."""
-    if not points:
-        return 0
-    candidates = _candidate_flats(points, include_point_flats=False)
-    return _best_cover(candidates, len(points), dim_budget, cost_of=lambda dim: dim)[0]
+    return _best_cover(_candidate_flats(points, by_rank=False), len(points), dim_budget)[0]
 
 
 def max_cover_plane_or_two_lines(points: Sequence[Point]) -> CoverCertificate:
@@ -409,18 +396,18 @@ def max_cover_plane_or_two_lines(points: Sequence[Point]) -> CoverCertificate:
     if points and points[0].dim != 3:
         raise GeometryError("ambient dimension must be 3")
     if not points:
-        return CoverCertificate((), 0, 0)
+        return CoverCertificate((), 0)
     if len(set(points)) == 1:
-        return CoverCertificate((_axis_line_through(points[0]),), len(points), 1)
+        return CoverCertificate((_axis_line_through(points[0]),), len(points))
     planes = spanned_flats(points, 2)  # the walk gives the lines too
     lines = spanned_flats(points, 1)
     candidates = [(1, mask, partial(lines.flat, i)) for i, mask in enumerate(lines.masks)]
     on_plane = [mask.bit_count() for mask in planes.masks]
     floor = max(on_plane, default=0)
-    best, cover = _best_cover(candidates, len(points), 2, cost_of=lambda dim: dim, floor=floor)
+    best, cover = _best_cover(candidates, len(points), 2, floor=floor)
     if cover is None:
-        return CoverCertificate((planes.flat(on_plane.index(floor)),), floor, 2)
-    return CoverCertificate(tuple(build() for _, build in cover), best, len(cover))
+        return CoverCertificate((planes.flat(on_plane.index(floor)),), floor)
+    return CoverCertificate(tuple(build() for build in cover), best)
 
 
 # The columns of a conjecture-search row, in output order, each with the
@@ -432,43 +419,15 @@ CONJECTURE_COLUMNS = {
 }
 
 
-def conjecture_stats(
-    points: list[Point], r: int, floor_value: float, keep_degenerate: bool = False
-) -> dict:
-    """The degeneracy and span statistics of one point set: whether it is
-    r-degenerate, k = n minus the largest (r-1)-degenerate subset, the
-    hyperplane and codim-2 counts, and the two ratios the conjectures bound
-    below, flagged when one falls under ``floor_value``. A degenerate set
-    gets only ``degenerate=True`` unless ``keep_degenerate``; its other
-    columns keep their ``CONJECTURE_COLUMNS`` values."""
-    d = points[0].dim
-    n = len(points)
-    degenerate, _ = is_r_degenerate(points, r)
-    if degenerate and not keep_degenerate:
-        return {"degenerate": True}
-    hyps = spanned_flats(points, d - 1)
-    codim2 = spanned_flats(points, d - 2)
-    max_degree = max(sum(mask >> i & 1 for mask in hyps.masks) for i in range(n))
-    k = n - max_degenerate_subset(points, r - 1)
-    incidence_ratio = max_degree / codim2.count if codim2.count else 0.0
-    span_ratio = hyps.count / (n * k ** (d - 1)) if k else 0.0
-    return dict(
-        degenerate=degenerate,
-        k=k,
-        hyperplanes=hyps.count,
-        codim2_flats=codim2.count,
-        max_point_degree=max_degree,
-        incidence_ratio=incidence_ratio,
-        span_ratio=span_ratio,
-        flagged=0.0 < span_ratio < floor_value or 0.0 < incidence_ratio < floor_value,
-    )
-
-
 def conjecture_row(params: tuple, points: list[Point] | None = None) -> dict:
     """One conjecture-search row for (sample, d, n, r, seed, floor): the
-    ``conjecture_stats`` of the given ``points``, with every statistic even
-    if they are degenerate, or else of n distinct points with uniform
-    integer coordinates in -99..99, seeded by (d, n, seed, sample)."""
+    degeneracy and span statistics of the given ``points``, or else of n
+    distinct points with uniform integer coordinates in -99..99, seeded by
+    (d, n, seed, sample). They are whether the set is r-degenerate, k = n
+    minus the largest (r-1)-degenerate subset, the hyperplane and codim-2
+    counts, and the two ratios the conjectures bound below, flagged when
+    one falls under the floor. A degenerate sample keeps the other columns'
+    ``CONJECTURE_COLUMNS`` values; a given set gets every statistic."""
     sample, d, n, r, seed, floor_value = params
     given = points is not None
     if not given:
@@ -478,9 +437,24 @@ def conjecture_row(params: tuple, points: list[Point] | None = None) -> dict:
             candidate = Point(rng.randint(-99, 99) for _ in range(d))
             if candidate not in points:
                 points.append(candidate)
-    return {
+    degenerate, _ = is_r_degenerate(points, r)
+    row = {
         **CONJECTURE_COLUMNS, "sample": sample, "d": d, "n": n, "r": r, "seed": seed,
-        "floor": floor_value, **conjecture_stats(points, r, floor_value, keep_degenerate=given),
+        "floor": floor_value, "degenerate": degenerate,
+    }
+    if degenerate and not given:
+        return row
+    hyps = spanned_flats(points, d - 1)
+    codim2 = spanned_flats(points, d - 2)
+    max_degree = max(sum(mask >> i & 1 for mask in hyps.masks) for i in range(n))
+    k = n - max_degenerate_subset(points, r - 1)
+    incidence_ratio = max_degree / codim2.count if codim2.count else 0.0
+    span_ratio = hyps.count / (n * k ** (d - 1)) if k else 0.0
+    return {
+        **row, "k": k, "hyperplanes": hyps.count, "codim2_flats": codim2.count,
+        "max_point_degree": max_degree, "incidence_ratio": incidence_ratio,
+        "span_ratio": span_ratio,
+        "flagged": 0.0 < span_ratio < floor_value or 0.0 < incidence_ratio < floor_value,
     }
 
 

@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import os
 import string
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -303,6 +306,8 @@ def test_envelope_cap_admits_the_committed_sweeps():
     (("bichromatic", 4, 8, 6, 0.5, 4), "cap of 10,000,000 vertex-hyperplane pairs"),
     (("thetamk", 4, 8, 10, 0.5, 30), "cap of 1,000,000 vertex-hyperplane pairs"),
     (("thetamk", 2**62, 8, 0, 0.5, 2), "cap of 1,000,000 vertex-hyperplane pairs"),
+    (("bichromatic", 10**12, 8, 0, 0.5, 4), "d = 1000000000000 > n = 8"),
+    (("bichromatic", 17, 8, 1, 0.5, 4), "d = 17 > n = 16"),
 ])
 def test_envelope_cap_refuses_a_last_rung_over_it(params, message):
     with pytest.raises(ConstructionError, match=message):
@@ -553,6 +558,21 @@ def test_rows_carry_provenance(tmp_path, capsys):
     assert all(row["seed"] == 9 for row in doc["rows"])
 
 
+@pytest.mark.parametrize("points, code, out", [("pts.txt", 0, "3\n"), ("no-such.txt", 2, "")])
+def test_console_entry_point_exits_with_mains_code(tmp_path, points, code, out):
+    # the installed ``spanflats`` script is cli.run, which hands main's code to sys.exit
+    (tmp_path / "pts.txt").write_text("0,0\n1,0\n0,1\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spanflats.cli", "enumerate", "--points", points, "--f", "1"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+    assert proc.stderr.startswith("error: ") if code else proc.stderr == ""
+
+
 def test_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -592,6 +612,12 @@ def test_usage_error_is_exit_2():
         # last rungs of 8 * 2^40 hyperplanes, over constructions.ENVELOPE_CAPS
         "envelope-sweep --construction bichromatic --d 3 --n0 8 --doublings 40",
         "envelope-sweep --construction thetamk --d 3 --n0 8 --doublings 40",
+        # d above the last rung's n: no rung has a blue hyperplane, and each
+        # would form p * n^(d-2) before its generator found that out
+        "envelope-sweep --construction bichromatic --d 1000000000000 --n0 8 --doublings 0",
+        # an empty range, and a point file of another dimension than --d
+        "verify-purdy --d-range 5:4 --k-range 2",
+        "conjecture-search --d 4 --points e3.txt",
     ],
 )
 def test_bad_input_is_exit_2(capsys, argv, tmp_path, monkeypatch):
@@ -603,6 +629,7 @@ def test_bad_input_is_exit_2(capsys, argv, tmp_path, monkeypatch):
     (tmp_path / "tall.txt").write_text(
         "".join(",".join(str(t**e) for e in range(1, 15)) + "\n" for t in range(24))
     )
+    (tmp_path / "e3.txt").write_text("0,0,0\n1,0,0\n0,1,0\n0,0,1\n")
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2 and out == ""
@@ -669,14 +696,18 @@ def test_arrangement_d_that_is_not_an_integer_is_exit_2(tmp_path, capsys, d):
         assert "Traceback" not in err
 
 
-def test_broken_pool_falls_back_to_serial(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("failure", ["construct", "map", "collect"])
+def test_broken_pool_falls_back_to_serial(tmp_path, capsys, monkeypatch, failure):
+    # the pool cannot be built, cannot take the items, or loses a worker
+    # while results are collected; the fake pools start no processes
     from concurrent.futures.process import BrokenProcessPool
 
     import spanflats.cli as cli
 
     class BrokenPool:
         def __init__(self, max_workers):
-            pass
+            if failure == "construct":
+                raise OSError("no semaphores")
 
         def __enter__(self):
             return self
@@ -685,15 +716,22 @@ def test_broken_pool_falls_back_to_serial(tmp_path, capsys, monkeypatch):
             return False
 
         def map(self, fn, items):
-            raise BrokenProcessPool("a worker died")
+            if failure == "map":
+                raise BrokenProcessPool("a worker died")
+
+            def results():
+                yield fn(items[0])
+                raise BrokenProcessPool("a worker died")
+
+            return results()
 
     args = ["verify-purdy", "--d-range", "4", "--k-range", "2:3", "--format", "csv"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli(capsys, *args, "--jobs", "1", "--out", str(a))[0] == 0
     monkeypatch.setattr(cli, "ProcessPoolExecutor", BrokenPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     assert run_cli(capsys, *args, "--jobs", "2", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
-
 
 
 def test_pmap_raises_an_items_own_oserror_without_rerunning(monkeypatch):

@@ -249,7 +249,7 @@ def test_candidate_masks_match_contains_oracle(pts, point_flats, data):
     assert [mask for _, mask, _ in candidates] == [
         sum(1 << i for i in idxs) for idxs in expected
     ]
-    assert [dim for dim, _, _ in candidates] == [flat.dim for flat in flats]
+    assert [cost for cost, _, _ in candidates] == [flat.dim + point_flats for flat in flats]
     assert len(set(flats)) == len(flats)
     full = {flat for flat, _, _ in oracle.cover_candidates(pts, point_flats)}
     assert set(flats) <= full
@@ -516,6 +516,22 @@ def test_rank_sum_cover_finds_cheap_cover():
     pts = [Point((t, 0, 0)) for t in range(4)]
     cover = rank_sum_cover(pts, 2)  # one line, rank 2
     assert cover is not None and len(cover) == 1
+
+
+def test_cover_queries_edge_answers():
+    # the empty set is covered by no flats at all; a threshold below 1 and
+    # inputs outside a query's domain are errors
+    ok, cert = is_r_degenerate([], 1)
+    assert ok and (cert.flats, cert.covered_count, cert.dims_sum) == ((), 0, 0)
+    assert rank_sum_cover([], 0) == rank_sum_cover([], 3) == []
+    assert max_degenerate_subset([], 0) == max_degenerate_subset([], 2) == 0
+    assert arrangement_vertices([]) == []
+    with pytest.raises(GeometryError, match="r must be >= 1, got 0"):
+        is_r_degenerate([Point((0, 0))], 0)
+    with pytest.raises(GeometryError, match="empty point set"):
+        max_collinear([])
+    with pytest.raises(GeometryError, match="ambient dimension must be 3"):
+        max_cover_plane_or_two_lines([Point((0, 0)), Point((1, 2))])
 
 
 def test_max_degenerate_subset():
