@@ -18,7 +18,6 @@ from .spans import (
     SpannedSet,
     arrangement_vertices,
     is_r_degenerate,
-    max_collinear,
     max_cover_plane_or_two_lines,
     max_degenerate_subset,
     rank_sum_cover,
@@ -30,7 +29,6 @@ from .incidence import (
     EnvelopeTerms,
     bound_envelope,
     count_bichromatic,
-    validate_vertices,
 )
 from .constructions import (
     BichromaticConstruction,
@@ -78,7 +76,6 @@ __all__ = [
     "format_rational",
     "hyperplane",
     "is_r_degenerate",
-    "max_collinear",
     "max_cover_plane_or_two_lines",
     "max_degenerate_subset",
     "meet",
@@ -90,7 +87,6 @@ __all__ = [
     "rank_sum_cover",
     "spanned_flats",
     "theta_mk_construction",
-    "validate_vertices",
     "verify_covering_lines",
 ]
 

@@ -53,10 +53,12 @@ from .incidence import BiArrangement, bound_envelope, count_bichromatic
 from .kernel import GeometryError, common_dim, parse_rational
 from .spans import (
     CONJECTURE_COLUMNS,
-    check_walk_size,
+    admit,
+    arrangement_cost,
     conjecture_row,
     read_point_file,
     spanned_flats,
+    walk_cost,
     write_point_file,
 )
 
@@ -164,7 +166,10 @@ def _parse_int_list(text: str) -> list[int]:
 def cmd_enumerate(args) -> int:
     with open(args.points) as fh:
         points = read_point_file(fh)
-    check_walk_size(len(set(points)), args.f)
+    n, bits = len(set(points)), max((abs(x).bit_length() for p in points for x in p.hom), default=0)
+    d, f = common_dim(points), args.f  # an export holds each flat's d - f rows and f + 1 points
+    export = 1024 + 64 * (f + 1) + 256 * (d - f) * (d + 1) if args.out or args.emit_json else 0
+    admit(f"walk of {n} points", *walk_cost(n, d, (f - 1, f), bits, extra=export))
     result = spanned_flats(points, args.f)
     text = f"{result.count}\n"
     if args.out or args.emit_json:  # the export goes to --out, else after the count
@@ -183,6 +188,8 @@ def cmd_enumerate(args) -> int:
 def cmd_incidences(args) -> int:
     with open(args.arrangement) as fh:
         arrangement = BiArrangement.from_json_dict(json.load(fh))
+    n, d, m = arrangement.n, arrangement.d, arrangement.m
+    admit("incidences", *arrangement_cost(n, d, m, n))  # at most a class per hyperplane
     report = count_bichromatic(arrangement)
     doc = report.to_json_dict()
     if args.envelope:
@@ -226,12 +233,13 @@ def cmd_construct(args) -> int:
         "k": args.k,
         "m": args.m,
     }
-    if kind == "bichromatic":
-        built = bichromatic_lower_construction(
-            args.d, args.n, args.k, args.m, c0=parse_rational(args.c0)
-        )
+    if kind == "bichromatic":  # p * n^(d-2) <= c0 * m vertices, after the k^2 of its grid
+        c0 = parse_rational(args.c0)
+        admit(kind, *arrangement_cost(args.n, args.d, int(c0 * args.m) + args.k**2, 0))
+        built = bichromatic_lower_construction(args.d, args.n, args.k, args.m, c0=c0)
         provenance["c0"] = str(args.c0)
-    else:
+    else:  # p^(d-2) <= m vertices
+        admit(kind, *arrangement_cost(args.n, args.d, args.m, 0))
         built = theta_mk_construction(args.d, args.n, args.k, args.m)
     doc = {
         "schema": "spanflats-biarrangement/1",
@@ -250,7 +258,7 @@ def cmd_verify_purdy(args) -> int:
     d_values = _parse_range(args.d_range)
     k_values = _parse_range(args.k_range)
     check_purdy_cell(d_values[0], k_values[0])
-    check_purdy_cell(d_values[-1], k_values[-1])  # the cell with the most subsets
+    check_purdy_cell(d_values[-1], k_values[-1])  # the costliest cell
     cells = [(d, k, args.seed) for d in d_values for k in k_values]
     rows = pmap(purdy_row, cells, args.jobs)
     emit_table(args, "verify-purdy", ("d_range", "k_range", "seed"), PURDY_COLUMNS, rows)
@@ -334,7 +342,8 @@ def cmd_beck3(args) -> int:
     ]
     for n, k, _, plant in cells:
         check_beck3_plant(n, k, plant)
-    check_walk_size(max(n_values), 2)
+    # planted and drawn coordinates are within ±1,100 (plane: 20 + 2 * 60 * 9): 11 bits
+    admit("beck3's largest walk", *walk_cost(max(n_values), 3, (1, 2), 11))
     rows = pmap(beck3_row, cells, args.jobs)
     echo = ("n_list", "k_list", "seeds", "seed", "plant")
     emit_table(args, "beck3", echo, BECK3_COLUMNS, rows)
@@ -371,8 +380,9 @@ def cmd_conjecture_search(args) -> int:
     elif args.samples < 1:
         raise GeometryError(f"--samples must be >= 1, got {args.samples}")
     n = len(set(points)) if args.points else args.n
-    for f in range(1, min(args.d, n)):  # the cover searches walk every level
-        check_walk_size(n, f)
+    # sampled coordinates are within ±99; the cover searches take candidates from every level
+    bits = max(abs(x).bit_length() for p in points for x in p.hom) if args.points else 7
+    admit(f"walk of {n} points", *walk_cost(n, args.d, range(1, min(args.d, n)), bits, extra=480))
     if args.points:
         rows = [conjecture_row((0, args.d, len(points), args.r, args.seed, args.floor), points)]
     else:

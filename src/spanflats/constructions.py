@@ -13,13 +13,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from typing import Sequence
 
 from .formulas import iroot, purdy_counts
 from .incidence import BiArrangement, bound_envelope, count_bichromatic
 from .kernel import Flat, GeometryError, Point, affine_rank, hyperplane
-from .spans import CoverCertificate, check_walk_size, max_cover_plane_or_two_lines, spanned_flats
+from .spans import CoverCertificate, admit, arrangement_cost, walk_cost
+from .spans import max_cover_plane_or_two_lines, spanned_flats
 
 # Fresh draws each generator makes before it gives up with ConstructionError.
 PURDY_ATTEMPTS = 64
@@ -87,8 +88,10 @@ def erdos_grid_2d(r: int, s: int) -> LineGrid2D:
     0 <= y < r*ceil(s/r) + s, and the exact vertex-line incidence count."""
     if r < 1 or s < 1:
         raise ConstructionError("r and s must be >= 1")
-    pairs = [(a, b) for a in range(r) for b in range(s)]
     x_max = -(-s // r)
+    candidates = (r - 1) * min(2 * s - 1, r * x_max + 1)  # x = beta/delta, half the lines on each
+    admit("erdos2d", *arrangement_cost(r * s, 2, candidates * r * s // 2, 0))
+    pairs = [(a, b) for a in range(r) for b in range(s)]
     vertices = _grid_vertices(pairs, (x_max, r * x_max + s))
     return LineGrid2D(
         lines=tuple(_grid_lines(pairs)),
@@ -270,13 +273,16 @@ def verify_covering_lines(
 
 def check_purdy_cell(d: int, k: int) -> None:
     """Raise unless the Purdy cell (d, k) can be built and counted: d >= 4,
-    k >= 2, and the hyperplane walk of its n = k(d-1) points, which gives
-    the (d-2)-flats too, within ``check_walk_size``."""
+    k >= 2, and the hyperplane walk of its n = k(d-1) points, with its
+    (d-2)-flats, admitted at the flat counts ``purdy_counts`` gives."""
     if d < 4:
         raise ConstructionError(f"d >= 4 required, got {d}")
     if k < 2:
         raise ConstructionError(f"k >= 2 required, got {k}")
-    check_walk_size(k * (d - 1), d - 1)
+    bits = (999 + 99 * k).bit_length()  # purdy_counterexample's largest coordinate
+    def flats(f: int) -> int:  # formed only for cells walk_cost counts exactly
+        return getattr(purdy_counts(d, k), "h_total" if f == d - 1 else "g_total")
+    admit(f"Purdy cell ({d}, {k})", *walk_cost(k * (d - 1), d, (d - 2, d - 1), bits, flats))
 
 
 def purdy_counterexample(d: int, k: int, seed: int = 0) -> tuple[Point, ...]:
@@ -383,41 +389,22 @@ def beck3_instance(
     )
 
 
-# The last rung envelope-sweep admits, per construction: at most this many
-# hyperplanes, and this many vertex-hyperplane pairs (hyperplanes times the
-# vertices the generator lays out), which the count's work scales with.
-ENVELOPE_CAPS = {"bichromatic": (2048, 10**7), "thetamk": (65536, 10**6)}
-
-
 def check_envelope_sweep(
     construction: str, d: int, n0: int, doublings: int, k_frac: float, p: int
 ) -> None:
-    """Raise unless the last and largest rung of a sweep, n = n0 * 2^doublings,
-    is within ``ENVELOPE_CAPS``. The bichromatic generator lays out
-    p * ((n - k) // (d - 2))^(d - 2) vertices, after listing the vertices
-    of its k-line grid (about k^2/2; k < n), and the theta_mk one p^(d - 2).
-    A bichromatic sweep with d > n is refused too: n - k <= n - 2 < d - 2
-    leaves no blue hyperplane on any rung. n is bounded before it is formed
-    and the exponent clipped at 64, so the check is instant for any
-    doublings, d and p."""
-    max_n, max_pairs = ENVELOPE_CAPS[construction]
-    if doublings >= max_n.bit_length() or n0 << doublings > max_n:
-        raise ConstructionError(
-            f"last rung n0 * 2^{doublings} exceeds the {construction} cap of {max_n:,} hyperplanes"
-        )
-    n = n0 << doublings
-    if construction == "bichromatic":
-        if d > n:
-            raise ConstructionError(f"d = {d} > n = {n}: no rung has room for a blue hyperplane")
-        family = max(n - max(2, int(n * k_frac)), 0) // (d - 2)
-        vertices = p * family ** min(d - 2, 64)
+    """Raise unless the last rung, n = n0 * 2^doublings, is admitted: theta_mk
+    lays out p^(d - 2) vertices in at most n classes, bichromatic p * ((n - k)
+    // (d - 2))^(d - 2) after the C(k, 2) of its grid, in isqrt(k) + d; with d >
+    n, n - k < d - 2 leaves it no blue hyperplane. Shifts and powers clip at 64."""
+    n = n0 << min(doublings, 64)
+    k = max(2, int(n * k_frac))
+    if construction == "thetamk":
+        vertices, classes = p ** min(d - 2, 64), n
+    elif d > n:
+        raise ConstructionError(f"d = {d} > n = {n}: no rung has room for a blue hyperplane")
     else:
-        vertices = p ** min(d - 2, 64)
-    if n * vertices > max_pairs:
-        raise ConstructionError(
-            f"last rung n = {n} exceeds the {construction} cap of {max_pairs:,}"
-            " vertex-hyperplane pairs"
-        )
+        vertices, classes = p * ((n - k) // (d - 2)) ** min(d - 2, 64) + comb(k, 2), isqrt(k) + d
+    admit(f"last rung n = {n0} * 2^{doublings}", *arrangement_cost(n, d, vertices, classes))
 
 
 # Experiment rows, one per parameter tuple: a generator's output checked

@@ -22,7 +22,6 @@ from typing import Sequence
 
 from .formulas import iroot
 from .kernel import Flat, GeometryError, Point
-from .spans import arrangement_vertices
 
 
 @dataclass(frozen=True)
@@ -160,14 +159,6 @@ def count_bichromatic(a: BiArrangement) -> CountReport:
         per_point_red_degree=tuple(red_degrees),
         red_incident_vertex_count=sum(1 for deg in red_degrees if deg > 0),
     )
-
-
-def validate_vertices(a: BiArrangement) -> tuple[bool, bool]:
-    """(every listed vertex is a true arrangement vertex,
-    every listed vertex touches at least one red hyperplane)."""
-    all_red = all(count_bichromatic(a).per_point_red_degree)
-    true_vertices = set(arrangement_vertices(a.red + a.blue))
-    return all(v in true_vertices for v in a.vertices), all_red
 
 
 @dataclass(frozen=True)

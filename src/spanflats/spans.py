@@ -126,22 +126,47 @@ def spanned_flats(points: Sequence[Point], f: int) -> SpannedSet:
 _LEVELS: dict[tuple[Point, ...], dict[int, SpannedSet]] = {}
 
 
-# Admits the Purdy cells (9, 3), C(24, 9) = 1,307,504 subsets, and (10, 2).
-MAX_WALK_SUBSETS = 2_000_000
+MAX_BYTES, MAX_OPS = 1 << 30, 200_000_000  # the work cap admits the Purdy cell (9, 3), 1.8e8
 
 
-def check_walk_size(n: int, f: int) -> None:
-    """Raise GeometryError when the walk for the f-flats of n points has more
-    than ``MAX_WALK_SUBSETS`` subsets on either of its last two levels: C(n, f)
-    (the codim-2 keys of a hyperplane walk) or C(n, f+1). These are its
-    widest: a walk to depth t extends a prefix of j points only while the
-    t-j still to pick fit after it, so level j holds C(n-t+j, j) prefixes,
-    which grows with j. As C(n, r) >= 2^r for r = min(j, n-j), r > 20 is
-    over without a product."""
-    for j in (f, f + 1):
-        r = max(min(j, n - j), 0)
-        if r > 20 or comb(n, r) > MAX_WALK_SUBSETS:
-            raise GeometryError(f"walk of C({n}, {j}) subsets exceeds the cap {MAX_WALK_SUBSETS:,}")
+def admit(what: str, nbytes: int, ops: int) -> None:
+    """Raise GeometryError when the bytes held or entry operations estimated for
+    ``what`` are over a cap; every command prices its largest row so, before any work."""
+    for amount, cap, unit in ((nbytes, MAX_BYTES, "bytes"), (ops, MAX_OPS, "entry operations")):
+        if amount > cap:
+            about = f"{amount:,}" if amount < 10**15 else f"2^{amount.bit_length() - 1}"
+            raise GeometryError(f"{what} needs about {about} {unit}, over the cap of {cap:,}")
+
+
+def walk_cost(
+    n: int, d: int, levels: Iterable[int], bits: int, flats: Callable | None = None, extra: int = 0
+) -> tuple[int, int]:
+    """Estimated (bytes, entry operations) of walking n distinct points of E^d
+    with ``bits``-bit homogeneous entries while the memo holds the levels f. A
+    rank r = f + 1 flat holds r tuples of d + 1 slots, r(d + 2 - r) nonzero ints
+    of r * bits bits (24 bytes and 4 a 30-bit digit), its mask, 360 bytes of
+    headers and slots and ``extra`` (a cover candidate, an export): ``flats(f)``
+    (exact) or C(n, r) of them, each r-subset costing r(d + 1) operations. C(n, r)
+    past 2^40 is over both caps: formed at 40, it ends the sum; other levels are free."""
+    nbytes = ops = 0
+    for r in (f + 1 for f in levels if 0 <= f < d):
+        clipped = min(r, n - r) > 40
+        subsets = comb(n, 40 if clipped else r)
+        flat = 360 + extra + r * (56 + 8 * (d + 1)) + 4 * -(-n // 30)
+        flat += r * (d + 2 - r) * (24 + 4 * -(-r * bits // 30))
+        nbytes += (flats(r - 1) if flats and not clipped else subsets) * flat
+        ops += subsets * r * (d + 1)
+        if clipped:
+            break
+    return nbytes, ops
+
+
+def arrangement_cost(hyperplanes: int, d: int, vertices: int, classes: int) -> tuple[int, int]:
+    """Estimated (bytes, entry operations) of an arrangement in E^d: 160 bytes an
+    entry (objects, strings, ``construct``'s JSON), 1,024 more a hyperplane; an
+    operation an entry, and d + 1 per vertex per class counted (0: no count)."""
+    entries = (hyperplanes + vertices) * (d + 1)
+    return 160 * entries + 1024 * hyperplanes, entries + classes * vertices * (d + 1)
 
 
 def _walk(
@@ -235,16 +260,6 @@ def arrangement_vertices(hyperplanes: Sequence[Flat]) -> list[Point]:
             nums = (row[d] * (den // row[i]) for i, row in enumerate(key))
             vertices.append(Point.from_hom((*nums, den)))
     return sorted(vertices, key=lambda p: p.coords)
-
-
-def max_collinear(points: Sequence[Point]) -> int:
-    """Size of the largest collinear subset (duplicates count once)."""
-    if not points:
-        raise GeometryError("empty point set")
-    unique = list(dict.fromkeys(points))
-    if len(unique) <= 2 or common_dim(unique) == 1:  # in E^1 every point is on the one line
-        return len(unique)
-    return max(mask.bit_count() for mask in spanned_flats(unique, 1).masks)
 
 
 @dataclass(frozen=True)

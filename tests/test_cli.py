@@ -2,11 +2,15 @@ import csv
 import io
 import json
 import os
+import random
 import string
 import subprocess
 import sys
 import time
+import tracemalloc
+import types
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from math import comb
 from pathlib import Path
 
@@ -30,10 +34,11 @@ from spanflats.constructions import (
     beck3_instance,
     beck3_row,
     check_envelope_sweep,
+    envelope_row,
     purdy_row,
 )
 from spanflats.formulas import fit_loglog
-from spanflats.spans import read_point_file
+from spanflats.spans import conjecture_row, read_point_file
 
 
 def run_cli(capsys, *argv):
@@ -295,22 +300,26 @@ def test_envelope_cap_admits_the_committed_sweeps():
         ("bichromatic", 3, 7), ("thetamk", 3, 7), ("bichromatic", 4, 5)
     ):
         check_envelope_sweep(construction, d, 8, doublings, 0.5, 4)
-    check_envelope_sweep("bichromatic", 3, 8, 8, 0.5, 4)  # n = 2048: 8,388,608 pairs
-    check_envelope_sweep("thetamk", 3, 8, 13, 0.5, 4)  # n = 65,536
+    # the last admitted rungs: n = 2,048, 1,024, 524,288 and 32,768
+    check_envelope_sweep("bichromatic", 3, 8, 8, 0.5, 4)
+    check_envelope_sweep("bichromatic", 4, 8, 7, 0.5, 4)
+    check_envelope_sweep("thetamk", 3, 8, 16, 0.5, 4)
+    check_envelope_sweep("thetamk", 4, 8, 12, 0.5, 30)
 
 
 @pytest.mark.parametrize("params, message", [
-    (("bichromatic", 3, 8, 9, 0.5, 4), "cap of 2,048 hyperplanes"),
-    (("thetamk", 3, 8, 14, 0.5, 4), "cap of 65,536 hyperplanes"),
-    (("thetamk", 3, 2**62, 1, 0.5, 4), "cap of 65,536 hyperplanes"),
-    (("bichromatic", 4, 8, 6, 0.5, 4), "cap of 10,000,000 vertex-hyperplane pairs"),
-    (("thetamk", 4, 8, 10, 0.5, 30), "cap of 1,000,000 vertex-hyperplane pairs"),
-    (("thetamk", 2**62, 8, 0, 0.5, 2), "cap of 1,000,000 vertex-hyperplane pairs"),
+    (("bichromatic", 3, 8, 9, 0.5, 4), "bytes, over the cap of 1,073,741,824"),
+    (("thetamk", 3, 8, 17, 0.5, 4), "bytes, over the cap of 1,073,741,824"),
+    (("thetamk", 3, 2**62, 1, 0.5, 4), "bytes, over the cap of 1,073,741,824"),
+    (("bichromatic", 4, 8, 8, 0.5, 4), "bytes, over the cap of 1,073,741,824"),
+    (("thetamk", 4, 8, 13, 0.5, 30), "entry operations, over the cap of 200,000,000"),
+    (("thetamk", 2**62, 8, 0, 0.5, 2), "bytes, over the cap of 1,073,741,824"),
     (("bichromatic", 10**12, 8, 0, 0.5, 4), "d = 1000000000000 > n = 8"),
     (("bichromatic", 17, 8, 1, 0.5, 4), "d = 17 > n = 16"),
+    (("thetamk", 65000, 8, 13, 0.5, 1), "bytes, over the cap of 1,073,741,824"),
 ])
 def test_envelope_cap_refuses_a_last_rung_over_it(params, message):
-    with pytest.raises(ConstructionError, match=message):
+    with pytest.raises((ConstructionError, GeometryError), match=message):
         check_envelope_sweep(*params)
 
 
@@ -339,7 +348,8 @@ def test_purdy_row_reports_a_cell_over_the_walk_cap():
     assert purdy_row((8, 4, 0)) == {
         "d": 8, "k": 4, "n": 28, "seed": 0, "h_formula": 58947, "h_enumerated": -1,
         "g_formula": 73392, "g_enumerated": -1, "h_match": False, "g_match": False,
-        "g_gt_h": True, "status": "error: walk of C(28, 8) subsets exceeds the cap 2,000,000",
+        "g_gt_h": True, "status": "error: Purdy cell (8, 4) needs about 298,378,080 entry"
+        " operations, over the cap of 200,000,000",
     }
 
 
@@ -596,22 +606,33 @@ def test_usage_error_is_exit_2():
         "beck3 --n-list 247 --k-list 4 --seeds 2 --plant mix",
         "verify-purdy --d-range 4:x --k-range 2",
         "conjecture-search --d 3 --n 0",
-        # walks above spans.MAX_WALK_SUBSETS, rejected before any work
+        # runs over spans.MAX_BYTES or spans.MAX_OPS, refused before any work
         "construct purdy --d 30 --k 2",
         "construct purdy --d 100000 --k 2",
+        "construct purdy --d 12 --k 2",
+        "verify-purdy --d-range 12 --k-range 2",
         "beck3 --n-list 3000 --k-list 3 --seeds 1",
         "conjecture-search --d 3 --n 100000 --samples 1",
+        "conjecture-search --d 3 --n 229 --samples 1",
         "verify-purdy --d-range 4:100000 --k-range 2",
         "verify-purdy --d-range 4 --k-range 2:9223372036854775807",
         "verify-purdy --d-range 11 --k-range 3",
         "verify-purdy --d-range 9 --k-range 4",
         "enumerate --points wide.txt --f 2",
         "enumerate --points tall.txt --f 13",
-        # the cover searches walk every level: C(24, 11) at f = 10 is over
+        "enumerate --points e26.txt --f 25",
+        "incidences --arrangement busy.json",
+        # the cover searches walk every level, all held at once
         "conjecture-search --d 20 --n 24 --samples 1",
-        # last rungs of 8 * 2^40 hyperplanes, over constructions.ENVELOPE_CAPS
         "envelope-sweep --construction bichromatic --d 3 --n0 8 --doublings 40",
         "envelope-sweep --construction thetamk --d 3 --n0 8 --doublings 40",
+        # one vertex, but 65,536 hyperplanes of 65,001 entries
+        "envelope-sweep --construction thetamk --d 65000 --n0 8 --doublings 13 --p 1",
+        "construct thetamk --d 3 --n 10000000 --k 1 --m 1",
+        "construct erdos2d --r 100 --s 100",
+        # out-of-range flat dimensions reach spanned_flats' own message
+        "enumerate --points e3.txt --f -5",
+        "enumerate --points e3.txt --f 3",
         # d above the last rung's n: no rung has a blue hyperplane, and each
         # would form p * n^(d-2) before its generator found that out
         "envelope-sweep --construction bichromatic --d 1000000000000 --n0 8 --doublings 0",
@@ -630,6 +651,15 @@ def test_bad_input_is_exit_2(capsys, argv, tmp_path, monkeypatch):
         "".join(",".join(str(t**e) for e in range(1, 15)) + "\n" for t in range(24))
     )
     (tmp_path / "e3.txt").write_text("0,0,0\n1,0,0\n0,1,0\n0,0,1\n")
+    # 30 points on the moment curve in E^26: entries of 126 bits, keys of rank 26
+    (tmp_path / "e26.txt").write_text(
+        "".join(",".join(str(t**e) for e in range(1, 27)) + "\n" for t in range(30))
+    )
+    # 9,000 lines and 9,000 vertices: a class per line is 2.4e8 lookups
+    (tmp_path / "busy.json").write_text(json.dumps({
+        "d": 2, "red": [[[str(i), "1", "0"]] for i in range(9000)], "blue": [],
+        "vertices": [f"{i},0" for i in range(9000)],
+    }))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2 and out == ""
@@ -639,22 +669,96 @@ def test_bad_input_is_exit_2(capsys, argv, tmp_path, monkeypatch):
 
 
 def test_construct_purdy_and_verify_purdy_refuse_the_same_cell(capsys):
-    # (8, 4): the hyperplane walk, C(28, 8) = 3,108,105, is over the cap
+    # (8, 4): 264 MB of flats, under the byte cap, but 3.0e8 entry operations
     refusals = [
         run_cli(capsys, *argv.split())
         for argv in ("construct purdy --d 8 --k 4", "verify-purdy --d-range 8 --k-range 4")
     ]
     assert refusals[0] == refusals[1]
-    assert refusals[0][:2] == (2, "") and "C(28, 8)" in refusals[0][2]
+    assert refusals[0][:2] == (2, "") and "Purdy cell (8, 4)" in refusals[0][2]
 
 
 def test_walk_cap_admits_the_frontier_cells():
-    # (9, 3): n = 24 and (10, 2): n = 18, both levels; one more point is over
-    for k, d in ((3, 9), (2, 10)):
+    # the frontier and (9, 3) are admitted; (11, 2) is over the byte cap and
+    # (8, 4) over the work cap
+    for d, k in ((7, 3), (8, 3), (9, 3), (10, 2)):
         constructions.check_purdy_cell(d, k)
-    with pytest.raises(GeometryError, match="exceeds the cap"):
-        spans.check_walk_size(25, 8)
-    assert comb(25, 9) > spans.MAX_WALK_SUBSETS >= comb(24, 9)
+    for d, k, cap in ((11, 2, "1,073,741,824"), (8, 4, "200,000,000")):
+        with pytest.raises(GeometryError, match=f"Purdy cell \\({d}, {k}\\) .* over the cap of {cap}"):
+            constructions.check_purdy_cell(d, k)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(path: Path, monkeypatch) -> types.ModuleType:
+    # compiled from its text, so no bytecode cache is written beside it; listed
+    # in sys.modules while it runs, as its dataclasses look their module up
+    module = types.ModuleType(f"committed_{path.stem}")
+    module.__file__ = str(path)
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_every_committed_argv_is_admitted(capsys, tmp_path, monkeypatch):
+    # every experiment reproduce.py runs (the frontier included), every bench
+    # workload and every golden table, with no row computed: a cap set too
+    # tight fails here, not in a frontier run
+    import test_golden
+
+    monkeypatch.chdir(tmp_path)
+    for name, text in (("series.txt", test_golden.SERIES), ("deg.txt", test_golden.DEGENERATE_POINTS)):
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(cli, "pmap", lambda fn, items, jobs: [])
+    experiments = _load(ROOT / "scripts" / "reproduce.py", monkeypatch).EXPERIMENTS
+    argvs = [
+        [word.format(results=ROOT / "results") for word in command.split()]
+        for tables in experiments.values() for _, command in tables
+    ]
+    argvs += [w.argv(0) for w in _load(ROOT / "bench" / "workloads.py", monkeypatch).WORKLOADS.values()]
+    argvs += [list(argv) for argv in test_golden.TABLES.values()]
+    refused = [(argv, err) for argv in argvs for code, _, err in [run_cli(capsys, *argv)] if code == 2]
+    assert refused == []
+
+
+# argv -> the row it prices at its largest (None: the command is its one row)
+ESTIMATED_ROWS = {
+    "verify-purdy --d-range 6 --k-range 2": partial(purdy_row, (6, 2, 0)),
+    "verify-purdy --d-range 7 --k-range 2": partial(purdy_row, (7, 2, 0)),
+    "beck3 --n-list 40 --k-list 7 --seeds 1": partial(beck3_row, (40, 7, 0, "plane")),
+    "conjecture-search --d 3 --n 8 --samples 1": partial(conjecture_row, (0, 3, 8, 3, 0, 0.0)),
+    "conjecture-search --d 3 --n 30 --samples 1": partial(conjecture_row, (0, 3, 30, 3, 0, 0.0)),
+    "envelope-sweep --construction thetamk --d 3 --n0 1024 --doublings 0":
+        partial(envelope_row, ("thetamk", 3, 0, 1024, 0.5, 4, 0)),
+    "construct thetamk --d 3 --n 2000 --k 1 --m 1": None,
+    "enumerate --points e3.txt --f 2": None,  # with the JSON export of its planes
+}
+
+
+@pytest.mark.parametrize("argv", ESTIMATED_ROWS)
+def test_estimate_bounds_the_peak(argv, capsys, tmp_path, monkeypatch):
+    # a command is admitted at 1-3x the bytes its largest row holds at peak
+    estimates = []
+    for module in (cli, constructions):
+        monkeypatch.setattr(module, "admit", lambda what, nbytes, ops: estimates.append(nbytes))
+    monkeypatch.setattr(cli, "pmap", lambda fn, items, jobs: [])
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(0)
+    (tmp_path / "e3.txt").write_text(
+        "".join(",".join(str(rng.randint(-99, 99)) for _ in range(3)) + "\n" for _ in range(30))
+    )
+    command = partial(run_cli, capsys, *argv.split(), "--out", str(tmp_path / "out"))
+    assert command()[0] != 2  # priced, and with no row built
+    spans._LEVELS.clear()
+    tracemalloc.start()
+    try:
+        (ESTIMATED_ROWS[argv] or command)()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        spans._LEVELS.clear()
+    assert 1 <= max(estimates) / peak <= 3
 
 
 def test_walk_cap_admits_a_narrow_walk_past_the_middle_level(capsys, tmp_path):

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import comb
 
 import oracle
 import pytest
@@ -13,7 +12,6 @@ from spanflats import (
     bichromatic_lower_construction,
     count_bichromatic,
     erdos_grid_2d,
-    max_collinear,
     purdy_counterexample,
     purdy_counts,
     spanned_flats,
@@ -232,10 +230,9 @@ def test_thetamk_infeasible():
 
 
 def test_thetamk_vertices_are_true_vertices():
-    from spanflats import validate_vertices
-
-    built = theta_mk_construction(3, 6, 2, 2)
-    assert validate_vertices(built.arrangement) == (True, True)
+    a = theta_mk_construction(3, 6, 2, 2).arrangement
+    assert set(a.vertices) <= set(oracle.arrangement_vertices(a.red + a.blue))
+    assert all(count_bichromatic(a).per_point_red_degree)
 
 
 # --- covering-lines counterexample -------------------------------------------
@@ -263,7 +260,7 @@ def test_purdy_deterministic():
 
 def test_purdy_max_collinear_is_k():
     pts = purdy_counterexample(4, 3, seed=0)
-    assert max_collinear(pts) == 3
+    assert max(mask.bit_count() for mask in spanned_flats(pts, 1).masks) == 3
 
 
 def test_purdy_output_passes_own_predicates():
@@ -281,16 +278,21 @@ def test_purdy_domain_errors():
 
 
 def test_purdy_cap_is_the_walk_cap_on_both_levels(monkeypatch):
-    # (6, 3): the hyperplane walk, C(15, 6), is the larger; (6, 2): the
-    # codim-2 walk, C(10, 5); each cell is refused one below it, before any draw
-    for d, k, level in ((6, 3, 5), (6, 2, 4)):
-        subsets = comb(k * (d - 1), level + 1)
+    # a cell is priced on both levels of its hyperplane walk at the formulas'
+    # flat counts, and refused one below its estimate on either cap, before any draw
+    for d, k in ((6, 3), (6, 2)):
+        n, bits, counts = k * (d - 1), (999 + 99 * k).bit_length(), purdy_counts(d, k)
+        exact = {d - 2: counts.g_total, d - 1: counts.h_total}
+        estimate = spans.walk_cost(n, d, (d - 2, d - 1), bits, exact.get)
+        levels = [spans.walk_cost(n, d, (f,), bits, exact.get) for f in exact]
+        assert estimate == tuple(map(sum, zip(*levels)))
         pts = purdy_counterexample(d, k)
-        monkeypatch.setattr(spans, "MAX_WALK_SUBSETS", subsets - 1)
-        with pytest.raises(GeometryError, match=rf"C\({k * (d - 1)}, {level + 1}\) .* the cap"):
-            purdy_counterexample(d, k)
-        monkeypatch.setattr(spans, "MAX_WALK_SUBSETS", subsets)
-        assert purdy_counterexample(d, k) == pts
+        for cap, value in zip(("MAX_BYTES", "MAX_OPS"), estimate):
+            monkeypatch.setattr(spans, cap, value - 1)
+            with pytest.raises(GeometryError, match=rf"Purdy cell \({d}, {k}\) needs about {value:,} "):
+                purdy_counterexample(d, k)
+            monkeypatch.setattr(spans, cap, value)
+            assert purdy_counterexample(d, k) == pts
 
 
 def test_verify_covering_lines_catches_degeneracies():

@@ -16,7 +16,6 @@ from spanflats import (
     count_bichromatic,
     hyperplane,
     meet,
-    validate_vertices,
 )
 
 
@@ -83,16 +82,23 @@ def test_non_hyperplane_rejected():
         count_bichromatic(a)
 
 
+def _vertex_flags(a: BiArrangement) -> tuple[bool, bool]:
+    """(every listed vertex is a true arrangement vertex, every listed vertex
+    is on a red hyperplane)."""
+    true_vertices = set(oracle.arrangement_vertices(a.red + a.blue))
+    return set(a.vertices) <= true_vertices, all(count_bichromatic(a).per_point_red_degree)
+
+
 def test_validate_vertices_flags():
     x0, y0, z0 = axes3()
     good = BiArrangement(3, (x0, y0, z0), (), (Point((0, 0, 0)),))
-    assert validate_vertices(good) == (True, True)
+    assert _vertex_flags(good) == (True, True)
 
     not_vertex = BiArrangement(3, (x0, y0, z0), (), (Point((1, 1, 1)),))
-    assert validate_vertices(not_vertex)[0] is False
+    assert _vertex_flags(not_vertex)[0] is False
 
     built = bichromatic_lower_construction(3, 8, 4, 32)
-    assert validate_vertices(built.arrangement) == (True, True)
+    assert _vertex_flags(built.arrangement) == (True, True)
 
 
 def test_validate_red_incidence_flag_separately():
@@ -100,7 +106,7 @@ def test_validate_red_incidence_flag_separately():
     w = hyperplane((1, 1, 1), 3)
     # (0,0,0) is a vertex of the blue arrangement but touches no red
     a = BiArrangement(3, (w,), (x0, y0, z0), (Point((0, 0, 0)),))
-    assert validate_vertices(a) == (True, False)
+    assert _vertex_flags(a) == (True, False)
 
 
 def test_biarrangement_json_round_trip():

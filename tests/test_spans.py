@@ -15,7 +15,6 @@ from spanflats import (
     arrangement_vertices,
     hyperplane,
     is_r_degenerate,
-    max_collinear,
     max_cover_plane_or_two_lines,
     max_degenerate_subset,
     meet,
@@ -528,8 +527,6 @@ def test_cover_queries_edge_answers():
     assert arrangement_vertices([]) == []
     with pytest.raises(GeometryError, match="r must be >= 1, got 0"):
         is_r_degenerate([Point((0, 0))], 0)
-    with pytest.raises(GeometryError, match="empty point set"):
-        max_collinear([])
     with pytest.raises(GeometryError, match="ambient dimension must be 3"):
         max_cover_plane_or_two_lines([Point((0, 0)), Point((1, 2))])
 
@@ -582,19 +579,6 @@ def test_beck3_instance_builds_only_hull_and_certificate(flat_builds, monkeypatc
     for plant in ("plane", "skew"):
         constructions.beck3_instance(40, 7, 0, plant)
     assert covers and flat_builds[0] <= sum(1 + len(cover.flats) for cover in covers)
-
-
-# --- collinearity -----------------------------------------------------------
-
-
-def test_max_collinear_examples():
-    pts = [Point((t, 0, 0)) for t in range(4)] + [Point((0, 1, 0))]
-    assert max_collinear(pts) == 4
-    triangle = [Point((0, 0)), Point((1, 0)), Point((0, 1))]
-    assert max_collinear(triangle) == 2
-    assert max_collinear([Point((5, 5))]) == 1
-    # in E^1 every point is on the one line; duplicates count once
-    assert max_collinear([Point((1,)), Point((2,)), Point((3,)), Point((2,))]) == 3
 
 
 # --- point file format ------------------------------------------------------
