@@ -380,9 +380,10 @@ def cmd_conjecture_search(args) -> int:
     elif args.samples < 1:
         raise GeometryError(f"--samples must be >= 1, got {args.samples}")
     n = len(set(points)) if args.points else args.n
-    # sampled coordinates are within ±99; the cover searches take candidates from every level
+    # sampled coordinates are within ±99; the cover searches take a candidate
+    # (about 90-130 bytes) from every flat of every level
     bits = max(abs(x).bit_length() for p in points for x in p.hom) if args.points else 7
-    admit(f"walk of {n} points", *walk_cost(n, args.d, range(1, min(args.d, n)), bits, extra=480))
+    admit(f"walk of {n} points", *walk_cost(n, args.d, range(1, min(args.d, n)), bits, extra=160))
     if args.points:
         rows = [conjecture_row((0, args.d, len(points), args.r, args.seed, args.floor), points)]
     else:

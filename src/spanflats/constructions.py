@@ -274,14 +274,20 @@ def verify_covering_lines(
 def check_purdy_cell(d: int, k: int) -> None:
     """Raise unless the Purdy cell (d, k) can be built and counted: d >= 4,
     k >= 2, and the hyperplane walk of its n = k(d-1) points, with its
-    (d-2)-flats, admitted at the flat counts ``purdy_counts`` gives."""
+    (d-2)-flats and the lower levels it keeps, admitted at the exact flat
+    counts: a rank-r flat holds w whole lines and a point of r - 2w others
+    (``purdy_counts``' h_total and g_total at r = d and d - 1)."""
     if d < 4:
         raise ConstructionError(f"d >= 4 required, got {d}")
     if k < 2:
         raise ConstructionError(f"k >= 2 required, got {k}")
     bits = (999 + 99 * k).bit_length()  # purdy_counterexample's largest coordinate
     def flats(f: int) -> int:  # formed only for cells walk_cost counts exactly
-        return getattr(purdy_counts(d, k), "h_total" if f == d - 1 else "g_total")
+        r, lines = f + 1, d - 1
+        return sum(
+            comb(lines, w) * comb(lines - w, r - 2 * w) * k ** (r - 2 * w)
+            for w in range(r // 2 + 1)
+        )
     admit(f"Purdy cell ({d}, {k})", *walk_cost(k * (d - 1), d, (d - 2, d - 1), bits, flats))
 
 

@@ -1,13 +1,16 @@
 """Enumeration of flats spanned by point sets and related cover searches.
 
-Spanned flats are found by a pruned prefix walk: the (f+1)-subsets of the
-distinct points are visited depth-first in lexicographic order, each prefix
+Spanned flats are found by a pruned prefix walk, ``_walk``: prefixes of the
+distinct points are extended depth-first in lexicographic order, each
 carrying its canonical row space (``extend_rref`` adds one point per level),
-and a rank-deficient prefix is dropped with its whole subtree. Each full-rank
-subset is keyed by its canonical form, so equal flats deduplicate, and the
-points on a flat, the union of the subsets spanning it, are gathered as a
-bitmask. Hyperplanes come from the dual side of the codim-2 subsets, so one
-walk yields both top levels. A ``SpannedSet`` keeps the keys and masks in
+and a rank-deficient prefix is dropped with its whole subtree. Every level
+keeps a table of the canonical keys it has reached, so each flat of each
+level is extended once, from the first prefix that reaches it; a later
+prefix with a known key only adds its last point's bit. The first prefix is
+the flat's lexicographically first basis, so a flat's points, as a bitmask,
+are completed from its own bits and its first parent's mask, level by level.
+Hyperplanes come from the dual side of each codim-2 flat, once, so one walk
+yields both top levels. A ``SpannedSet`` keeps the keys and masks in
 canonical (key) order, identical however the work is split; a flat's
 constraint system is built only where one is printed or certified.
 
@@ -25,11 +28,11 @@ returns are built.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
-from functools import partial
 from math import comb, gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .kernel import (
     Basis,
@@ -98,15 +101,15 @@ def _index_masks(points: Sequence[Point]) -> dict[Point, int]:
 def spanned_flats(points: Sequence[Point], f: int) -> SpannedSet:
     """The set of f-flats that are affine hulls of f+1 of the points.
 
-    The distinct points' (f+1)-subsets are walked depth-first in
-    lexicographic order; each prefix carries the canonical primitive-integer
-    form of its homogeneous point row space, extended by one point per
-    level, and a prefix that loses rank is pruned with every subset below
-    it. A full-rank subset is keyed by that form with its pivots. By the
-    exchange lemma the points on a spanned f-flat are exactly the union of
-    the (f+1)-subsets with its key, so the walk itself gathers them, as a
-    bitmask over the indices. For f = d-1 the walk gives the (d-2)-flats
-    too (``_walk_levels``); the last point sequence's levels are memoized.
+    The distinct points' prefixes are walked depth-first in lexicographic
+    order; each carries the canonical primitive-integer form of its
+    homogeneous point row space, extended by one point per level, and a
+    prefix that loses rank is pruned with every subset below it. A flat is
+    keyed by that form with its pivots, and only the first prefix of each
+    key is extended (``_walk``), so the walk gathers the points on each
+    flat, as a bitmask over the indices, without visiting every subset that
+    spans it. For f = d-1 the walk gives the (d-2)-flats too
+    (``_walk_levels``); the last point sequence's levels are memoized.
     """
     d = common_dim(points)
     if not 0 <= f <= d - 1:
@@ -142,20 +145,37 @@ def walk_cost(
     n: int, d: int, levels: Iterable[int], bits: int, flats: Callable | None = None, extra: int = 0
 ) -> tuple[int, int]:
     """Estimated (bytes, entry operations) of walking n distinct points of E^d
-    with ``bits``-bit homogeneous entries while the memo holds the levels f. A
-    rank r = f + 1 flat holds r tuples of d + 1 slots, r(d + 2 - r) nonzero ints
-    of r * bits bits (24 bytes and 4 a 30-bit digit), its mask, 360 bytes of
-    headers and slots and ``extra`` (a cover candidate, an export): ``flats(f)``
-    (exact) or C(n, r) of them, each r-subset costing r(d + 1) operations. C(n, r)
-    past 2^40 is over both caps: formed at 40, it ends the sum; other levels are free."""
+    with ``bits``-bit homogeneous entries while the memo holds the levels f.
+    A rank r = f + 1 flat holds r tuples of d + 1 slots, r(d + 2 - r)
+    nonzero ints of r * bits bits (24 bytes and 4 a 30-bit digit), its mask,
+    360 bytes of headers, slots and walk entry and, on a held level,
+    ``extra`` (a cover candidate, an export). A held level has C(n, r)
+    flats, each r-subset costing r(d + 1) operations. The deepest walk, to
+    rank L = f + 1 (d - 1 where the hyperplanes come from the pencil), also
+    keeps every level below until it ends, with no more keys than the
+    C(n - L + r, r) r-subsets of the first n - L + r points, the prefixes
+    that leave room for the rest; it walks them within the held levels'
+    operations. ``flats(f)``, where given, is a level's exact flat count,
+    taken when lower. A binomial past 2^40 is over both caps: formed at 40,
+    it ends the sum."""
+    held = set(levels)
+    deepest = min(max(held, default=-1) + 1, max(d - 1, 1))
     nbytes = ops = 0
-    for r in (f + 1 for f in levels if 0 <= f < d):
-        clipped = min(r, n - r) > 40
-        subsets = comb(n, 40 if clipped else r)
-        flat = 360 + extra + r * (56 + 8 * (d + 1)) + 4 * -(-n // 30)
+    for r in range(1, d + 1):
+        if r - 1 in held:
+            top = n
+        elif r <= deepest:
+            top = n - deepest + r
+        else:
+            continue
+        clipped = min(r, top - r) > 40
+        subsets = comb(top, 40 if clipped else r)
+        flat = 360 + r * (56 + 8 * (d + 1)) + 4 * -(-n // 30)
         flat += r * (d + 2 - r) * (24 + 4 * -(-r * bits // 30))
-        nbytes += (flats(r - 1) if flats and not clipped else subsets) * flat
-        ops += subsets * r * (d + 1)
+        if r - 1 in held:
+            flat += extra
+            ops += subsets * r * (d + 1)
+        nbytes += (min(flats(r - 1), subsets) if flats and not clipped else subsets) * flat
         if clipped:
             break
     return nbytes, ops
@@ -169,35 +189,73 @@ def arrangement_cost(hyperplanes: int, d: int, vertices: int, classes: int) -> t
     return 160 * entries + 1024 * hyperplanes, entries + classes * vertices * (d + 1)
 
 
-def _walk(
-    homs: list, bits: list, found: dict, start: int, basis: Basis, mask: int, left: int, leaf=None
-) -> None:
-    """Extend the prefix (row space ``basis``, index mask ``mask``) by each
-    row from ``start`` on, with ``left`` rows still to pick, and OR each
-    full-rank subset's mask into ``found`` under its canonical key; then call
-    ``leaf``, if given, with that key, mask and the next index, if any."""
-    for i in range(start, len(homs) - left + 1):
-        ext = extend_rref(basis, homs[i])
-        if ext is None:
-            continue  # rank-deficient prefix: no subset below it spans an f-flat
-        if left > 1:
-            _walk(homs, bits, found, i + 1, ext, mask | bits[i], left - 1, leaf)
-            continue
-        found[ext] = found.get(ext, 0) | mask | bits[i]
-        if leaf and i + 1 < len(homs):
-            leaf(ext, mask | bits[i], i + 1)
+def _walk(homs: list, bits: list, depth: int, leaf=None) -> dict[Basis, int]:
+    """The row spaces of rank ``depth`` that ``depth`` of the rows ``homs``
+    span, each by its canonical key, with the OR of the ``bits`` of the
+    rows in it. ``leaf``, if given, is called once per key, when the walk
+    first finds it, with the key, its index in its level and the next row.
+
+    Prefixes are extended depth-first in lexicographic order by each later
+    row that leaves room for the rest (``n - left + 1`` pruning); a
+    rank-deficient extension is dropped with its subtree. Each level keeps
+    its keys in the order first found, with their own bits and the index of
+    their first parent, the key of the prefix that first reached them. An
+    extension that lands on a known key ORs its row's bit in and goes no
+    further: the key's first prefix walks that subtree. That prefix is the
+    flat's lexicographically first basis b_1 < ... < b_r, the greedy one,
+    and the first-parent chain is F_j = span(b_1..b_j). A point p of the
+    flat that first lies on F_m is b_m, or else, at the first level j >= m
+    whose range reaches p, the prefix b_1..b_j without b_m is a first
+    prefix in range, and p extends it onto F_j. So every point is an own
+    bit of the chain, and a mask completed level by level, own bits OR the
+    first parent's completed mask, is the flat's.
+    """
+    n, tables, parents = len(homs), [{} for _ in range(depth)], [array("l") for _ in range(depth)]
+
+    def extend(level: int, start: int, basis: Basis, parent: int) -> None:
+        table, up = tables[level], parents[level]
+        for i in range(start, n - depth + level + 1):
+            ext = extend_rref(basis, homs[i])
+            if ext is None:
+                continue  # rank-deficient prefix: no subset below it is full rank
+            own = table.get(ext)
+            if own is not None:
+                table[ext] = own | bits[i]
+                continue
+            table[ext] = bits[i]
+            up.append(parent)
+            if level + 1 < depth:
+                extend(level + 1, i + 1, ext, len(table) - 1)
+            elif leaf and i + 1 < n:
+                leaf(ext, len(table) - 1, i + 1)
+
+    extend(0, 0, ((), ()), 0)
+    del extend  # it refers to itself: the tables go when this returns, not at a collection
+    masks = [0]
+    for table, up in zip(tables, parents):
+        masks = [own | masks[j] for own, j in zip(table.values(), up)]
+    return dict(zip(tables[-1], masks))
+
+
+_UNIT_ROWS: dict[int, tuple[tuple[int, ...], ...]] = {}
 
 
 def _hyperplane_key(w: Sequence[int]) -> Basis:
     """The walk's key of the hyperplane with primitive normal w, last nonzero
     entry w_j > 0: pivot i != j has row (w_j e_i - w_i e_j)/content, e_i if i > j."""
-    n, j = len(w), max(c for c, x in enumerate(w) if x)
-    rows = []
-    for i in (c for c in range(n) if c != j):
-        g, row = gcd(w[j], w[i]), [0] * n
-        row[i], row[j] = w[j] // g, -w[i] // g
+    n = len(w)
+    j = n - 1
+    while not w[j]:
+        j -= 1
+    units = _UNIT_ROWS.get(n)
+    if units is None:
+        units = _UNIT_ROWS[n] = tuple(tuple(int(c == i) for c in range(n)) for i in range(n))
+    wj, rows = w[j], []
+    for i in range(j):
+        g, row = gcd(wj, w[i]), [0] * n
+        row[i], row[j] = wj // g, -w[i] // g
         rows.append(tuple(row))
-    return tuple(rows), tuple(c for c in range(n) if c != j)
+    return (*rows, *units[j + 1:]), (*range(j), *range(j + 1, n))
 
 
 def _sorted_set(f: int, found: dict[Basis, int]) -> SpannedSet:
@@ -207,32 +265,43 @@ def _sorted_set(f: int, found: dict[Basis, int]) -> SpannedSet:
 
 def _walk_levels(points: tuple[Point, ...], f: int) -> dict[int, SpannedSet]:
     """The f-flats; for f = d-1 >= 1 also the (d-2)-flats where the walk
-    stops, whose nullspace rows (u, v) give each later point p off one the
-    hyperplane normal (v·p)u - (u·p)v, primitive, last nonzero entry > 0."""
+    stops. At each (d-2)-flat's first leaf its nullspace rows (u, v) give
+    each later point p off it the hyperplane normal (v·p)u - (u·p)v,
+    primitive, last nonzero entry > 0; a hyperplane's mask is the points
+    found so OR the mask of the first (d-2)-flat that reached it, which has
+    its lexicographically first basis, as in ``_walk``."""
     bits = _index_masks(points)
     homs, masks = [p.hom for p in bits], list(bits.values())
-    found: dict[Basis, int] = {}  # canonical key -> mask of incident indices
     if f != len(homs[0]) - 2 or f < 1:
-        _walk(homs, masks, found, 0, ((), ()), 0, f + 1)
-        return {f: _sorted_set(f, found)}
-    normals: dict[tuple[int, ...], int] = {}
+        return {f: _sorted_set(f, _walk(homs, masks, f + 1))}
+    normals: dict[tuple[int, ...], int] = {}  # normal -> own bits, in the order first found
+    parents = array("l")  # the index of each normal's first (d-2)-flat
 
-    def pencil(basis: Basis, mask: int, start: int) -> None:
+    def pencil(basis: Basis, parent: int, start: int) -> None:
         u, v = nullspace_rows(*basis, len(homs[0]))
         for p, bit in zip(homs[start:], masks[start:]):
             a, b = sum(map(mul, u, p)), sum(map(mul, v, p))
-            if a or b:  # else p is on the codim-2 flat
+            if a or b:  # else p is on the (d-2)-flat
                 w = [b * x - a * y for x, y in zip(u, v)]
-                g = gcd(*w) if next(x for x in reversed(w) if x) > 0 else -gcd(*w)
+                for last in reversed(w):
+                    if last:
+                        break
+                g = gcd(*w) if last > 0 else -gcd(*w)
                 w = tuple([x // g for x in w])
-                normals[w] = normals.get(w, 0) | mask | bit
+                own = normals.get(w)
+                if own is None:
+                    normals[w] = bit
+                    parents.append(parent)
+                else:
+                    normals[w] = own | bit
 
-    _walk(homs, masks, found, 0, ((), ()), 0, f, pencil)
+    codim2 = _walk(homs, masks, f, pencil)
+    below = list(codim2.values())
     hyperplanes = {}
     while normals:  # popped, so that the two tables are never both whole
-        w, mask = normals.popitem()
-        hyperplanes[_hyperplane_key(w)] = mask
-    return {f - 1: _sorted_set(f - 1, found), f: _sorted_set(f, hyperplanes)}
+        w, own = normals.popitem()
+        hyperplanes[_hyperplane_key(w)] = own | below[parents.pop()]
+    return {f - 1: _sorted_set(f - 1, codim2), f: _sorted_set(f, hyperplanes)}
 
 
 def arrangement_vertices(hyperplanes: Sequence[Flat]) -> list[Point]:
@@ -251,10 +320,8 @@ def arrangement_vertices(hyperplanes: Sequence[Flat]) -> list[Point]:
         if h.ambient_dim != d or h.dim != d - 1:
             raise GeometryError(f"non-hyperplane input (dim {h.dim} in E^{h.ambient_dim})")
     rows = list(dict.fromkeys(h.rows[0] for h in hyperplanes))
-    found: dict[Basis, int] = {}
-    _walk(rows, [0] * len(rows), found, 0, ((), ()), 0, d)
     vertices = []
-    for key, pivots in found:
+    for key, pivots in _walk(rows, [0] * len(rows), d):
         if pivots[-1] < d:  # else the d hyperplanes have no common point
             den = lcm(*(row[i] for i, row in enumerate(key)))
             nums = (row[d] * (den // row[i]) for i, row in enumerate(key))
@@ -279,12 +346,13 @@ def _axis_line_through(p: Point) -> Flat:
     return affine_hull([p, Point((p[0] + 1, *p.coords[1:]))])
 
 
-Candidate = tuple[int, int, Callable[[], Flat]]  # cost, incidence mask, builder
+Candidate = tuple[int, int, Callable[[Any], Flat], Any]  # cost, mask, build, arg
 
 
 def _candidate_flats(points: Sequence[Point], by_rank: bool) -> list[Candidate]:
-    """(cost, incidence mask, flat builder) candidates for cover searches: a
-    flat costs its dimension, or its rank when ``by_rank``.
+    """(cost, incidence mask, build, arg) candidates for cover searches: a
+    flat costs its dimension, or its rank when ``by_rank``, and is built, as
+    build(arg), only if a returned cover holds it.
 
     Covering flats can always be shrunk to the hull of the points they
     cover, so the spanned flats of dimension 1..d-1 are exhaustive
@@ -301,21 +369,24 @@ def _candidate_flats(points: Sequence[Point], by_rank: bool) -> list[Candidate]:
     out: list[Candidate] = []
     for f in range(min(d, len(copies)) - 1, 0, -1):  # d-1 first: its walk gives d-2 too
         spanned = spanned_flats(points, f)
-        out.extend(
-            (f + by_rank, mask, partial(spanned.flat, i)) for i, mask in enumerate(spanned.masks)
-        )
+        build = spanned.flat  # one bound method for the level
+        out.extend((f + by_rank, mask, build, i) for i, mask in enumerate(spanned.masks))
     if by_rank:
-        out.extend((1, mask, partial(affine_hull, [p])) for p, mask in copies.items())
+        out.extend((1, mask, affine_hull, (p,)) for p, mask in copies.items())
     elif d == 1 or len(copies) == 1:
-        out.append((1, (1 << len(points)) - 1, partial(_axis_line_through, points[0])))
+        out.append((1, (1 << len(points)) - 1, _axis_line_through, points[0]))
     return out
+
+
+def _build(cover: list[Candidate]) -> tuple[Flat, ...]:
+    return tuple(build(arg) for _, _, build, arg in cover)
 
 
 def _best_cover(
     candidates: list[Candidate], n: int, budget: int, floor: int = 0
-) -> tuple[int, list[Callable[[], Flat]] | None]:
+) -> tuple[int, list[Candidate] | None]:
     """The most of the n points that candidates of total cost <= budget
-    cover, and the builders of one cover that reaches it; (floor, None)
+    cover, and the candidates of one cover that reaches it; (floor, None)
     when no cover takes more than floor points.
 
     Branch on the lowest open point (neither covered nor given up): take a
@@ -330,7 +401,7 @@ def _best_cover(
     """
     cands = [c for c in candidates if c[0] <= budget]
     num, den = 0, 1  # the largest size/cost, compared in integers
-    for cost, mask, _ in cands:
+    for cost, mask, _, _ in cands:
         if mask.bit_count() * den > num * cost:
             num, den = mask.bit_count(), cost
     if min(n, budget * num // den) <= floor:
@@ -342,7 +413,7 @@ def _best_cover(
             by_point[(mask & -mask).bit_length() - 1].append(c)
             mask &= mask - 1
     best, cover = floor, None
-    chosen: list[Callable[[], Flat]] = []
+    chosen: list[Candidate] = []
     explored: dict[tuple[int, int], int] = {}  # (open, remaining) -> covered
 
     def go(open_: int, covered: int, remaining: int) -> None:
@@ -354,9 +425,10 @@ def _best_cover(
         if explored.get((open_, remaining), -1) >= covered:
             return
         explored[open_, remaining] = covered
-        for cost, mask, build in by_point[(open_ & -open_).bit_length() - 1]:
+        for c in by_point[(open_ & -open_).bit_length() - 1]:
+            cost, mask, _, _ = c
             if cost <= remaining:
-                chosen.append(build)
+                chosen.append(c)
                 go(open_ & ~mask, covered + (open_ & mask).bit_count(), remaining - cost)
                 chosen.pop()
         go(open_ & (open_ - 1), covered, remaining)
@@ -378,7 +450,7 @@ def is_r_degenerate(
     _, cover = _best_cover(_candidate_flats(points, by_rank=False), n, r - 1, floor=n - 1)
     if cover is None:
         return False, None
-    return True, CoverCertificate(tuple(build() for build in cover), n)
+    return True, CoverCertificate(_build(cover), n)
 
 
 def rank_sum_cover(points: Sequence[Point], budget: int) -> list[Flat] | None:
@@ -387,7 +459,7 @@ def rank_sum_cover(points: Sequence[Point], budget: int) -> list[Flat] | None:
     cost = rank, where only a full cover beats the floor."""
     n = len(points)
     _, cover = _best_cover(_candidate_flats(points, by_rank=True), n, budget, floor=n - 1)
-    return None if cover is None else [build() for build in cover]
+    return None if cover is None else list(_build(cover))
 
 
 def max_degenerate_subset(points: Sequence[Point], dim_budget: int) -> int:
@@ -416,13 +488,14 @@ def max_cover_plane_or_two_lines(points: Sequence[Point]) -> CoverCertificate:
         return CoverCertificate((_axis_line_through(points[0]),), len(points))
     planes = spanned_flats(points, 2)  # the walk gives the lines too
     lines = spanned_flats(points, 1)
-    candidates = [(1, mask, partial(lines.flat, i)) for i, mask in enumerate(lines.masks)]
+    build = lines.flat
+    candidates = [(1, mask, build, i) for i, mask in enumerate(lines.masks)]
     on_plane = [mask.bit_count() for mask in planes.masks]
     floor = max(on_plane, default=0)
     best, cover = _best_cover(candidates, len(points), 2, floor=floor)
     if cover is None:
         return CoverCertificate((planes.flat(on_plane.index(floor)),), floor)
-    return CoverCertificate(tuple(build() for build in cover), best)
+    return CoverCertificate(_build(cover), best)
 
 
 # The columns of a conjecture-search row, in output order, each with the

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import oracle
 import pytest
@@ -18,7 +19,7 @@ from spanflats import (
     theta_mk_construction,
     verify_covering_lines,
 )
-from spanflats import spans
+from spanflats import constructions, spans
 from spanflats.constructions import _grid_vertices, _rich_line_config, purdy_row
 from spanflats.formulas import fit_loglog
 
@@ -278,15 +279,23 @@ def test_purdy_domain_errors():
 
 
 def test_purdy_cap_is_the_walk_cap_on_both_levels(monkeypatch):
-    # a cell is priced on both levels of its hyperplane walk at the formulas'
-    # flat counts, and refused one below its estimate on either cap, before any draw
+    # a cell is priced as the walk of its two top levels and the lower levels
+    # the walk keeps, at each level's exact flat count (the formulas' g_total
+    # and h_total on top), with the work of the top two levels only; it is
+    # refused one below its estimate on either cap, before any draw
+    priced, cost = [], spans.walk_cost
+    monkeypatch.setattr(constructions, "walk_cost", lambda *a: priced.append(a) or cost(*a))
     for d, k in ((6, 3), (6, 2)):
-        n, bits, counts = k * (d - 1), (999 + 99 * k).bit_length(), purdy_counts(d, k)
-        exact = {d - 2: counts.g_total, d - 1: counts.h_total}
-        estimate = spans.walk_cost(n, d, (d - 2, d - 1), bits, exact.get)
-        levels = [spans.walk_cost(n, d, (f,), bits, exact.get) for f in exact]
-        assert estimate == tuple(map(sum, zip(*levels)))
         pts = purdy_counterexample(d, k)
+        n, _, levels, bits, flats = priced[-1]
+        counts = purdy_counts(d, k)
+        assert (n, levels, bits) == (k * (d - 1), (d - 2, d - 1), (999 + 99 * k).bit_length())
+        assert [flats(f) for f in range(d)] == [oracle.subset_scan(pts, f).count for f in range(d)]
+        assert (flats(d - 2), flats(d - 1)) == (counts.g_total, counts.h_total)
+        estimate = spans.walk_cost(n, d, levels, bits, flats)
+        tops = spans.walk_cost(n, d, levels, bits, lambda f: flats(f) if f in levels else 0)
+        assert estimate[0] > tops[0]
+        assert estimate[1] == sum(comb(n, r) * r * (d + 1) for r in (d - 1, d))
         for cap, value in zip(("MAX_BYTES", "MAX_OPS"), estimate):
             monkeypatch.setattr(spans, cap, value - 1)
             with pytest.raises(GeometryError, match=rf"Purdy cell \({d}, {k}\) needs about {value:,} "):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 from math import gcd, lcm
@@ -21,7 +22,7 @@ from spanflats import (
     rank_sum_cover,
     spanned_flats,
 )
-from spanflats import constructions, spans
+from spanflats import constructions, kernel, spans
 from spanflats.kernel import Flat, int_rref
 from spanflats.spans import (
     _candidate_flats,
@@ -218,6 +219,78 @@ def test_both_top_levels_match_subset_scan_in_either_order(case):
             assert spanned_flats(pts, f) == expected[f]
 
 
+@st.composite
+def line_configurations(draw):
+    """(d, points) for d = 3..6: k = 2..4 points on each of 2..4 lines drawn
+    from small coordinates, so that lines often meet or share a plane, then
+    up to two free points and two repeats, shuffled: flats spanned by many
+    subsets, as in a Purdy set."""
+    d = draw(st.integers(3, 6))
+    coords = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    pts = []
+    for _ in range(draw(st.integers(2, 4))):
+        base, direction = draw(coords), draw(coords.filter(any))
+        pts += [
+            Point(b + t * v for b, v in zip(base, direction)) for t in range(draw(st.integers(2, 4)))
+        ]
+    pts += draw(st.lists(coords.map(Point), max_size=2))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=2))
+    return d, draw(st.permutations(pts))
+
+
+@given(line_configurations())
+@settings(max_examples=25, deadline=None)
+def test_walk_of_line_configurations_matches_subset_scan(case):
+    # every level on a cold memo, and both top levels in either order
+    d, pts = case
+    expected = [oracle.subset_scan(pts, f) for f in range(d)]
+    for f in range(d):
+        spans._LEVELS.clear()
+        assert spanned_flats(pts, f) == expected[f]
+    for order in ((d - 1, d - 2), (d - 2, d - 1)):
+        spans._LEVELS.clear()
+        for f in order:
+            assert spanned_flats(pts, f) == expected[f]
+
+
+def test_walk_extends_each_flat_once(monkeypatch):
+    # at the Purdy cell (6, 3), 2,673 full-rank 5-subsets span 873 (d-2)-flats:
+    # only a flat's first prefix is extended, so no (basis, row) pair repeats,
+    # and the pencil (one nullspace per call) runs once per (d-2)-flat that
+    # a point follows
+    pts = constructions.purdy_counterexample(6, 3)
+    extended, pencils = Counter(), Counter()
+
+    def extend_rref(basis, row):
+        extended[basis, tuple(row)] += 1
+        return kernel.extend_rref(basis, row)
+
+    def nullspace_rows(rows, pivots, ncols):
+        pencils[rows, pivots] += 1
+        return kernel.nullspace_rows(rows, pivots, ncols)
+
+    monkeypatch.setattr(spans, "extend_rref", extend_rref)
+    monkeypatch.setattr(spans, "nullspace_rows", nullspace_rows)
+    spans._LEVELS.clear()
+    hyperplanes, codim2 = spanned_flats(pts, 5), spanned_flats(pts, 4)
+    counts = constructions.purdy_counts(6, 3)
+    assert (hyperplanes.count, codim2.count) == (counts.h_total, counts.g_total) == (685, 873)
+    assert set(extended.values()) == {1}
+    assert set(pencils.values()) == {1}
+
+    def last_of_greedy_basis(mask):
+        basis = []
+        for i in range(len(pts)):
+            if mask >> i & 1 and len(int_rref([*basis, pts[i].hom])[0]) > len(basis):
+                basis.append(pts[i].hom)
+                last = i
+        return last
+
+    # a pencil runs at a flat's first prefix, its greedy basis, if a point follows
+    followed = [last_of_greedy_basis(mask) < len(pts) - 1 for mask in codim2.masks]
+    assert set(pencils) == {key for key, yes in zip(codim2.keys, followed) if yes}
+
+
 @given(
     st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=2, max_size=7).filter(any)
 )
@@ -243,12 +316,12 @@ def test_hyperplane_key_is_int_rref_of_the_normals_complement(w):
 def test_candidate_masks_match_contains_oracle(pts, point_flats, data):
     pts = pts + data.draw(st.lists(st.sampled_from(pts), max_size=3))
     candidates = _candidate_flats(pts, point_flats)
-    flats = [build() for _, _, build in candidates]
+    flats = [build(arg) for _, _, build, arg in candidates]
     expected = oracle.attach_incidences(flats, pts)
-    assert [mask for _, mask, _ in candidates] == [
+    assert [mask for _, mask, _, _ in candidates] == [
         sum(1 << i for i in idxs) for idxs in expected
     ]
-    assert [cost for cost, _, _ in candidates] == [flat.dim + point_flats for flat in flats]
+    assert [cost for cost, *_ in candidates] == [flat.dim + point_flats for flat in flats]
     assert len(set(flats)) == len(flats)
     full = {flat for flat, _, _ in oracle.cover_candidates(pts, point_flats)}
     assert set(flats) <= full
@@ -330,6 +403,19 @@ def hyperplane_families(draw):
 @settings(max_examples=200, deadline=None)
 def test_arrangement_vertices_match_subset_rref_oracle(hyps):
     assert arrangement_vertices(hyps) == oracle.arrangement_vertices(hyps)
+
+
+@pytest.mark.parametrize("args", [(3, 12, 9, 108), (3, 14, 10, 140)])
+def test_arrangement_vertices_of_concurrent_hyperplanes_match_oracle(args):
+    # the bichromatic construction: red planes all parallel to the x_1 axis
+    # (three meet in a line or not at all) and blue planes x_1 = j; with 9
+    # and 10 red planes some vertices lie on four planes, one blue and three
+    # red, so several d-subsets share a key and the walk extends only the first
+    arrangement = constructions.bichromatic_lower_construction(*args).arrangement
+    hyps = [*arrangement.red, *arrangement.blue]
+    vertices = arrangement_vertices(hyps)
+    assert vertices == oracle.arrangement_vertices(hyps)
+    assert max(sum(h.contains(v) for h in hyps) for v in vertices) == 4
 
 
 def test_arrangement_vertices_rejects_non_hyperplane():
