@@ -16,7 +16,7 @@ from itertools import accumulate, product
 from math import comb, gcd, isqrt, lcm
 from typing import Sequence
 
-from .formulas import iroot, purdy_counts
+from .formulas import iroot, purdy_counts, purdy_flats
 from .incidence import BiArrangement, bound_envelope, count_bichromatic
 from .kernel import Flat, GeometryError, Point, affine_rank, hyperplane
 from .spans import CoverCertificate, admit, arrangement_cost, walk_cost
@@ -275,19 +275,14 @@ def check_purdy_cell(d: int, k: int) -> None:
     """Raise unless the Purdy cell (d, k) can be built and counted: d >= 4,
     k >= 2, and the hyperplane walk of its n = k(d-1) points, with its
     (d-2)-flats and the lower levels it keeps, admitted at the exact flat
-    counts: a rank-r flat holds w whole lines and a point of r - 2w others
-    (``purdy_counts``' h_total and g_total at r = d and d - 1)."""
+    counts ``purdy_flats`` gives."""
     if d < 4:
         raise ConstructionError(f"d >= 4 required, got {d}")
     if k < 2:
         raise ConstructionError(f"k >= 2 required, got {k}")
     bits = (999 + 99 * k).bit_length()  # purdy_counterexample's largest coordinate
     def flats(f: int) -> int:  # formed only for cells walk_cost counts exactly
-        r, lines = f + 1, d - 1
-        return sum(
-            comb(lines, w) * comb(lines - w, r - 2 * w) * k ** (r - 2 * w)
-            for w in range(r // 2 + 1)
-        )
+        return purdy_flats(d, k, f + 1)
     admit(f"Purdy cell ({d}, {k})", *walk_cost(k * (d - 1), d, (d - 2, d - 1), bits, flats))
 
 

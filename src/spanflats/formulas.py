@@ -58,15 +58,19 @@ def purdy_counts(d: int, k: int) -> PurdyCounts:
         raise FormulaDomainError(f"d >= 4 required, got {d}")
     if k < 2:
         raise FormulaDomainError(f"k >= 2 required, got {k}")
-    h = {
-        j: comb(d - 1, j) * comb(d - 1 - j, d - 2 * j) * k ** (d - 2 * j)
-        for j in range(1, d // 2 + 1)
-    }
-    g = {
-        j: comb(d - 1, j) * comb(d - 1 - j, d - 1 - 2 * j) * k ** (d - 1 - 2 * j)
-        for j in range(0, (d - 1) // 2 + 1)
-    }
+    h = {j: purdy_flats(d, k, d, j) for j in range(1, d // 2 + 1)}
+    g = {j: purdy_flats(d, k, d - 1, j) for j in range(0, (d - 1) // 2 + 1)}
     return PurdyCounts(d, k, h, g)
+
+
+def purdy_flats(d: int, k: int, r: int, j: int | None = None) -> int:
+    """Spanned rank-r flats (affine dimension r - 1) of k >= 2 points on each
+    of d-1 general-position lines that contain exactly j whole lines: they
+    take one point from each of r - 2j other lines. With j None, the total
+    over every j (r = d and d - 1 give ``purdy_counts``' two totals)."""
+    if j is None:
+        return sum(purdy_flats(d, k, r, w) for w in range(r // 2 + 1))
+    return comb(d - 1, j) * comb(d - 1 - j, r - 2 * j) * k ** (r - 2 * j)
 
 
 def purdy_crossover(d: int) -> int:

@@ -4,15 +4,17 @@ Spanned flats are found by a pruned prefix walk, ``_walk``: prefixes of the
 distinct points are extended depth-first in lexicographic order, each
 carrying its canonical row space (``extend_rref`` adds one point per level),
 and a rank-deficient prefix is dropped with its whole subtree. Every level
-keeps a table of the canonical keys it has reached, so each flat of each
-level is extended once, from the first prefix that reaches it; a later
-prefix with a known key only adds its last point's bit. The first prefix is
-the flat's lexicographically first basis, so a flat's points, as a bitmask,
-are completed from its own bits and its first parent's mask, level by level.
-Hyperplanes come from the dual side of each codim-2 flat, once, so one walk
-yields both top levels. A ``SpannedSet`` keeps the keys and masks in
-canonical (key) order, identical however the work is split; a flat's
-constraint system is built only where one is printed or certified.
+keeps a table of the flats it has reached (by canonical key on the last
+level, by the key's hash below it, confirmed by containment), so each flat
+of each level is extended once, from the first prefix that reaches it; a
+later prefix that lands on a known flat only adds its last point's bit.
+The first prefix is the flat's lexicographically first basis, so a flat's
+points, as a bitmask, are completed from its own bits and its first
+parent's mask, level by level. Hyperplanes come from the dual side of each
+codim-2 flat, once, so one walk yields both top levels. A ``SpannedSet``
+keeps the keys and masks in canonical (key) order, identical however the
+work is split; a flat's constraint system is built only where one is
+printed or certified.
 
 The cover queries (``is_r_degenerate``, ``max_degenerate_subset``,
 ``rank_sum_cover`` and ``max_cover_plane_or_two_lines``) are one exact
@@ -146,35 +148,37 @@ def walk_cost(
 ) -> tuple[int, int]:
     """Estimated (bytes, entry operations) of walking n distinct points of E^d
     with ``bits``-bit homogeneous entries while the memo holds the levels f.
-    A rank r = f + 1 flat holds r tuples of d + 1 slots, r(d + 2 - r)
+    A held rank r = f + 1 flat's key holds r tuples of d + 1 slots, r(d + 2 - r)
     nonzero ints of r * bits bits (24 bytes and 4 a 30-bit digit), its mask,
-    360 bytes of headers, slots and walk entry and, on a held level,
-    ``extra`` (a cover candidate, an export). A held level has C(n, r)
-    flats, each r-subset costing r(d + 1) operations. The deepest walk, to
-    rank L = f + 1 (d - 1 where the hyperplanes come from the pencil), also
-    keeps every level below until it ends, with no more keys than the
-    C(n - L + r, r) r-subsets of the first n - L + r points, the prefixes
-    that leave room for the rest; it walks them within the held levels'
-    operations. ``flats(f)``, where given, is a level's exact flat count,
-    taken when lower. A binomial past 2^40 is over both caps: formed at 40,
-    it ends the sum."""
+    360 bytes of headers, slots and walk entry and ``extra`` (a cover
+    candidate, an export); a held level has C(n, r) flats, each r-subset
+    costing r(d + 1) operations. The deepest walk, to rank L = f + 1 (d - 1
+    where the hyperplanes come from the pencil), also keeps every level
+    below until it ends, with no more flats than the C(n - L + r, r)
+    r-subsets of the first n - L + r points, the prefixes that leave room for
+    the rest (none when n < L), each a key's hash, its mask and 160 bytes of
+    ints and slots; it walks them within the held levels' operations.
+    ``flats(f)``, where given, is a level's exact flat count, taken when
+    lower. A binomial past 2^40 is over both caps: formed at 40, it ends the
+    sum."""
     held = set(levels)
     deepest = min(max(held, default=-1) + 1, max(d - 1, 1))
     nbytes = ops = 0
     for r in range(1, d + 1):
         if r - 1 in held:
             top = n
+            flat = 360 + extra + r * (56 + 8 * (d + 1))
+            flat += r * (d + 2 - r) * (24 + 4 * -(-r * bits // 30))
         elif r <= deepest:
-            top = n - deepest + r
+            top = max(n - deepest + r, 0)
+            flat = 160
         else:
             continue
         clipped = min(r, top - r) > 40
         subsets = comb(top, 40 if clipped else r)
-        flat = 360 + r * (56 + 8 * (d + 1)) + 4 * -(-n // 30)
-        flat += r * (d + 2 - r) * (24 + 4 * -(-r * bits // 30))
         if r - 1 in held:
-            flat += extra
             ops += subsets * r * (d + 1)
+        flat += 4 * -(-n // 30)
         nbytes += (min(flats(r - 1), subsets) if flats and not clipped else subsets) * flat
         if clipped:
             break
@@ -197,44 +201,92 @@ def _walk(homs: list, bits: list, depth: int, leaf=None) -> dict[Basis, int]:
 
     Prefixes are extended depth-first in lexicographic order by each later
     row that leaves room for the rest (``n - left + 1`` pruning); a
-    rank-deficient extension is dropped with its subtree. Each level keeps
-    its keys in the order first found, with their own bits and the index of
-    their first parent, the key of the prefix that first reached them. An
-    extension that lands on a known key ORs its row's bit in and goes no
-    further: the key's first prefix walks that subtree. That prefix is the
-    flat's lexicographically first basis b_1 < ... < b_r, the greedy one,
-    and the first-parent chain is F_j = span(b_1..b_j). A point p of the
-    flat that first lies on F_m is b_m, or else, at the first level j >= m
-    whose range reaches p, the prefix b_1..b_j without b_m is a first
-    prefix in range, and p extends it onto F_j. So every point is an own
-    bit of the chain, and a mask completed level by level, own bits OR the
-    first parent's completed mask, is the flat's.
+    rank-deficient extension is dropped with its subtree. Each level numbers
+    its flats in the order first found and keeps their own bits, their
+    first parent (the flat of the prefix that first reached them) and the
+    last row of that prefix. An extension that lands on a known flat ORs its
+    row's bit in and goes no further: the flat's first prefix walks that
+    subtree. That prefix is the flat's lexicographically first basis
+    b_1 < ... < b_r, the greedy one, and the first-parent chain is
+    F_j = span(b_1..b_j). A point p of the flat that first lies on F_m is
+    b_m, or else, at the first level j >= m whose range reaches p, the
+    prefix b_1..b_j without b_m is a first prefix in range, and p extends it
+    onto F_j. So every point is an own bit of the chain, and a mask
+    completed level by level, own bits OR the first parent's completed
+    mask, is the flat's.
+
+    The last level, which is returned, looks its flats up by key. A level
+    below it keeps only each key's hash, so that it costs a set in general
+    position, whose flats each have one spanning subset, little memory, and
+    confirms a hash it knows by containment: the new flat, of the same rank,
+    is the known one exactly when it holds the last rows of the known
+    flat's first-parent chain above the flat where that chain meets the new
+    prefix's, which lies in the new prefix's flat. A flat whose hash
+    another flat of its level holds keeps its whole key.
     """
-    n, tables, parents = len(homs), [{} for _ in range(depth)], [array("l") for _ in range(depth)]
+    n = len(homs)
+    index: list[dict] = [{} for _ in range(depth)]  # key (last level) or hash -> flat
+    spilled: list[dict] = [{} for _ in range(depth)]  # a key whose hash is taken -> flat
+    owns: list[list] = [[] for _ in range(depth)]
+    parents, lasts = [array("l") for _ in range(depth)], [array("l") for _ in range(depth)]
+
+    def holds(basis: Basis, i: int) -> bool:
+        v = homs[i]
+        for b, pc in zip(*basis):
+            f = v[pc]
+            if f:
+                p = b[pc]
+                v = [x * p - f * y for x, y in zip(v, b)]
+        return not any(v)
+
+    def known(ext: Basis, level: int, t: int, parent: int) -> bool:
+        if not holds(ext, lasts[level][t]):
+            return False
+        a, b = parents[level][t], parent
+        while a != b:  # the two chains meet at the root at the latest
+            level -= 1
+            if not holds(ext, lasts[level][a]):
+                return False
+            a, b = parents[level][a], parents[level][b]
+        return True
 
     def extend(level: int, start: int, basis: Basis, parent: int) -> None:
-        table, up = tables[level], parents[level]
+        last = level + 1 == depth
+        table, spill, own = index[level], spilled[level], owns[level]
+        up, tail = parents[level], lasts[level]
         for i in range(start, n - depth + level + 1):
             ext = extend_rref(basis, homs[i])
             if ext is None:
                 continue  # rank-deficient prefix: no subset below it is full rank
-            own = table.get(ext)
-            if own is not None:
-                table[ext] = own | bits[i]
+            key = ext if last else hash(ext)
+            t = table.get(key)
+            if t is not None and not last and not known(ext, level, t, parent):
+                t = spill.get(ext)
+            if t is not None:
+                own[t] |= bits[i]
                 continue
-            table[ext] = bits[i]
+            t = len(own)
+            if key in table:
+                spill[ext] = t
+            else:
+                table[key] = t
+            own.append(bits[i])
             up.append(parent)
-            if level + 1 < depth:
-                extend(level + 1, i + 1, ext, len(table) - 1)
+            tail.append(i)
+            if not last:
+                extend(level + 1, i + 1, ext, t)
             elif leaf and i + 1 < n:
-                leaf(ext, len(table) - 1, i + 1)
+                leaf(ext, t, i + 1)
 
     extend(0, 0, ((), ()), 0)
     del extend  # it refers to itself: the tables go when this returns, not at a collection
+    keys = index[-1]
+    for table in (index, spilled, lasts):
+        table.clear()  # own bits and first parents complete the masks
     masks = [0]
-    for table, up in zip(tables, parents):
-        masks = [own | masks[j] for own, j in zip(table.values(), up)]
-    return dict(zip(tables[-1], masks))
+    for own, up in zip(owns, parents):
+        masks = [o | masks[j] for o, j in zip(own, up)]
+    return dict(zip(keys, masks))
 
 
 _UNIT_ROWS: dict[int, tuple[tuple[int, ...], ...]] = {}

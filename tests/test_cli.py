@@ -55,6 +55,15 @@ def read_csv(path):
 # --- enumerate ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("d, n, f", [(4, 1, 2), (6, 2, 5), (6, 3, 3)])
+def test_enumerate_with_fewer_points_than_a_flat_needs_is_zero(tmp_path, capsys, d, n, f):
+    # no prefix of f + 1 points exists, so the walk keeps no level; pricing
+    # the levels below it must not ask for the subsets of a negative count
+    pts = tmp_path / "pts.txt"
+    pts.write_text("".join(",".join(str(i * (j + 1)) for j in range(d)) + "\n" for i in range(n)))
+    assert run_cli(capsys, "enumerate", "--points", str(pts), "--f", str(f)) == (0, "0\n", "")
+
+
 def test_enumerate_counts_planes(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     pts.write_text("0,0,0\n1,0,0\n0,1,0\n0,0,1\n")

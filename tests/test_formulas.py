@@ -11,7 +11,7 @@ from spanflats import (
     purdy_counts,
     purdy_crossover,
 )
-from spanflats.formulas import ceil_scaled_power, floor_scaled_power, iroot
+from spanflats.formulas import ceil_scaled_power, floor_scaled_power, iroot, purdy_flats
 
 
 def test_counts_d4_k2():
@@ -31,6 +31,18 @@ def test_counts_d5_k2():
     assert c.h_by_j == {1: 32, 2: 24}
     assert c.g_by_j == {0: 16, 1: 48, 2: 6}
     assert (c.h_total, c.g_total) == (56, 70)
+
+
+def test_purdy_flats_is_the_rank_r_decomposition():
+    # purdy_counts' two levels are its ranks d and d - 1; rank 1 counts the
+    # k(d - 1) points, rank 2 the lines: pairs from two lines and the lines
+    for d, k in [(4, 2), (4, 3), (5, 2), (7, 3)]:
+        counts = purdy_counts(d, k)
+        assert {j: purdy_flats(d, k, d, j) for j in counts.h_by_j} == counts.h_by_j
+        assert {j: purdy_flats(d, k, d - 1, j) for j in counts.g_by_j} == counts.g_by_j
+        assert (purdy_flats(d, k, d), purdy_flats(d, k, d - 1)) == (counts.h_total, counts.g_total)
+        assert purdy_flats(d, k, 1) == k * (d - 1)
+        assert purdy_flats(d, k, 2) == (d - 1) * (d - 2) // 2 * k * k + d - 1
 
 
 def test_counts_domain():

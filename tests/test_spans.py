@@ -253,6 +253,23 @@ def test_walk_of_line_configurations_matches_subset_scan(case):
             assert spanned_flats(pts, f) == expected[f]
 
 
+@given(line_configurations(), st.integers(1, 3))
+@settings(max_examples=20, deadline=None)
+def test_walk_is_exact_when_keys_share_hashes(case, values):
+    # a level below the last keeps only its keys' hashes, confirms a known
+    # hash by containment and keeps the whole key of a flat whose hash is
+    # taken: with at most `values` hashes a level, each level is still the
+    # subset scan's
+    d, pts = case
+    expected = [oracle.subset_scan(pts, f) for f in range(d)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spans, "hash", lambda key: key[1][-1] % values, raising=False)
+        for f in range(d):
+            spans._LEVELS.clear()
+            assert spanned_flats(pts, f) == expected[f]
+    spans._LEVELS.clear()
+
+
 def test_walk_extends_each_flat_once(monkeypatch):
     # at the Purdy cell (6, 3), 2,673 full-rank 5-subsets span 873 (d-2)-flats:
     # only a flat's first prefix is extended, so no (basis, row) pair repeats,
