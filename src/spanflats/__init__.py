@@ -10,7 +10,6 @@ from .kernel import (
     affine_rank,
     format_rational,
     hyperplane,
-    meet,
     parse_rational,
 )
 from .spans import (
@@ -78,7 +77,6 @@ __all__ = [
     "is_r_degenerate",
     "max_cover_plane_or_two_lines",
     "max_degenerate_subset",
-    "meet",
     "parse_rational",
     "pigeonhole_check",
     "purdy_counterexample",

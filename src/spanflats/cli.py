@@ -340,10 +340,18 @@ def cmd_beck3(args) -> int:
         for k in k_values
         for seed in range(args.seed, args.seed + args.seeds)
     ]
-    for n, k, _, plant in cells:
-        check_beck3_plant(n, k, plant)
+    n, planes = max(n_values), 0  # the most planes a cell spans
+    for m, k, _, plant in cells:
+        check_beck3_plant(m, k, plant)
+        # the planted points' triples span one plane (plane) or none (two lines)
+        on = (m - k,) if plant == "plane" else ((m - k + 1) // 2, (m - k) // 2)
+        planes = max(planes, math.comb(m, 3) - sum(math.comb(j, 3) for j in on) + (plant == "plane"))
+
+    def flats(f: int) -> int:
+        return planes if f == 2 else math.comb(n, f + 1)
+
     # planted and drawn coordinates are within ±1,100 (plane: 20 + 2 * 60 * 9): 11 bits
-    admit("beck3's largest walk", *walk_cost(max(n_values), 3, (1, 2), 11))
+    admit("beck3's largest walk", *walk_cost(n, 3, (1, 2), 11, flats))
     rows = pmap(beck3_row, cells, args.jobs)
     echo = ("n_list", "k_list", "seeds", "seed", "plant")
     emit_table(args, "beck3", echo, BECK3_COLUMNS, rows)

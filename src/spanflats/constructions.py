@@ -236,7 +236,8 @@ def verify_covering_lines(
     d: int, line_points: Sequence[Sequence[Point]]
 ) -> str | None:
     """None when the points on covering lines are in general position, else
-    a description of a spanned flat that shows they are not.
+    a description of the spanned flat, first in point-basis order, that
+    shows they are not.
 
     A configuration is a set S of lines (two points each) and one point on
     each line of a set T of other lines. General position asks each with
@@ -260,15 +261,19 @@ def verify_covering_lines(
         return f"the points span no {s - 2}-flat"
     ends = list(accumulate(map(len, line_points), initial=0))
     lines = [(1 << b) - (1 << a) for a, b in zip(ends, ends[1:])]
-    for mask in flats.masks:
-        held = [min((mask & line).bit_count(), 2) for line in lines]
-        if sum(held) >= s:
-            whole, single = ([i for i, h in enumerate(held) if h == c] for c in (2, 1))
-            return (
-                f"lines {whole} whole and a point of lines {single} lie on one"
-                f" spanned {s - 2}-flat: 2*{len(whole)} + {len(single)} >= {s}"
-            )
-    return None
+
+    def held(mask: int) -> list[int]:
+        return [min((mask & line).bit_count(), 2) for line in lines]
+
+    failing = [i for i, mask in enumerate(flats.masks) if sum(held(mask)) >= s]
+    if not failing:
+        return None
+    first = held(flats.masks[min(failing, key=flats.basis)])  # named in point-basis order
+    whole, single = ([i for i, h in enumerate(first) if h == c] for c in (2, 1))
+    return (
+        f"lines {whole} whole and a point of lines {single} lie on one"
+        f" spanned {s - 2}-flat: 2*{len(whole)} + {len(single)} >= {s}"
+    )
 
 
 def check_purdy_cell(d: int, k: int) -> None:

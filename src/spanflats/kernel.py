@@ -1,4 +1,4 @@
-"""Exact affine geometry over the integers: points, canonical flats, hulls, meets.
+"""Exact affine geometry over the integers: points, canonical flats, hulls.
 
 A point of E^d is stored as its primitive homogeneous integer vector: the
 coordinate numerators over their lcm denominator, then that denominator. A
@@ -278,16 +278,6 @@ def affine_hull(points: Sequence[Point]) -> Flat:
     d = common_dim(points)
     rows, pivots = int_rref([p.hom for p in points])
     return Flat(d, rowspace_constraints(d, rows, pivots))
-
-
-def meet(f1: Flat, f2: Flat) -> Flat | None:
-    """f1 ∩ f2 as a canonical Flat, or None when the intersection is empty."""
-    if f1.ambient_dim != f2.ambient_dim:
-        raise GeometryError("dimension mismatch: flats of different ambient dimension")
-    try:
-        return Flat(f1.ambient_dim, f1.rows + f2.rows)
-    except GeometryError:
-        return None
 
 
 def affine_rank(points: Sequence[Point]) -> int:

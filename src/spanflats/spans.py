@@ -11,10 +11,14 @@ later prefix that lands on a known flat only adds its last point's bit.
 The first prefix is the flat's lexicographically first basis, so a flat's
 points, as a bitmask, are completed from its own bits and its first
 parent's mask, level by level. Hyperplanes come from the dual side of each
-codim-2 flat, once, so one walk yields both top levels. A ``SpannedSet``
-keeps the keys and masks in canonical (key) order, identical however the
-work is split; a flat's constraint system is built only where one is
-printed or certified.
+codim-2 flat, once, so one walk yields both top levels. The walk's levels
+are keyed by canonical point basis, and the pencil's, the hyperplanes, by
+primitive normal, which is what the pencil computes. A ``SpannedSet`` keeps
+the keys and masks in its level's key order, identical however the work is
+split; a flat's constraint system is built only where one is printed or
+certified, and a hyperplane's point basis only where an output reads that
+order: the export lists every level in point-basis order, and the
+covering-lines check names the first failing flat in it.
 
 The cover queries (``is_r_degenerate``, ``max_degenerate_subset``,
 ``rank_sum_cover`` and ``max_cover_plane_or_two_lines``) are one exact
@@ -52,12 +56,16 @@ from .kernel import (
 @dataclass(frozen=True)
 class SpannedSet:
     """All f-flats spanned by a point set, as the walk finds them: each
-    flat's canonical point basis (the ``int_rref`` rows and pivots of its
-    homogeneous points; sorted) and the bitmask of the point indices on it.
-    The ``Flat`` of a key and the index tuples are derived on request."""
+    flat's key and the bitmask of the point indices on it, in key order.
+    Below the pencil's level a key is the flat's canonical point basis (the
+    ``int_rref`` rows and pivots of its homogeneous points); at it (f = d-1
+    >= 1) it is the hyperplane's primitive normal w, last nonzero entry
+    positive, which kills the homogeneous points. The ``Flat`` of a key, its
+    point basis and the index tuples are derived on request, and the export
+    lists every level in point-basis order."""
 
     f: int
-    keys: tuple[Basis, ...]
+    keys: tuple[Basis | tuple[int, ...], ...]
     masks: tuple[int, ...]
 
     @property
@@ -66,9 +74,18 @@ class SpannedSet:
 
     def flat(self, i: int) -> Flat:
         """The constraint system of the i-th flat."""
-        rows, pivots = self.keys[i]
+        key = self.keys[i]
+        if type(key[0]) is int:  # a normal w: w·(x, 1) = 0
+            d = len(key) - 1
+            return Flat(d, ((*key[:d], -key[d]),))
+        rows, pivots = key
         d = len(rows[0]) - 1
         return Flat(d, rowspace_constraints(d, rows, pivots))
+
+    def basis(self, i: int) -> Basis:
+        """The canonical point basis of the i-th flat."""
+        key = self.keys[i]
+        return _hyperplane_key(key) if type(key[0]) is int else key
 
     @property
     def flats(self) -> tuple[Flat, ...]:
@@ -82,12 +99,13 @@ class SpannedSet:
         )
 
     def to_json_dict(self) -> dict:
+        idxs = self.per_flat_points
         return {
             "f": self.f,
             "count": self.count,
             "flats": [
-                {"constraints": flat.serialize_rows(), "point_indices": list(idxs)}
-                for flat, idxs in zip(self.flats, self.per_flat_points)
+                {"constraints": self.flat(i).serialize_rows(), "point_indices": list(idxs[i])}
+                for i in sorted(range(self.count), key=self.basis)
             ],
         }
 
@@ -110,8 +128,9 @@ def spanned_flats(points: Sequence[Point], f: int) -> SpannedSet:
     keyed by that form with its pivots, and only the first prefix of each
     key is extended (``_walk``), so the walk gathers the points on each
     flat, as a bitmask over the indices, without visiting every subset that
-    spans it. For f = d-1 the walk gives the (d-2)-flats too
-    (``_walk_levels``); the last point sequence's levels are memoized.
+    spans it. For f = d-1 >= 1 the walk gives the (d-2)-flats too, and the
+    hyperplanes are keyed by their normals (``_walk_levels``); the last
+    point sequence's levels are memoized.
     """
     d = common_dim(points)
     if not 0 <= f <= d - 1:
@@ -148,17 +167,19 @@ def walk_cost(
 ) -> tuple[int, int]:
     """Estimated (bytes, entry operations) of walking n distinct points of E^d
     with ``bits``-bit homogeneous entries while the memo holds the levels f.
-    A held rank r = f + 1 flat's key holds r tuples of d + 1 slots, r(d + 2 - r)
-    nonzero ints of r * bits bits (24 bytes and 4 a 30-bit digit), its mask,
-    360 bytes of headers, slots and walk entry and ``extra`` (a cover
-    candidate, an export); a held level has C(n, r) flats, each r-subset
-    costing r(d + 1) operations. The deepest walk, to rank L = f + 1 (d - 1
-    where the hyperplanes come from the pencil), also keeps every level
-    below until it ends, with no more flats than the C(n - L + r, r)
-    r-subsets of the first n - L + r points, the prefixes that leave room for
-    the rest (none when n < L), each a key's hash, its mask and 160 bytes of
-    ints and slots; it walks them within the held levels' operations.
-    ``flats(f)``, where given, is a level's exact flat count, taken when
+    A held rank r = f + 1 flat's key holds r tuples of d + 1 slots and
+    r(d + 2 - r) nonzero ints of r * bits bits (24 bytes and 4 a 30-bit
+    digit), or, for a hyperplane (r = d >= 2, keyed by its normal), one
+    tuple of d + 1 such ints; the flat also holds its mask, 360 bytes of
+    headers, slots and walk entry and ``extra`` (a cover candidate, an
+    export). A held level has C(n, r) flats, each r-subset costing r(d + 1)
+    operations. The deepest walk, to rank L = f + 1 (d - 1 where the
+    hyperplanes come from the pencil), also keeps every level below until
+    it ends, with no more flats than the C(n - L + r, r) r-subsets of the
+    first n - L + r points, the prefixes that leave room for the rest (none
+    when n < L), each a key's hash, its mask and 160 bytes of ints and
+    slots; it walks them within the held levels' operations. ``flats(f)``,
+    where given, is a level's exact flat count or a bound on it, taken when
     lower. A binomial past 2^40 is over both caps: formed at 40, it ends the
     sum."""
     held = set(levels)
@@ -167,8 +188,11 @@ def walk_cost(
     for r in range(1, d + 1):
         if r - 1 in held:
             top = n
-            flat = 360 + extra + r * (56 + 8 * (d + 1))
-            flat += r * (d + 2 - r) * (24 + 4 * -(-r * bits // 30))
+            digits = 24 + 4 * -(-r * bits // 30)
+            if r == d > 1:  # the pencil's level: a normal of d + 1 ints
+                flat = 360 + extra + 56 + (d + 1) * (8 + digits)
+            else:
+                flat = 360 + extra + r * (56 + 8 * (d + 1)) + r * (d + 2 - r) * digits
         elif r <= deepest:
             top = max(n - deepest + r, 0)
             flat = 160
@@ -321,12 +345,14 @@ def _walk_levels(points: tuple[Point, ...], f: int) -> dict[int, SpannedSet]:
     each later point p off it the hyperplane normal (v·p)u - (u·p)v,
     primitive, last nonzero entry > 0; a hyperplane's mask is the points
     found so OR the mask of the first (d-2)-flat that reached it, which has
-    its lexicographically first basis, as in ``_walk``."""
+    its lexicographically first basis, as in ``_walk``. The levels the walk
+    makes are keyed by point basis and sorted in that order; the pencil's is
+    keyed by normal and sorted as int tuples."""
     bits = _index_masks(points)
     homs, masks = [p.hom for p in bits], list(bits.values())
     if f != len(homs[0]) - 2 or f < 1:
         return {f: _sorted_set(f, _walk(homs, masks, f + 1))}
-    normals: dict[tuple[int, ...], int] = {}  # normal -> own bits, in the order first found
+    normals: dict[tuple[int, ...], int] = {}  # normal -> own bits (then mask), first found first
     parents = array("l")  # the index of each normal's first (d-2)-flat
 
     def pencil(basis: Basis, parent: int, start: int) -> None:
@@ -349,11 +375,9 @@ def _walk_levels(points: tuple[Point, ...], f: int) -> dict[int, SpannedSet]:
 
     codim2 = _walk(homs, masks, f, pencil)
     below = list(codim2.values())
-    hyperplanes = {}
-    while normals:  # popped, so that the two tables are never both whole
-        w, own = normals.popitem()
-        hyperplanes[_hyperplane_key(w)] = own | below[parents.pop()]
-    return {f - 1: _sorted_set(f - 1, codim2), f: _sorted_set(f, hyperplanes)}
+    for w, parent in zip(normals, parents):
+        normals[w] |= below[parent]
+    return {f - 1: _sorted_set(f - 1, codim2), f: _sorted_set(f, normals)}
 
 
 def arrangement_vertices(hyperplanes: Sequence[Flat]) -> list[Point]:

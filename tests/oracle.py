@@ -9,23 +9,26 @@ point, the bichromatic count that tests every vertex against every
 hyperplane, the arrangement vertices from the RREF of every d-subset of
 hyperplanes, and a flat's sample points: one point on it, and dim + 1
 affinely independent points spanning it, from which two lines are tested
-for skewness. Beside them are the exhaustive forms of the prefix-sharing
-walks: the scan that eliminates every (f+1)-subset from scratch, and the
-general-position check that ranks every configuration of lines and picks
-on its own. Last come the full, unpruned set of cover candidates (every
-spanned flat of dimension 1..d-1, then a point flat or an axis line per
-point, each mask by testing every point) and the cover search that tries
-every combination of candidates within the budget.
+for skewness. The meet of two flats, which the package does not need,
+serves the tests' dedups and generators. Beside them are the exhaustive
+forms of the prefix-sharing walks: the scan that eliminates every
+(f+1)-subset from scratch, and the general-position check that ranks
+every configuration of lines and picks on its own. Last come the full,
+unpruned set of cover candidates (every spanned flat of dimension
+1..d-1, then a point flat or an axis line per point, each mask by testing
+every point) and the cover search that tries every combination of
+candidates within the budget.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, combinations, product
+from math import gcd, lcm
 from typing import Sequence
 
 from spanflats.incidence import CountReport, _check_arrangement
-from spanflats.kernel import Flat, Point, affine_hull, int_rref
+from spanflats.kernel import Flat, GeometryError, Point, affine_hull, int_rref
 from spanflats.kernel import affine_rank as int_affine_rank
 from spanflats.spans import SpannedSet
 
@@ -91,6 +94,15 @@ def meet_rows(rows1, rows2, d: int):
     it is empty."""
     red, pivots = rref(list(rows1) + list(rows2))
     return None if d in pivots else red
+
+
+def meet(f1: Flat, f2: Flat) -> Flat | None:
+    """f1 ∩ f2 as a canonical Flat, from the int_rref of both constraint
+    systems stacked, or None when the intersection is empty."""
+    try:
+        return Flat(f1.ambient_dim, f1.rows + f2.rows)
+    except GeometryError:
+        return None
 
 
 def contains(rows, point) -> bool:
@@ -198,18 +210,27 @@ def attach_incidences(flats, points) -> tuple[tuple[int, ...], ...]:
 
 def subset_scan(points, f: int) -> SpannedSet:
     """spanned_flats by eliminating every (f+1)-subset of the distinct points
-    on its own: full-rank subsets keyed by their int_rref basis, the masks of
-    the subsets with one key OR-ed together."""
+    on its own: full-rank subsets keyed by their int_rref basis or, for the
+    hyperplanes (f = d-1 >= 1), by the generator of their rational nullspace
+    made a primitive integer vector with its last nonzero entry positive;
+    the masks of the subsets with one key OR-ed together, sorted by key."""
     bits: dict = {}
     for i, p in enumerate(points):
         bits[p] = bits.get(p, 0) | 1 << i
+    d = points[0].dim
     found: dict[tuple, int] = {}
     for combo, combo_bits in zip(
         combinations([p.hom for p in bits], f + 1), combinations(bits.values(), f + 1)
     ):
         key = int_rref(combo)
-        if len(key[0]) == f + 1:
-            found[key] = found.get(key, 0) | sum(combo_bits)
+        if len(key[0]) != f + 1:
+            continue
+        if f == d - 1 >= 1:
+            (w,) = nullspace(combo, d + 1)
+            w = [int(x * lcm(*(y.denominator for y in w))) for x in w]
+            g = gcd(*w) if next(x for x in reversed(w) if x) > 0 else -gcd(*w)
+            key = tuple(x // g for x in w)
+        found[key] = found.get(key, 0) | sum(combo_bits)
     keys = tuple(sorted(found))
     return SpannedSet(f, keys, tuple(found[key] for key in keys))
 

