@@ -182,8 +182,10 @@ def int_rref(rows: Sequence[Sequence[int]]) -> Basis:
 
 
 def nullspace_rows(rows: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int) -> list:
-    """Integer basis of {w : row·w = 0 for every row} of an int_rref basis:
-    one w per free column, the pivots' lcm there and 0 at the other ones."""
+    """Integer basis of {w : row·w = 0 for every row} of rows that are zero
+    at each other's pivots (an int_rref basis, or rows reduced from the
+    right): one w per free column, the pivots' lcm there and 0 at the other
+    ones."""
     scale = lcm(*(row[pc] for row, pc in zip(rows, pivots)))
     out = []
     for free in range(ncols):

@@ -10,14 +10,18 @@ of each level is extended once, from the first prefix that reaches it; a
 later prefix that lands on a known flat only adds its last point's bit.
 The first prefix is the flat's lexicographically first basis, so a flat's
 points, as a bitmask, are completed from its own bits and its first
-parent's mask, level by level. Hyperplanes come from the dual side of each
-codim-2 flat, once, so one walk yields both top levels. The walk's levels
-are keyed by canonical point basis, and the pencil's, the hyperplanes, by
-primitive normal, which is what the pencil computes. A ``SpannedSet`` keeps
-the keys and masks in its level's key order, identical however the work is
-split; a flat's constraint system is built only where one is printed or
-certified, and a hyperplane's point basis only where an output reads that
-order: the export lists every level in point-basis order, and the
+parent's mask, level by level. The top two levels of E^d are made on the
+dual side, by one fraction-free step (``_cut``) that joins a point to a flat
+given by its constraint rows, reduced from the right: a walk that ends at
+codim 2 takes each parent's three rows once and cuts them by each point to
+the child's two, and the pencil cuts each codim-2 flat's two by each later
+point to a hyperplane's normal in the same way, so one walk yields both top
+levels. The levels below are keyed by canonical point basis, the top two by
+their constraint rows. A ``SpannedSet`` keeps the keys and masks in its
+level's key order, identical however the work is split; a flat's constraint
+system is built only where one is printed or certified, and a top-level
+flat's point basis (``_point_basis``, a closed form) only where an output
+reads that order: the export lists every level in point-basis order, and the
 covering-lines check names the first failing flat in it.
 
 The cover queries (``is_r_degenerate``, ``max_degenerate_subset``,
@@ -49,7 +53,6 @@ from .kernel import (
     common_dim,
     extend_rref,
     nullspace_rows,
-    rowspace_constraints,
 )
 
 
@@ -57,35 +60,43 @@ from .kernel import (
 class SpannedSet:
     """All f-flats spanned by a point set, as the walk finds them: each
     flat's key and the bitmask of the point indices on it, in key order.
-    Below the pencil's level a key is the flat's canonical point basis (the
-    ``int_rref`` rows and pivots of its homogeneous points); at it (f = d-1
-    >= 1) it is the hyperplane's primitive normal w, last nonzero entry
-    positive, which kills the homogeneous points. The ``Flat`` of a key, its
+    On the top two levels of E^d, d >= 2, a key is the flat's constraint
+    rows w, w·(x, 1) = 0 on it, reduced from the right (each row's last
+    nonzero entry positive, the other row zero there): a hyperplane (f =
+    d-1) by its primitive normal, a codim-2 flat (f = d-2) by the pair (u,
+    v). Below them it is the flat's canonical point basis (the ``int_rref``
+    rows and pivots of its homogeneous points). The ``Flat`` of a key, its
     point basis and the index tuples are derived on request, and the export
     lists every level in point-basis order."""
 
     f: int
-    keys: tuple[Basis | tuple[int, ...], ...]
+    keys: tuple[Basis | tuple[int, ...] | tuple[tuple[int, ...], ...], ...]
     masks: tuple[int, ...]
 
     @property
     def count(self) -> int:
         return len(self.masks)
 
-    def flat(self, i: int) -> Flat:
-        """The constraint system of the i-th flat."""
+    def _rows(self, i: int) -> tuple | None:
+        """The i-th key's constraint rows, or None for a point basis."""
         key = self.keys[i]
-        if type(key[0]) is int:  # a normal w: w·(x, 1) = 0
-            d = len(key) - 1
-            return Flat(d, ((*key[:d], -key[d]),))
-        rows, pivots = key
+        if type(key[0]) is int:  # a normal
+            return (key,)
+        return key if type(key[0][0]) is int else None
+
+    def flat(self, i: int) -> Flat:
+        """The constraint system of the i-th flat: a·x = b for each
+        constraint row w = (a, -b)."""
+        key, rows = self.keys[i], self._rows(i)
+        if rows is None:
+            rows = nullspace_rows(*key, len(key[0][0]))
         d = len(rows[0]) - 1
-        return Flat(d, rowspace_constraints(d, rows, pivots))
+        return Flat(d, tuple((*w[:d], -w[d]) for w in rows))
 
     def basis(self, i: int) -> Basis:
         """The canonical point basis of the i-th flat."""
-        key = self.keys[i]
-        return _hyperplane_key(key) if type(key[0]) is int else key
+        rows = self._rows(i)
+        return self.keys[i] if rows is None else _point_basis(rows)
 
     @property
     def flats(self) -> tuple[Flat, ...]:
@@ -125,12 +136,12 @@ def spanned_flats(points: Sequence[Point], f: int) -> SpannedSet:
     order; each carries the canonical primitive-integer form of its
     homogeneous point row space, extended by one point per level, and a
     prefix that loses rank is pruned with every subset below it. A flat is
-    keyed by that form with its pivots, and only the first prefix of each
-    key is extended (``_walk``), so the walk gathers the points on each
-    flat, as a bitmask over the indices, without visiting every subset that
-    spans it. For f = d-1 >= 1 the walk gives the (d-2)-flats too, and the
-    hyperplanes are keyed by their normals (``_walk_levels``); the last
-    point sequence's levels are memoized.
+    keyed by that form with its pivots, or on the top two levels of E^d by
+    its constraint rows, and only the first prefix of each key is extended
+    (``_walk``), so the walk gathers the points on each flat, as a bitmask
+    over the indices, without visiting every subset that spans it. For f =
+    d-1 >= 1 the walk gives the (d-2)-flats too (``_walk_levels``); the
+    last point sequence's levels are memoized.
     """
     d = common_dim(points)
     if not 0 <= f <= d - 1:
@@ -167,21 +178,21 @@ def walk_cost(
 ) -> tuple[int, int]:
     """Estimated (bytes, entry operations) of walking n distinct points of E^d
     with ``bits``-bit homogeneous entries while the memo holds the levels f.
-    A held rank r = f + 1 flat's key holds r tuples of d + 1 slots and
-    r(d + 2 - r) nonzero ints of r * bits bits (24 bytes and 4 a 30-bit
-    digit), or, for a hyperplane (r = d >= 2, keyed by its normal), one
-    tuple of d + 1 such ints; the flat also holds its mask, 360 bytes of
-    headers, slots and walk entry and ``extra`` (a cover candidate, an
-    export). A held level has C(n, r) flats, each r-subset costing r(d + 1)
-    operations. The deepest walk, to rank L = f + 1 (d - 1 where the
-    hyperplanes come from the pencil), also keeps every level below until
-    it ends, with no more flats than the C(n - L + r, r) r-subsets of the
-    first n - L + r points, the prefixes that leave room for the rest (none
-    when n < L), each a key's hash, its mask and 160 bytes of ints and
-    slots; it walks them within the held levels' operations. ``flats(f)``,
-    where given, is a level's exact flat count or a bound on it, taken when
-    lower. A binomial past 2^40 is over both caps: formed at 40, it ends the
-    sum."""
+    A held rank r = f + 1 flat's key holds c tuples of d + 1 slots and
+    c(d + 2 - c) nonzero ints of r * bits bits (24 bytes and 4 a 30-bit
+    digit): c = r point rows, or, on the top two levels of E^d, d >= 2,
+    c = d + 1 - r constraint rows (a hyperplane's normal, a codim-2 flat's
+    pair); the flat also holds its mask, 360 bytes of headers, slots and
+    walk entry and ``extra`` (a cover candidate, an export). A held level
+    has C(n, r) flats, each r-subset costing r(d + 1) operations. The
+    deepest walk, to rank L = f + 1 (d - 1 where the hyperplanes come from
+    the pencil), also keeps every level below until it ends, with no more
+    flats than the C(n - L + r, r) r-subsets of the first n - L + r points,
+    the prefixes that leave room for the rest (none when n < L), each a
+    key's hash, its mask and 160 bytes of ints and slots; it walks them
+    within the held levels' operations. ``flats(f)``, where given, is a
+    level's exact flat count or a bound on it, taken when lower. A binomial
+    past 2^40 is over both caps: formed at 40, it ends the sum."""
     held = set(levels)
     deepest = min(max(held, default=-1) + 1, max(d - 1, 1))
     nbytes = ops = 0
@@ -189,10 +200,8 @@ def walk_cost(
         if r - 1 in held:
             top = n
             digits = 24 + 4 * -(-r * bits // 30)
-            if r == d > 1:  # the pencil's level: a normal of d + 1 ints
-                flat = 360 + extra + 56 + (d + 1) * (8 + digits)
-            else:
-                flat = 360 + extra + r * (56 + 8 * (d + 1)) + r * (d + 2 - r) * digits
+            rows = d + 1 - r if d > 1 and r >= d - 1 else r  # constraint rows, else point rows
+            flat = 360 + extra + rows * (56 + 8 * (d + 1)) + rows * (d + 2 - rows) * digits
         elif r <= deepest:
             top = max(n - deepest + r, 0)
             flat = 160
@@ -217,11 +226,15 @@ def arrangement_cost(hyperplanes: int, d: int, vertices: int, classes: int) -> t
     return 160 * entries + 1024 * hyperplanes, entries + classes * vertices * (d + 1)
 
 
-def _walk(homs: list, bits: list, depth: int, leaf=None) -> dict[Basis, int]:
+def _walk(homs: list, bits: list, depth: int, leaf=None) -> dict[tuple, int]:
     """The row spaces of rank ``depth`` that ``depth`` of the rows ``homs``
     span, each by its canonical key, with the OR of the ``bits`` of the
     rows in it. ``leaf``, if given, is called once per key, when the walk
     first finds it, with the key, its index in its level and the next row.
+    A row space of codim 2 (``depth`` two short of the columns) is keyed by
+    its two constraint rows reduced from the right, not by its basis: the
+    parent's three (``_complement`` of its basis) are taken once, when the
+    parent is extended, and each row joins them by ``_cut``.
 
     Prefixes are extended depth-first in lexicographic order by each later
     row that leaves room for the rest (``n - left + 1`` pruning); a
@@ -248,7 +261,8 @@ def _walk(homs: list, bits: list, depth: int, leaf=None) -> dict[Basis, int]:
     prefix's, which lies in the new prefix's flat. A flat whose hash
     another flat of its level holds keeps its whole key.
     """
-    n = len(homs)
+    n, ncols = len(homs), len(homs[0])
+    dual = depth == ncols - 2  # the last level is codim 2: keyed by its two constraint rows
     index: list[dict] = [{} for _ in range(depth)]  # key (last level) or hash -> flat
     spilled: list[dict] = [{} for _ in range(depth)]  # a key whose hash is taken -> flat
     owns: list[list] = [[] for _ in range(depth)]
@@ -278,8 +292,11 @@ def _walk(homs: list, bits: list, depth: int, leaf=None) -> dict[Basis, int]:
         last = level + 1 == depth
         table, spill, own = index[level], spilled[level], owns[level]
         up, tail = parents[level], lasts[level]
-        for i in range(start, n - depth + level + 1):
-            ext = extend_rref(basis, homs[i])
+        stop, step = n - depth + level + 1, extend_rref
+        if last and dual and start < stop:
+            basis, step = _complement(*basis, ncols), _cut
+        for i in range(start, stop):
+            ext = step(basis, homs[i])
             if ext is None:
                 continue  # rank-deficient prefix: no subset below it is full rank
             key = ext if last else hash(ext)
@@ -313,41 +330,68 @@ def _walk(homs: list, bits: list, depth: int, leaf=None) -> dict[Basis, int]:
     return dict(zip(keys, masks))
 
 
-_UNIT_ROWS: dict[int, tuple[tuple[int, ...], ...]] = {}
+def _complement(rows: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int) -> tuple:
+    """``nullspace_rows`` of rows that are zero at each other's pivots, each
+    made primitive: row i is positive at the i-th column off the pivots, and
+    it is the only row nonzero there. Of a point basis (pivots first nonzero
+    entries) it is the flat's constraint rows reduced from the right: each
+    row's last nonzero entry is that column; of such constraint rows (pivots
+    last nonzero entries) it is the point basis, in ``int_rref`` form."""
+    return tuple(
+        tuple(w) if g == 1 else tuple([x // g for x in w])
+        for w in nullspace_rows(rows, pivots, ncols) for g in (gcd(*w),)
+    )
 
 
-def _hyperplane_key(w: Sequence[int]) -> Basis:
-    """The walk's key of the hyperplane with primitive normal w, last nonzero
-    entry w_j > 0: pivot i != j has row (w_j e_i - w_i e_j)/content, e_i if i > j."""
-    n = len(w)
-    j = n - 1
-    while not w[j]:
-        j -= 1
-    units = _UNIT_ROWS.get(n)
-    if units is None:
-        units = _UNIT_ROWS[n] = tuple(tuple(int(c == i) for c in range(n)) for i in range(n))
-    wj, rows = w[j], []
-    for i in range(j):
-        g, row = gcd(wj, w[i]), [0] * n
-        row[i], row[j] = wj // g, -w[i] // g
-        rows.append(tuple(row))
-    return (*rows, *units[j + 1:]), (*range(j), *range(j + 1, n))
+def _point_basis(rows: Sequence[Sequence[int]]) -> Basis:
+    """The ``int_rref`` point basis of the flat whose constraint rows, reduced
+    from the right, are ``rows``: with L the lcm of the rows' last nonzero
+    entries C_r[p_r], column i off the p_r gets L e_i - sum_r (C_r[i] /
+    C_r[p_r]) L e_{p_r}, made primitive."""
+    ncols = len(rows[0])
+    pivots = [max(i for i, x in enumerate(row) if x) for row in rows]
+    return _complement(rows, pivots, ncols), tuple(i for i in range(ncols) if i not in pivots)
 
 
-def _sorted_set(f: int, found: dict[Basis, int]) -> SpannedSet:
+def _cut(rows: tuple, p: Sequence[int]) -> tuple | None:
+    """The constraint rows, reduced from the right, of the flat that ``rows``
+    (so reduced) cut out, joined with the homogeneous point p; None when p
+    lies on it. With s = rows·p and j the first i with s_i != 0, row i < j is
+    kept and row i > j becomes s_j·row_i - s_i·row_j, made primitive with
+    the sign of s_j: its last nonzero entry stays row_i's pivot, positive,
+    where every other row is zero."""
+    s = [sum(map(mul, row, p)) for row in rows]
+    for j, sj in enumerate(s):
+        if sj:
+            break
+    else:
+        return None
+    rj, out = rows[j], list(rows[:j])
+    for si, ri in zip(s[j + 1:], rows[j + 1:]):
+        if si:
+            w = [sj * x - si * y for x, y in zip(ri, rj)]
+            g = gcd(*w) if sj > 0 else -gcd(*w)
+            ri = tuple(w) if g == 1 else tuple([x // g for x in w])
+        out.append(ri)
+    return tuple(out)
+
+
+def _sorted_set(f: int, found: dict[tuple, int]) -> SpannedSet:
     keys = tuple(sorted(found))
     return SpannedSet(f, keys, tuple(found[key] for key in keys))
 
 
 def _walk_levels(points: tuple[Point, ...], f: int) -> dict[int, SpannedSet]:
-    """The f-flats; for f = d-1 >= 1 also the (d-2)-flats where the walk
-    stops. At each (d-2)-flat's first leaf its nullspace rows (u, v) give
-    each later point p off it the hyperplane normal (v·p)u - (u·p)v,
-    primitive, last nonzero entry > 0; a hyperplane's mask is the points
-    found so OR the mask of the first (d-2)-flat that reached it, which has
-    its lexicographically first basis, as in ``_walk``. The levels the walk
-    makes are keyed by point basis and sorted in that order; the pencil's is
-    keyed by normal and sorted as int tuples."""
+    """The f-flats; for f = d-1 >= 1 also the (d-2)-flats where the walk stops.
+    At each (d-2)-flat's first leaf its key, its two constraint rows (u, v),
+    gives each later point p off it the normal of the hyperplane they span,
+    (v·p)u - (u·p)v made primitive, last nonzero entry > 0: the step of
+    ``_cut``, written out for two rows, as it runs once per point and codim-2
+    flat (a call each cost beck3-plane a fifth of its time); a hyperplane's
+    mask is the points found so OR the mask of the first (d-2)-flat that
+    reached it, which has its lexicographically first basis, as in ``_walk``.
+    Each level is sorted by its keys: point bases below the top two levels of
+    E^d, constraint rows on them."""
     bits = _index_masks(points)
     homs, masks = [p.hom for p in bits], list(bits.values())
     if f != len(homs[0]) - 2 or f < 1:
@@ -355,8 +399,8 @@ def _walk_levels(points: tuple[Point, ...], f: int) -> dict[int, SpannedSet]:
     normals: dict[tuple[int, ...], int] = {}  # normal -> own bits (then mask), first found first
     parents = array("l")  # the index of each normal's first (d-2)-flat
 
-    def pencil(basis: Basis, parent: int, start: int) -> None:
-        u, v = nullspace_rows(*basis, len(homs[0]))
+    def pencil(key: tuple, parent: int, start: int) -> None:
+        u, v = key
         for p, bit in zip(homs[start:], masks[start:]):
             a, b = sum(map(mul, u, p)), sum(map(mul, v, p))
             if a or b:  # else p is on the (d-2)-flat

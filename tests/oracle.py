@@ -208,12 +208,26 @@ def attach_incidences(flats, points) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def right_reduced(rows) -> tuple[tuple[int, ...], ...]:
+    """The rational row space of ``rows`` reduced from the right: the RREF of
+    the columns read backwards, read forwards again, each row scaled to a
+    primitive integer vector (its last nonzero entry positive), rows in
+    order of that entry's column."""
+    red, _ = rref([row[::-1] for row in rows])
+    out = []
+    for row in reversed(red):
+        ints = [int(x * lcm(*(y.denominator for y in row))) for x in row[::-1]]
+        out.append(tuple(x // gcd(*ints) for x in ints))
+    return tuple(out)
+
+
 def subset_scan(points, f: int) -> SpannedSet:
     """spanned_flats by eliminating every (f+1)-subset of the distinct points
-    on its own: full-rank subsets keyed by their int_rref basis or, for the
-    hyperplanes (f = d-1 >= 1), by the generator of their rational nullspace
-    made a primitive integer vector with its last nonzero entry positive;
-    the masks of the subsets with one key OR-ed together, sorted by key."""
+    on its own: full-rank subsets keyed by their int_rref basis or, on the
+    top two levels of E^d, d >= 2 (f = d-1 and d-2), by the rational
+    nullspace of the subset reduced from the right, a hyperplane by its one
+    row; the masks of the subsets with one key OR-ed together, sorted by
+    key."""
     bits: dict = {}
     for i, p in enumerate(points):
         bits[p] = bits.get(p, 0) | 1 << i
@@ -225,11 +239,10 @@ def subset_scan(points, f: int) -> SpannedSet:
         key = int_rref(combo)
         if len(key[0]) != f + 1:
             continue
-        if f == d - 1 >= 1:
-            (w,) = nullspace(combo, d + 1)
-            w = [int(x * lcm(*(y.denominator for y in w))) for x in w]
-            g = gcd(*w) if next(x for x in reversed(w) if x) > 0 else -gcd(*w)
-            key = tuple(x // g for x in w)
+        if d >= 2 and f >= d - 2:
+            key = right_reduced(nullspace(combo, d + 1))
+            if f == d - 1:
+                (key,) = key
         found[key] = found.get(key, 0) | sum(combo_bits)
     keys = tuple(sorted(found))
     return SpannedSet(f, keys, tuple(found[key] for key in keys))

@@ -688,11 +688,11 @@ def test_construct_purdy_and_verify_purdy_refuse_the_same_cell(capsys):
 
 
 def test_walk_cap_admits_the_frontier_cells():
-    # the frontier, (9, 3) and (11, 2) are admitted; (10, 3) is over the byte
-    # cap and (8, 4) over the work cap
+    # the frontier, (9, 3) and (11, 2) are admitted; (12, 2) is over the byte
+    # cap, and (10, 3), under it at 1.05 GB, and (8, 4) over the work cap
     for d, k in ((7, 3), (8, 3), (9, 3), (10, 2), (11, 2)):
         constructions.check_purdy_cell(d, k)
-    for d, k, cap in ((10, 3, "1,073,741,824"), (8, 4, "200,000,000")):
+    for d, k, cap in ((12, 2, "1,073,741,824"), (10, 3, "200,000,000"), (8, 4, "200,000,000")):
         with pytest.raises(GeometryError, match=f"Purdy cell \\({d}, {k}\\) .* over the cap of {cap}"):
             constructions.check_purdy_cell(d, k)
 

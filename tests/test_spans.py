@@ -190,11 +190,11 @@ def test_prefix_walk_matches_subset_scan_oracle(case, data):
 
 
 @st.composite
-def degenerate_sets(draw):
-    """(d, points) for d = 1..5: a few points, then points on the lines and
-    planes through drawn ones, then repeats, shuffled; often fewer than d
-    distinct points."""
-    d = draw(st.integers(1, 5))
+def degenerate_sets(draw, dims=(1, 5)):
+    """(d, points) for d in ``dims`` (1..5): a few points, then points on the
+    lines and planes through drawn ones, then repeats, shuffled; often fewer
+    than d distinct points."""
+    d = draw(st.integers(*dims))
     pts = draw(point_lists(d, 1, 5, lo=-2, hi=2, max_den=2))
     for _ in range(draw(st.integers(0, 4))):
         base, *others = draw(st.lists(st.sampled_from(pts), min_size=2, max_size=3))
@@ -222,19 +222,25 @@ def test_both_top_levels_match_subset_scan_in_either_order(case):
 @given(degenerate_sets())
 @settings(max_examples=120, deadline=None)
 def test_hyperplanes_keyed_by_normal_build_their_flat_and_export_in_basis_order(case):
-    # the pencil's level (f = d-1 >= 1) keys a hyperplane by its normal: its
-    # flat is its point basis' flat and the hull of its points, and every
-    # level's export lists its flats in point-basis order
+    # the top two levels of E^d, d >= 2, key a flat by its constraint rows
+    # reduced from the right (a hyperplane by its normal, a codim-2 flat by
+    # two rows): its flat is the hull of its points and its point basis
+    # their int_rref, and every level's export lists its flats in
+    # point-basis order
     d, pts = case
     for f in range(d):
         result = spanned_flats(pts, f)
         hulls, idxs = oracle.flats_and_points(pts, result.masks)
         bases = [int_rref([pts[i].hom for i in ix]) for ix in idxs]
         assert [result.basis(i) for i in range(result.count)] == bases
-        if f == d - 1 >= 1:
-            for i, w in enumerate(result.keys):
-                primal = Flat(d, rowspace_constraints(d, *spans._hyperplane_key(w)))
-                assert result.flat(i) == primal == hulls[i]
+        assert list(result.flats) == list(hulls)
+        if d >= 2 and f >= d - 2:
+            for i, key in enumerate(result.keys):
+                rows = (key,) if f == d - 1 else key
+                assert len(rows) == d - f
+                assert rows == oracle.right_reduced(rows)
+                primal = Flat(d, rowspace_constraints(d, *spans._point_basis(rows)))
+                assert primal == hulls[i]
         else:
             assert list(result.keys) == bases
         exported = result.to_json_dict()["flats"]
@@ -297,17 +303,17 @@ def test_walk_is_exact_when_keys_share_hashes(case, values):
 def test_walk_extends_each_flat_once(monkeypatch):
     # at the Purdy cell (6, 3), 2,673 full-rank 5-subsets span 873 (d-2)-flats:
     # only a flat's first prefix is extended, so no (basis, row) pair repeats,
-    # and the pencil (one nullspace per call) runs once per (d-2)-flat that
-    # a point follows
+    # and the (d-3)-flat's constraint rows (one nullspace) are taken once per
+    # (d-3)-flat that a point follows, as the parent of the (d-2)-flats' rows
     pts = constructions.purdy_counterexample(6, 3)
-    extended, pencils = Counter(), Counter()
+    extended, complements = Counter(), Counter()
 
     def extend_rref(basis, row):
         extended[basis, tuple(row)] += 1
         return kernel.extend_rref(basis, row)
 
     def nullspace_rows(rows, pivots, ncols):
-        pencils[rows, pivots] += 1
+        complements[rows, pivots] += 1
         return kernel.nullspace_rows(rows, pivots, ncols)
 
     monkeypatch.setattr(spans, "extend_rref", extend_rref)
@@ -317,7 +323,7 @@ def test_walk_extends_each_flat_once(monkeypatch):
     counts = constructions.purdy_counts(6, 3)
     assert (hyperplanes.count, codim2.count) == (counts.h_total, counts.g_total) == (685, 873)
     assert set(extended.values()) == {1}
-    assert set(pencils.values()) == {1}
+    assert set(complements.values()) == {1}
 
     def last_of_greedy_basis(mask):
         basis = []
@@ -327,9 +333,11 @@ def test_walk_extends_each_flat_once(monkeypatch):
                 last = i
         return last
 
-    # a pencil runs at a flat's first prefix, its greedy basis, if a point follows
-    followed = [last_of_greedy_basis(mask) < len(pts) - 1 for mask in codim2.masks]
-    assert set(pencils) == {key for key, yes in zip(codim2.keys, followed) if yes}
+    # a parent is extended at its first prefix, its greedy basis, if a point follows
+    parents = oracle.subset_scan(pts, 3)
+    followed = [last_of_greedy_basis(mask) < len(pts) - 1 for mask in parents.masks]
+    assert set(complements) == {key for key, yes in zip(parents.keys, followed) if yes}
+    assert len(complements) < parents.count < codim2.count
 
 
 @given(
@@ -345,7 +353,50 @@ def test_hyperplane_key_is_int_rref_of_the_normals_complement(w):
         for row in oracle.nullspace([w], len(w))
     ]
     assert all(sum(a * b for a, b in zip(row, w)) == 0 for row in complement)
-    assert spans._hyperplane_key(w) == int_rref(complement)
+    assert spans._point_basis([w]) == int_rref(complement)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda d: st.tuples(st.just(d + 1), st.integers(1, d)).flatmap(
+            lambda nc: st.lists(
+                st.lists(st.one_of(st.just(0), st.integers(-3, 3)), min_size=nc[0], max_size=nc[0]),
+                min_size=nc[1], max_size=nc[1],
+            )
+        )
+    ).filter(lambda m: len(int_rref(m)[0]) == len(m))
+)
+@settings(max_examples=300, deadline=None)
+def test_point_basis_is_int_rref_of_the_constraint_rows_nullspace(matrix):
+    # c = 1..d constraint rows of E^d, reduced from the right as the walk
+    # keys them: the closed form gives the int_rref of their nullspace
+    rows = oracle.right_reduced(matrix)
+    nullspace = [
+        [int(x * lcm(*(y.denominator for y in row))) for x in row]
+        for row in oracle.nullspace(rows, len(rows[0]))
+    ]
+    assert spans._point_basis(rows) == int_rref(nullspace)
+
+
+@given(degenerate_sets(dims=(2, 6)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_cut_adds_a_point_to_constraint_rows_as_the_oracle_does(case, data):
+    # a prefix's constraint rows (the complement of its point basis, repeats
+    # and dependent points included) cut by a point: None when the point is
+    # on the prefix's flat, else the nullspace of the prefix and the point
+    # reduced from the right
+    d, pts = case
+    homs = [p.hom for p in pts]
+    prefix = homs[: data.draw(st.integers(0, min(len(homs), d)))]
+    basis = int_rref(prefix)
+    rows = spans._complement(*basis, d + 1)
+    assert rows == oracle.right_reduced(oracle.nullspace(prefix, d + 1))
+    for p in homs:
+        joined = [*prefix, p]
+        if len(int_rref(joined)[0]) == len(basis[0]):
+            assert spans._cut(rows, p) is None
+        else:
+            assert spans._cut(rows, p) == oracle.right_reduced(oracle.nullspace(joined, d + 1))
 
 
 @given(
