@@ -4,9 +4,9 @@
     python3 scripts/reproduce.py [NAME ...] [--jobs N]
 
 Runs the named experiments (default: all, in table order) through the
-spanflats CLI, passing ``--jobs N`` to every command; the bytes written do
-not depend on it. Exits with the first nonzero CLI exit code, so a
-verify-purdy mismatch fails the run.
+spanflats CLI, passing ``--jobs N`` to every command but ``fit``, which
+runs in one process; the bytes written do not depend on it. Exits with the
+first nonzero CLI exit code, so a verify-purdy mismatch fails the run.
 """
 
 import argparse
@@ -63,7 +63,7 @@ def reproduce(names, results_dir: Path, jobs: int) -> int:
         joined: dict[Path, str] = {}
         for out, command in EXPERIMENTS[name]:
             argv = [word.format(results=results_dir) for word in command.split()]
-            argv += ["--format", "csv", "--jobs", str(jobs)]
+            argv += ["--format", "csv"] + (["--jobs", str(jobs)] if argv[0] != "fit" else [])
             path = results_dir / out if out else None
             code = main(argv + ["--out", str(path)] if path else argv)
             if code:

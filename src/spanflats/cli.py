@@ -426,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact enumeration of spanned flats, bichromatic incidence "
         "counting, extremal constructions, and growth checks.",
     )
-    # A command takes only the flags it reads; the table commands and fit take all four.
+    # A command takes only the flags it reads; the table commands take all four, fit
+    # --format and --out.
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="output path (default: stdout)")
     seeded = argparse.ArgumentParser(add_help=False, parents=[out])
@@ -478,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-range", required=True, help='e.g. "2:4"')
     p.set_defaults(func=cmd_verify_purdy)
 
-    p = sub.add_parser("fit", parents=[table], help="log-log least-squares slope of a series file")
+    p = sub.add_parser("fit", parents=[formats, out], help="log-log least-squares slope of a series file")
     p.add_argument("--series", required=True, help="file of x,count pairs")
     p.set_defaults(func=cmd_fit)
 

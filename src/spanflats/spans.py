@@ -1,28 +1,27 @@
 """Enumeration of flats spanned by point sets and related cover searches.
 
 Spanned flats are found by a pruned prefix walk, ``_walk``: prefixes of the
-distinct points are extended depth-first in lexicographic order, each
-carrying its canonical row space (``extend_rref`` adds one point per level),
-and a rank-deficient prefix is dropped with its whole subtree. Every level
-keeps a table of the flats it has reached (by canonical key on the last
-level, by the key's hash below it, confirmed by containment), so each flat
-of each level is extended once, from the first prefix that reaches it; a
-later prefix that lands on a known flat only adds its last point's bit.
-The first prefix is the flat's lexicographically first basis, so a flat's
-points, as a bitmask, are completed from its own bits and its first
-parent's mask, level by level. The top two levels of E^d are made on the
-dual side, by one fraction-free step (``_cut``) that joins a point to a flat
-given by its constraint rows, reduced from the right: a walk that ends at
-codim 2 takes each parent's three rows once and cuts them by each point to
-the child's two, and the pencil cuts each codim-2 flat's two by each later
-point to a hyperplane's normal in the same way, so one walk yields both top
-levels. The levels below are keyed by canonical point basis, the top two by
-their constraint rows. A ``SpannedSet`` keeps the keys and masks in its
+distinct points are extended depth-first in lexicographic order, one point
+per level, and a rank-deficient prefix is dropped with its whole subtree.
+Every level keeps a table of the flats it has reached (by key on a level the
+walk returns, by the key's hash below them, confirmed by containment), so
+each flat of each level is extended once, from the first prefix that
+reaches it; a later prefix that lands on a known flat only adds its last
+point's bit. The first prefix is the flat's lexicographically first basis,
+so a flat's points, as a bitmask, are completed from its own bits and its
+first parent's mask, level by level. A level's step follows from its
+codimension: below codim 2 a point joins the parent's canonical point basis
+(``extend_rref``); at codim 2 it cuts the parent's three constraint rows,
+reduced from the right, to two by one fraction-free step (``_cut``), and at
+codim 1 those two to a hyperplane's normal (``_normal``). A walk to the
+hyperplanes returns the codim-2 level too, so one walk yields both. Levels
+of codim 1 and 2 are keyed by their constraint rows, the ones below by
+canonical point basis. A ``SpannedSet`` keeps the keys and masks in its
 level's key order, identical however the work is split; a flat's constraint
-system is built only where one is printed or certified, and a top-level
-flat's point basis (``_point_basis``, a closed form) only where an output
-reads that order: the export lists every level in point-basis order, and the
-covering-lines check names the first failing flat in it.
+system is built only where one is printed or certified, and the point basis
+of a flat keyed by rows (``_point_basis``, a closed form) only where an
+output reads that order: the export lists every level in point-basis order,
+and the covering-lines check names the first failing flat in it.
 
 The cover queries (``is_r_degenerate``, ``max_degenerate_subset``,
 ``rank_sum_cover`` and ``max_cover_plane_or_two_lines``) are one exact
@@ -40,7 +39,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import mul
 from typing import Any, Callable, Iterable, Sequence
 
@@ -60,12 +59,12 @@ from .kernel import (
 class SpannedSet:
     """All f-flats spanned by a point set, as the walk finds them: each
     flat's key and the bitmask of the point indices on it, in key order.
-    On the top two levels of E^d, d >= 2, a key is the flat's constraint
-    rows w, w·(x, 1) = 0 on it, reduced from the right (each row's last
-    nonzero entry positive, the other row zero there): a hyperplane (f =
-    d-1) by its primitive normal, a codim-2 flat (f = d-2) by the pair (u,
-    v). Below them it is the flat's canonical point basis (the ``int_rref``
-    rows and pivots of its homogeneous points). The ``Flat`` of a key, its
+    On the levels of codim 1 and 2 a key is the flat's constraint rows w,
+    w·(x, 1) = 0 on it, reduced from the right (each row's last nonzero
+    entry positive, the other row zero there): a hyperplane (f = d-1) by its
+    primitive normal, a codim-2 flat (f = d-2) by the pair (u, v). Below
+    them it is the flat's canonical point basis (the ``int_rref`` rows and
+    pivots of its homogeneous points). The ``Flat`` of a key, its
     point basis and the index tuples are derived on request, and the export
     lists every level in point-basis order."""
 
@@ -136,7 +135,7 @@ def spanned_flats(points: Sequence[Point], f: int) -> SpannedSet:
     order; each carries the canonical primitive-integer form of its
     homogeneous point row space, extended by one point per level, and a
     prefix that loses rank is pruned with every subset below it. A flat is
-    keyed by that form with its pivots, or on the top two levels of E^d by
+    keyed by that form with its pivots, or on the levels of codim 1 and 2 by
     its constraint rows, and only the first prefix of each key is extended
     (``_walk``), so the walk gathers the points on each flat, as a bitmask
     over the indices, without visiting every subset that spans it. For f =
@@ -180,17 +179,17 @@ def walk_cost(
     with ``bits``-bit homogeneous entries while the memo holds the levels f.
     A held rank r = f + 1 flat's key holds c tuples of d + 1 slots and
     c(d + 2 - c) nonzero ints of r * bits bits (24 bytes and 4 a 30-bit
-    digit): c = r point rows, or, on the top two levels of E^d, d >= 2,
+    digit): c = r point rows, or, on the levels of codim 1 and 2,
     c = d + 1 - r constraint rows (a hyperplane's normal, a codim-2 flat's
     pair); the flat also holds its mask, 360 bytes of headers, slots and
     walk entry and ``extra`` (a cover candidate, an export). A held level
     has C(n, r) flats, each r-subset costing r(d + 1) operations. The
-    deepest walk, to rank L = f + 1 (d - 1 where the hyperplanes come from
-    the pencil), also keeps every level below until it ends, with no more
-    flats than the C(n - L + r, r) r-subsets of the first n - L + r points,
-    the prefixes that leave room for the rest (none when n < L), each a
-    key's hash, its mask and 160 bytes of ints and slots; it walks them
-    within the held levels' operations. ``flats(f)``, where given, is a
+    deepest walk, to rank L = f + 1 (d - 1 for the hyperplanes, which come
+    with the codim-2 level), also keeps every level below until it ends,
+    with no more flats than the C(n - L + r, r) r-subsets of the first
+    n - L + r points, the prefixes that leave room for the rest (none when
+    n < L), each a key's hash, its mask and 160 bytes of ints and slots; it
+    walks them within the held levels' operations. ``flats(f)``, where given, is a
     level's exact flat count or a bound on it, taken when lower. A binomial
     past 2^40 is over both caps: formed at 40, it ends the sum."""
     held = set(levels)
@@ -200,7 +199,7 @@ def walk_cost(
         if r - 1 in held:
             top = n
             digits = 24 + 4 * -(-r * bits // 30)
-            rows = d + 1 - r if d > 1 and r >= d - 1 else r  # constraint rows, else point rows
+            rows = d + 1 - r if r >= d - 1 else r  # constraint rows, else point rows
             flat = 360 + extra + rows * (56 + 8 * (d + 1)) + rows * (d + 2 - rows) * digits
         elif r <= deepest:
             top = max(n - deepest + r, 0)
@@ -226,47 +225,48 @@ def arrangement_cost(hyperplanes: int, d: int, vertices: int, classes: int) -> t
     return 160 * entries + 1024 * hyperplanes, entries + classes * vertices * (d + 1)
 
 
-def _walk(homs: list, bits: list, depth: int, leaf=None) -> dict[tuple, int]:
+def _walk(homs: list, bits: list, depth: int) -> list[dict[tuple, int]]:
     """The row spaces of rank ``depth`` that ``depth`` of the rows ``homs``
-    span, each by its canonical key, with the OR of the ``bits`` of the
-    rows in it. ``leaf``, if given, is called once per key, when the walk
-    first finds it, with the key, its index in its level and the next row.
-    A row space of codim 2 (``depth`` two short of the columns) is keyed by
-    its two constraint rows reduced from the right, not by its basis: the
-    parent's three (``_complement`` of its basis) are taken once, when the
-    parent is extended, and each row joins them by ``_cut``.
+    span, each by its key, with the OR of the ``bits`` of the rows in it; a
+    walk to rank ncols - 1 >= 2, the hyperplanes, returns the codim-2 level
+    first. A level's step follows from its codim: below 2 a row joins the
+    parent's basis (``extend_rref``); at 2 it cuts the parent's three
+    constraint rows (``_complement`` of its basis, taken once per parent) to
+    two (``_cut``), and at 1 those two to a normal (``_normal``). The root of
+    E^1 has codim 2: it is given by its two rows.
 
-    Prefixes are extended depth-first in lexicographic order by each later
-    row that leaves room for the rest (``n - left + 1`` pruning); a
+    Prefixes are extended depth-first in lexicographic order; a
     rank-deficient extension is dropped with its subtree. Each level numbers
-    its flats in the order first found and keeps their own bits, their
-    first parent (the flat of the prefix that first reached them) and the
-    last row of that prefix. An extension that lands on a known flat ORs its
-    row's bit in and goes no further: the flat's first prefix walks that
-    subtree. That prefix is the flat's lexicographically first basis
-    b_1 < ... < b_r, the greedy one, and the first-parent chain is
-    F_j = span(b_1..b_j). A point p of the flat that first lies on F_m is
-    b_m, or else, at the first level j >= m whose range reaches p, the
-    prefix b_1..b_j without b_m is a first prefix in range, and p extends it
-    onto F_j. So every point is an own bit of the chain, and a mask
-    completed level by level, own bits OR the first parent's completed
-    mask, is the flat's.
+    its flats in the order first found and keeps their own bits and their
+    first parent (the flat of the prefix that first reached them). An
+    extension that lands on a known flat ORs its row's bit in and goes no
+    further: the flat's first prefix walks that subtree. That prefix is the
+    flat's lexicographically first basis b_1 < ... < b_r, the greedy one,
+    and the first-parent chain is F_j = span(b_1..b_j). A point p of the
+    flat that first lies on F_m is b_m, or else, at the first level j >= m
+    whose range reaches p, the prefix b_1..b_j without b_m is a first prefix
+    in range, and p extends it onto F_j. So every point is an own bit of the
+    chain, and a mask completed level by level, own bits OR the first
+    parent's completed mask, is the flat's.
 
-    The last level, which is returned, looks its flats up by key. A level
-    below it keeps only each key's hash, so that it costs a set in general
-    position, whose flats each have one spanning subset, little memory, and
-    confirms a hash it knows by containment: the new flat, of the same rank,
-    is the known one exactly when it holds the last rows of the known
-    flat's first-parent chain above the flat where that chain meets the new
-    prefix's, which lies in the new prefix's flat. A flat whose hash
-    another flat of its level holds keeps its whole key.
+    A returned level takes every later row and keeps each flat's own bits
+    under its whole key, completed to its mask in place. A level below the
+    first returned one takes only the rows that leave room to reach it. It
+    keeps each key's hash and the last row of its first prefix, not the key,
+    so that a set in general position, whose flats each have one spanning
+    subset, costs little memory, and confirms a known hash by containment:
+    the new flat, of the same rank, is the known one exactly when it holds
+    the last rows of the known flat's first-parent chain above the flat
+    where that chain meets the new prefix's, which lies in the new prefix's
+    flat. A flat whose hash another flat of its level holds keeps its whole
+    key.
     """
     n, ncols = len(homs), len(homs[0])
-    dual = depth == ncols - 2  # the last level is codim 2: keyed by its two constraint rows
-    index: list[dict] = [{} for _ in range(depth)]  # key (last level) or hash -> flat
-    spilled: list[dict] = [{} for _ in range(depth)]  # a key whose hash is taken -> flat
-    owns: list[list] = [[] for _ in range(depth)]
-    parents, lasts = [array("l") for _ in range(depth)], [array("l") for _ in range(depth)]
+    first = depth - 2 if depth == ncols - 1 > 1 else depth - 1  # the first returned level
+    index: list[dict] = [{} for _ in range(depth)]  # hash -> flat, or key -> own bits (returned)
+    spilled: list[dict] = [{} for _ in range(first)]  # a key whose hash is taken -> flat
+    owns: list[list] = [[] for _ in range(first)]
+    parents, lasts = [array("l") for _ in range(depth)], [array("l") for _ in range(first)]
 
     def holds(basis: Basis, i: int) -> bool:
         v = homs[i]
@@ -288,20 +288,38 @@ def _walk(homs: list, bits: list, depth: int, leaf=None) -> dict[tuple, int]:
             a, b = parents[level][a], parents[level][b]
         return True
 
-    def extend(level: int, start: int, basis: Basis, parent: int) -> None:
-        last = level + 1 == depth
-        table, spill, own = index[level], spilled[level], owns[level]
-        up, tail = parents[level], lasts[level]
-        stop, step = n - depth + level + 1, extend_rref
-        if last and dual and start < stop:
-            basis, step = _complement(*basis, ncols), _cut
-        for i in range(start, stop):
-            ext = step(basis, homs[i])
+    def extend(level: int, start: int, basis: tuple, parent: int) -> None:
+        table, up = index[level], parents[level]
+        if level >= first:
+            codim, deeper = ncols - 1 - level, level + 1 < depth
+            if codim > 2:
+                step = extend_rref
+            elif codim == 2:
+                step, basis = _cut, _complement(*basis, ncols)
+            else:
+                step = _normal
+            for i, row in enumerate(homs[start:], start):
+                key = step(basis, row)
+                if key is None:
+                    continue  # rank-deficient prefix
+                own = table.get(key)
+                if own is not None:
+                    table[key] = own | bits[i]
+                    continue
+                t = len(table)
+                table[key] = bits[i]
+                up.append(parent)
+                if deeper:
+                    extend(level + 1, i + 1, key, t)
+            return
+        own, spill, tail = owns[level], spilled[level], lasts[level]
+        for i, row in enumerate(homs[start : n - first + level], start):
+            ext = extend_rref(basis, row)
             if ext is None:
                 continue  # rank-deficient prefix: no subset below it is full rank
-            key = ext if last else hash(ext)
+            key = hash(ext)
             t = table.get(key)
-            if t is not None and not last and not known(ext, level, t, parent):
+            if t is not None and not known(ext, level, t, parent):
                 t = spill.get(ext)
             if t is not None:
                 own[t] |= bits[i]
@@ -314,20 +332,21 @@ def _walk(homs: list, bits: list, depth: int, leaf=None) -> dict[tuple, int]:
             own.append(bits[i])
             up.append(parent)
             tail.append(i)
-            if not last:
-                extend(level + 1, i + 1, ext, t)
-            elif leaf and i + 1 < n:
-                leaf(ext, t, i + 1)
+            extend(level + 1, i + 1, ext, t)
 
-    extend(0, 0, ((), ()), 0)
+    extend(0, 0, ((), ()) if ncols > 2 else _complement((), (), 2), 0)
     del extend  # it refers to itself: the tables go when this returns, not at a collection
-    keys = index[-1]
+    found = index[first:]
     for table in (index, spilled, lasts):
         table.clear()  # own bits and first parents complete the masks
     masks = [0]
     for own, up in zip(owns, parents):
         masks = [o | masks[j] for o, j in zip(own, up)]
-    return dict(zip(keys, masks))
+    for table, up in zip(found, parents[first:]):
+        masks = [o | masks[j] for o, j in zip(table.values(), up)]
+        for key, mask in zip(table, masks):
+            table[key] = mask
+    return found
 
 
 def _complement(rows: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int) -> tuple:
@@ -376,62 +395,44 @@ def _cut(rows: tuple, p: Sequence[int]) -> tuple | None:
     return tuple(out)
 
 
+def _normal(rows: tuple, p: Sequence[int]) -> tuple[int, ...] | None:
+    """The normal, primitive with its last nonzero entry positive, of the
+    hyperplane that the codim-2 flat with rows (u, v), reduced from the
+    right, spans with the homogeneous point p: (v·p)u - (u·p)v; None when p
+    is on the flat. ``_cut``'s step written out for two rows, as it runs per
+    codim-2 flat and later point (a ``_cut`` call each cost beck3-plane a
+    fifth of its time). u's pivot comes first, so the normal's last nonzero
+    entry is -(u·p) times v's pivot entry, or else (v·p) times u's."""
+    u, v = rows
+    a, b = sum(map(mul, u, p)), sum(map(mul, v, p))
+    if not (a or b):
+        return None
+    w = [b * x - a * y for x, y in zip(u, v)]
+    g = -gcd(*w) if a > 0 or not a and b < 0 else gcd(*w)
+    return tuple([x // g for x in w])
+
+
 def _sorted_set(f: int, found: dict[tuple, int]) -> SpannedSet:
     keys = tuple(sorted(found))
     return SpannedSet(f, keys, tuple(found[key] for key in keys))
 
 
 def _walk_levels(points: tuple[Point, ...], f: int) -> dict[int, SpannedSet]:
-    """The f-flats; for f = d-1 >= 1 also the (d-2)-flats where the walk stops.
-    At each (d-2)-flat's first leaf its key, its two constraint rows (u, v),
-    gives each later point p off it the normal of the hyperplane they span,
-    (v·p)u - (u·p)v made primitive, last nonzero entry > 0: the step of
-    ``_cut``, written out for two rows, as it runs once per point and codim-2
-    flat (a call each cost beck3-plane a fifth of its time); a hyperplane's
-    mask is the points found so OR the mask of the first (d-2)-flat that
-    reached it, which has its lexicographically first basis, as in ``_walk``.
-    Each level is sorted by its keys: point bases below the top two levels of
-    E^d, constraint rows on them."""
+    """The f-flats, and for f = d-1 >= 1 the (d-2)-flats that their walk
+    passes, each level sorted by its keys."""
     bits = _index_masks(points)
-    homs, masks = [p.hom for p in bits], list(bits.values())
-    if f != len(homs[0]) - 2 or f < 1:
-        return {f: _sorted_set(f, _walk(homs, masks, f + 1))}
-    normals: dict[tuple[int, ...], int] = {}  # normal -> own bits (then mask), first found first
-    parents = array("l")  # the index of each normal's first (d-2)-flat
-
-    def pencil(key: tuple, parent: int, start: int) -> None:
-        u, v = key
-        for p, bit in zip(homs[start:], masks[start:]):
-            a, b = sum(map(mul, u, p)), sum(map(mul, v, p))
-            if a or b:  # else p is on the (d-2)-flat
-                w = [b * x - a * y for x, y in zip(u, v)]
-                for last in reversed(w):
-                    if last:
-                        break
-                g = gcd(*w) if last > 0 else -gcd(*w)
-                w = tuple([x // g for x in w])
-                own = normals.get(w)
-                if own is None:
-                    normals[w] = bit
-                    parents.append(parent)
-                else:
-                    normals[w] = own | bit
-
-    codim2 = _walk(homs, masks, f, pencil)
-    below = list(codim2.values())
-    for w, parent in zip(normals, parents):
-        normals[w] |= below[parent]
-    return {f - 1: _sorted_set(f - 1, codim2), f: _sorted_set(f, normals)}
+    found = _walk([p.hom for p in bits], list(bits.values()), f + 1)
+    return {g: _sorted_set(g, level) for g, level in enumerate(found, f + 1 - len(found))}
 
 
 def arrangement_vertices(hyperplanes: Sequence[Flat]) -> list[Point]:
     """Deduplicated points where d of the hyperplanes meet 0-dimensionally.
 
     The d-subsets of the distinct constraint rows [a | b] are walked like
-    point subsets. A subset meets in one point exactly when its key has no
-    pivot in column d; its row i is then c_i x_i = b_i, so x_i = b_i / c_i.
-    The d independent constraints through a point span all the constraints
-    through it, so each vertex has one key.
+    point subsets, to the normal w of their span: a·x = b on each is
+    (a, b)·(x, -1) = 0, so a subset meets in one point exactly when w[d] !=
+    0, and it is x = -w[:d] / w[d]. The d independent constraints through a
+    point span all the constraints through it, so each vertex has one key.
     """
     if not hyperplanes:
         return []
@@ -440,12 +441,8 @@ def arrangement_vertices(hyperplanes: Sequence[Flat]) -> list[Point]:
         if h.ambient_dim != d or h.dim != d - 1:
             raise GeometryError(f"non-hyperplane input (dim {h.dim} in E^{h.ambient_dim})")
     rows = list(dict.fromkeys(h.rows[0] for h in hyperplanes))
-    vertices = []
-    for key, pivots in _walk(rows, [0] * len(rows), d):
-        if pivots[-1] < d:  # else the d hyperplanes have no common point
-            den = lcm(*(row[i] for i, row in enumerate(key)))
-            nums = (row[d] * (den // row[i]) for i, row in enumerate(key))
-            vertices.append(Point.from_hom((*nums, den)))
+    normals = _walk(rows, [0] * len(rows), d)[-1]
+    vertices = [Point.from_hom((*(-x for x in w[:d]), w[d])) for w in normals if w[d]]
     return sorted(vertices, key=lambda p: p.coords)
 
 

@@ -224,9 +224,9 @@ def right_reduced(rows) -> tuple[tuple[int, ...], ...]:
 def subset_scan(points, f: int) -> SpannedSet:
     """spanned_flats by eliminating every (f+1)-subset of the distinct points
     on its own: full-rank subsets keyed by their int_rref basis or, on the
-    top two levels of E^d, d >= 2 (f = d-1 and d-2), by the rational
-    nullspace of the subset reduced from the right, a hyperplane by its one
-    row; the masks of the subsets with one key OR-ed together, sorted by
+    levels of codim 1 and 2 (f = d-1 and d-2), by the rational nullspace of
+    the subset reduced from the right, a hyperplane by its one row; the
+    masks of the subsets with one key OR-ed together, sorted by
     key."""
     bits: dict = {}
     for i, p in enumerate(points):
@@ -239,7 +239,7 @@ def subset_scan(points, f: int) -> SpannedSet:
         key = int_rref(combo)
         if len(key[0]) != f + 1:
             continue
-        if d >= 2 and f >= d - 2:
+        if f >= d - 2:
             key = right_reduced(nullspace(combo, d + 1))
             if f == d - 1:
                 (key,) = key

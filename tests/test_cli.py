@@ -975,13 +975,14 @@ SUBCOMMANDS = {
     ),
 }
 # the shared flags each subcommand takes: --out everywhere, --seed also for
-# construct purdy, and --format and --jobs too for the table commands and fit
+# construct purdy, --format for fit, and all four for the table commands
 OUT = {"--out": "missing"}
 SEEDED = {**OUT, "--seed": EMPTY | WORDS}
-TABLE = {**SEEDED, "--format": EMPTY | WORDS, "--jobs": BAD_COUNT}
+FORMATTED = {**OUT, "--format": EMPTY | WORDS}
+TABLE = {**SEEDED, **FORMATTED, "--jobs": BAD_COUNT}
 TAKES = {
     "enumerate": OUT, "incidences": OUT, "erdos2d": OUT, "bichromatic": OUT, "thetamk": OUT,
-    "purdy": SEEDED, "verify-purdy": TABLE, "fit": TABLE, "envelope-sweep": TABLE,
+    "purdy": SEEDED, "verify-purdy": TABLE, "fit": FORMATTED, "envelope-sweep": TABLE,
     "beck3": TABLE, "conjecture-search": TABLE,
 }
 

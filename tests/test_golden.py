@@ -155,6 +155,7 @@ def test_golden_output(case, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("table", sorted(TABLES))
 def test_golden_table(table, fmt, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    for jobs in ("1", "2"):
-        argv = TABLES[table] + ("--format", fmt, "--jobs", jobs)
+    widths = [()] if table == "fit" else [("--jobs", "1"), ("--jobs", "2")]  # fit takes no --jobs
+    for jobs in widths:
+        argv = TABLES[table] + ("--format", fmt, *jobs)
         assert run_case((), argv, None, tmp_path, capsys) == GOLDEN[f"{table}/{fmt}"]

@@ -222,7 +222,7 @@ def test_both_top_levels_match_subset_scan_in_either_order(case):
 @given(degenerate_sets())
 @settings(max_examples=120, deadline=None)
 def test_hyperplanes_keyed_by_normal_build_their_flat_and_export_in_basis_order(case):
-    # the top two levels of E^d, d >= 2, key a flat by its constraint rows
+    # the levels of codim 1 and 2 key a flat by its constraint rows
     # reduced from the right (a hyperplane by its normal, a codim-2 flat by
     # two rows): its flat is the hull of its points and its point basis
     # their int_rref, and every level's export lists its flats in
@@ -234,7 +234,7 @@ def test_hyperplanes_keyed_by_normal_build_their_flat_and_export_in_basis_order(
         bases = [int_rref([pts[i].hom for i in ix]) for ix in idxs]
         assert [result.basis(i) for i in range(result.count)] == bases
         assert list(result.flats) == list(hulls)
-        if d >= 2 and f >= d - 2:
+        if f >= d - 2:
             for i, key in enumerate(result.keys):
                 rows = (key,) if f == d - 1 else key
                 assert len(rows) == d - f
@@ -465,6 +465,9 @@ def test_four_line_vertices_by_hand():
     ]
     got = sorted(v.serialize() for v in arrangement_vertices(hyps))
     assert got == ["-1,0", "0,0", "0,1", "1,1"]
+    # in E^1 each hyperplane is a point, and a vertex of its own
+    points = [hyperplane((2,), 1), hyperplane((1,), -3)]  # x = 1/2, x = -3
+    assert [v.serialize() for v in arrangement_vertices(points)] == ["-3", "1/2"]
 
 
 @st.composite
