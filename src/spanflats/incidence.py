@@ -1,9 +1,9 @@
 """Bichromatic point-hyperplane incidence counting and the bound envelope.
 
 Incidences are counted by parallel class, exactly. A hyperplane's canonical
-row [a | b] is primitive, so with g = gcd(a) its primitive normal a' = a/g
-and its offset b/g (already in lowest terms, since gcd(g, b) = 1) name it
-uniquely: hyperplanes with one normal a' form a class, told apart by offset.
+functional (a, c) (a·x = -c on it) is primitive, so with g = gcd(a) its
+primitive normal a' = a/g and its offset -c/g (already in lowest terms,
+since gcd(g, c) = 1) name it uniquely: hyperplanes with one normal a' form a class, told apart by offset.
 A vertex with homogeneous vector (num, den) lies on a'·x = beta exactly when
 a'·num / den = beta, so one dot product per vertex per class, reduced to
 lowest terms, is looked up in the class's offset counts. The cost is
@@ -113,9 +113,9 @@ def hyperplane_class(h: Flat) -> tuple[Normal, Offset]:
     """The primitive normal a' and the offset (num, den) of a hyperplane
     a'·x = num/den, in lowest terms with den > 0; equal exactly for equal
     hyperplanes."""
-    *normal, b = h.rows[0]
+    *normal, c = h.rows[0]
     g = gcd(*normal)
-    return tuple(v // g for v in normal), (b, g)
+    return tuple(v // g for v in normal), (-c, g)
 
 
 def vertex_offset(normal: Normal, hom: Sequence[int]) -> Offset:

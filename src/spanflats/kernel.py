@@ -1,10 +1,13 @@
 """Exact affine geometry over the integers: points, canonical flats, hulls.
 
-A point of E^d is stored as its primitive homogeneous integer vector: the
-coordinate numerators over their lcm denominator, then that denominator. A
-flat is stored as the primitive-integer row echelon form that ``int_rref``
-gives for its constraint system ``A·x = b``: each row is the rational RREF
-row scaled to a primitive integer vector with a positive pivot. Both forms
+A point of E^d is stored as its primitive homogeneous integer vector
+``hom``: the coordinate numerators over their lcm denominator, then that
+denominator. A flat is stored as the primitive-integer row echelon form that
+``int_rref`` gives for its homogeneous functionals, the rows w with
+w·hom = 0 for every point on it: each row is the rational RREF row scaled to
+a primitive integer vector with a positive pivot. A constraint a·x = b is
+the functional (a, -b); only ``hyperplane``, ``Flat.parse_rows`` and
+``Flat.serialize_rows`` read or write that [A | b] form. Both stored forms
 are unique, so structural equality is geometric equality and enumeration
 code deduplicates flats with a plain dict. The one elimination step is
 ``extend_rref``, which adds one row to a canonical basis (or reports it
@@ -181,11 +184,13 @@ def int_rref(rows: Sequence[Sequence[int]]) -> Basis:
     return basis
 
 
-def nullspace_rows(rows: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int) -> list:
-    """Integer basis of {w : row·w = 0 for every row} of rows that are zero
-    at each other's pivots (an int_rref basis, or rows reduced from the
-    right): one w per free column, the pivots' lcm there and 0 at the other
-    ones."""
+def nullspace_rows(rows: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int) -> tuple:
+    """Primitive integer basis of {w : row·w = 0 for every row} of rows that
+    are zero at each other's pivots (an int_rref basis, or rows reduced from
+    the right): one w per free column, positive there and 0 at the other
+    free columns. Of a point basis it is the flat's functionals reduced from
+    the right (each row's last nonzero entry is its free column); of such
+    functionals it is the point basis, in ``int_rref`` form."""
     scale = lcm(*(row[pc] for row, pc in zip(rows, pivots)))
     out = []
     for free in range(ncols):
@@ -195,28 +200,22 @@ def nullspace_rows(rows: Sequence[Sequence[int]], pivots: Sequence[int], ncols: 
         w[free] = scale
         for row, pc in zip(rows, pivots):
             w[pc] = -row[free] * (scale // row[pc])
-        out.append(w)
-    return out
-
-
-def rowspace_constraints(d: int, rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> tuple:
-    """Constraint rows [a | b] of the flat whose homogeneous points span the
-    row space given in int_rref form: a·x = b on it iff (a, -b) kills it."""
-    return tuple((*w[:d], -w[d]) for w in nullspace_rows(rows, pivots, d + 1))
+        g = gcd(*w)
+        out.append(tuple(w) if g == 1 else tuple([x // g for x in w]))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class Flat:
-    """An affine subspace of E^d as a canonical constraint system.
+    """An affine subspace of E^d as its canonical homogeneous functionals.
 
-    ``rows`` is the int_rref form of the augmented matrix [A | b] of a
-    consistent system A·x = b whose solution set is the flat; the
+    ``rows`` is the int_rref form of the functionals w with w·hom = 0 for
+    every point on the flat, which span all such functionals; the
     constructor takes rows of ints or Fractions and scales each to
-    integers. Because the row space of [A | b] is exactly the space of
-    affine functionals vanishing on the flat, two Flats are equal iff their
-    rows are identical. ``dim`` ranges over 0..d; d (no constraints) only
-    occurs as the hull of a full-dimensional point set and is filtered out
-    by every enumeration that wants proper flats.
+    integers, and refuses rows that no point satisfies. So two Flats are
+    equal iff their rows are identical. ``dim`` ranges over 0..d; d (no
+    functionals) only occurs as the hull of a full-dimensional point set
+    and is filtered out by every enumeration that wants proper flats.
     """
 
     ambient_dim: int
@@ -247,39 +246,43 @@ class Flat:
             raise GeometryError(
                 f"dimension mismatch: point in E^{p.dim}, flat in E^{self.ambient_dim}"
             )
-        *num, den = p.hom
-        return all(sum(map(mul, row, num)) == row[-1] * den for row in self.rows)
+        hom = p.hom
+        return not any(sum(map(mul, row, hom)) for row in self.rows)
 
     def serialize_rows(self) -> list[list[str]]:
-        """The rational RREF rows: each row divided by its pivot."""
+        """The constraint rows [a | b] of a·x = b: each functional (a, -b)
+        divided by its pivot, the rational RREF rows of [A | b]."""
         return [
-            [format_rational(Fraction(v, row[pc])) for v in row]
+            [format_rational(Fraction(v, row[pc])) for v in row[:-1]]
+            + [format_rational(Fraction(-row[-1], row[pc]))]
             for row, pc in zip(self.rows, self._pivots())
         ]
 
     @classmethod
     def parse_rows(cls, ambient_dim: int, rows: Sequence[Sequence[str]]) -> "Flat":
+        """The flat of the constraint rows [a | b] that serialize_rows writes."""
         parsed = [[parse_rational(v) for v in row] for row in rows]
         for row in parsed:
             if len(row) != ambient_dim + 1:
                 raise GeometryError(
                     f"constraint row has {len(row)} entries, expected {ambient_dim + 1}"
                 )
-        return cls(ambient_dim, tuple(tuple(r) for r in parsed))
+        return cls(ambient_dim, tuple((*row[:-1], -row[-1]) for row in parsed))
 
 
 def hyperplane(coeffs: Sequence[Scalar], rhs: Scalar) -> Flat:
     """The hyperplane {x : coeffs·x = rhs}; coeffs must not be all zero."""
     if not any(coeffs):
         raise GeometryError("zero normal vector")
-    return Flat(len(coeffs), (tuple(coeffs) + (rhs,),))
+    b = -rhs if isinstance(rhs, (int, Fraction)) else rhs  # the constructor refuses the rest
+    return Flat(len(coeffs), ((*coeffs, b),))
 
 
 def affine_hull(points: Sequence[Point]) -> Flat:
     """Smallest flat containing all the points."""
     d = common_dim(points)
     rows, pivots = int_rref([p.hom for p in points])
-    return Flat(d, rowspace_constraints(d, rows, pivots))
+    return Flat(d, nullspace_rows(rows, pivots, d + 1))
 
 
 def affine_rank(points: Sequence[Point]) -> int:

@@ -11,16 +11,18 @@ point's bit. The first prefix is the flat's lexicographically first basis,
 so a flat's points, as a bitmask, are completed from its own bits and its
 first parent's mask, level by level. A level's step follows from its
 codimension: below codim 2 a point joins the parent's canonical point basis
-(``extend_rref``); at codim 2 it cuts the parent's three constraint rows,
-reduced from the right, to two by one fraction-free step (``_cut``), and at
-codim 1 those two to a hyperplane's normal (``_normal``). A walk to the
+(``extend_rref``); at codim 2 it cuts the parent's three constraint rows
+(the homogeneous functionals w, w·(x, 1) = 0 on the flat, that a ``Flat``
+stores), reduced from the right, to two by one fraction-free step
+(``_cut``), and at codim 1 those two to a hyperplane's normal (``_normal``).
+Rows and point basis are each other's ``nullspace_rows``. A walk to the
 hyperplanes returns the codim-2 level too, so one walk yields both. Levels
 of codim 1 and 2 are keyed by their constraint rows, the ones below by
 canonical point basis. A ``SpannedSet`` keeps the keys and masks in its
-level's key order, identical however the work is split; a flat's constraint
-system is built only where one is printed or certified, and the point basis
-of a flat keyed by rows (``_point_basis``, a closed form) only where an
-output reads that order: the export lists every level in point-basis order,
+level's key order, identical however the work is split; a ``Flat`` is
+built only where one is printed or certified, and the point basis of a
+flat keyed by rows (``_point_basis``) only where an output reads that
+order: the export lists every level in point-basis order,
 and the covering-lines check names the first failing flat in it.
 
 The cover queries (``is_r_degenerate``, ``max_degenerate_subset``,
@@ -84,13 +86,11 @@ class SpannedSet:
         return key if type(key[0][0]) is int else None
 
     def flat(self, i: int) -> Flat:
-        """The constraint system of the i-th flat: a·x = b for each
-        constraint row w = (a, -b)."""
+        """The i-th flat, from its constraint rows."""
         key, rows = self.keys[i], self._rows(i)
         if rows is None:
             rows = nullspace_rows(*key, len(key[0][0]))
-        d = len(rows[0]) - 1
-        return Flat(d, tuple((*w[:d], -w[d]) for w in rows))
+        return Flat(len(rows[0]) - 1, rows)
 
     def basis(self, i: int) -> Basis:
         """The canonical point basis of the i-th flat."""
@@ -231,7 +231,7 @@ def _walk(homs: list, bits: list, depth: int) -> list[dict[tuple, int]]:
     walk to rank ncols - 1 >= 2, the hyperplanes, returns the codim-2 level
     first. A level's step follows from its codim: below 2 a row joins the
     parent's basis (``extend_rref``); at 2 it cuts the parent's three
-    constraint rows (``_complement`` of its basis, taken once per parent) to
+    constraint rows (``nullspace_rows`` of its basis, once per parent) to
     two (``_cut``), and at 1 those two to a normal (``_normal``). The root of
     E^1 has codim 2: it is given by its two rows.
 
@@ -295,7 +295,7 @@ def _walk(homs: list, bits: list, depth: int) -> list[dict[tuple, int]]:
             if codim > 2:
                 step = extend_rref
             elif codim == 2:
-                step, basis = _cut, _complement(*basis, ncols)
+                step, basis = _cut, nullspace_rows(*basis, ncols)
             else:
                 step = _normal
             for i, row in enumerate(homs[start:], start):
@@ -334,7 +334,7 @@ def _walk(homs: list, bits: list, depth: int) -> list[dict[tuple, int]]:
             tail.append(i)
             extend(level + 1, i + 1, ext, t)
 
-    extend(0, 0, ((), ()) if ncols > 2 else _complement((), (), 2), 0)
+    extend(0, 0, ((), ()) if ncols > 2 else nullspace_rows((), (), 2), 0)
     del extend  # it refers to itself: the tables go when this returns, not at a collection
     found = index[first:]
     for table in (index, spilled, lasts):
@@ -349,19 +349,6 @@ def _walk(homs: list, bits: list, depth: int) -> list[dict[tuple, int]]:
     return found
 
 
-def _complement(rows: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int) -> tuple:
-    """``nullspace_rows`` of rows that are zero at each other's pivots, each
-    made primitive: row i is positive at the i-th column off the pivots, and
-    it is the only row nonzero there. Of a point basis (pivots first nonzero
-    entries) it is the flat's constraint rows reduced from the right: each
-    row's last nonzero entry is that column; of such constraint rows (pivots
-    last nonzero entries) it is the point basis, in ``int_rref`` form."""
-    return tuple(
-        tuple(w) if g == 1 else tuple([x // g for x in w])
-        for w in nullspace_rows(rows, pivots, ncols) for g in (gcd(*w),)
-    )
-
-
 def _point_basis(rows: Sequence[Sequence[int]]) -> Basis:
     """The ``int_rref`` point basis of the flat whose constraint rows, reduced
     from the right, are ``rows``: with L the lcm of the rows' last nonzero
@@ -369,7 +356,7 @@ def _point_basis(rows: Sequence[Sequence[int]]) -> Basis:
     C_r[p_r]) L e_{p_r}, made primitive."""
     ncols = len(rows[0])
     pivots = [max(i for i, x in enumerate(row) if x) for row in rows]
-    return _complement(rows, pivots, ncols), tuple(i for i in range(ncols) if i not in pivots)
+    return nullspace_rows(rows, pivots, ncols), tuple(i for i in range(ncols) if i not in pivots)
 
 
 def _cut(rows: tuple, p: Sequence[int]) -> tuple | None:
@@ -428,11 +415,12 @@ def _walk_levels(points: tuple[Point, ...], f: int) -> dict[int, SpannedSet]:
 def arrangement_vertices(hyperplanes: Sequence[Flat]) -> list[Point]:
     """Deduplicated points where d of the hyperplanes meet 0-dimensionally.
 
-    The d-subsets of the distinct constraint rows [a | b] are walked like
-    point subsets, to the normal w of their span: a·x = b on each is
-    (a, b)·(x, -1) = 0, so a subset meets in one point exactly when w[d] !=
-    0, and it is x = -w[:d] / w[d]. The d independent constraints through a
-    point span all the constraints through it, so each vertex has one key.
+    The d-subsets of the distinct hyperplanes' rows are walked like point
+    subsets, to the normal w of their span, primitive with its last nonzero
+    entry positive: w·row = 0 for each row, so a subset meets in one point
+    exactly when w[d] != 0, and w is that point's ``hom``. The d independent
+    rows through a point span all the rows through it, so each vertex has
+    one key.
     """
     if not hyperplanes:
         return []
@@ -442,7 +430,7 @@ def arrangement_vertices(hyperplanes: Sequence[Flat]) -> list[Point]:
             raise GeometryError(f"non-hyperplane input (dim {h.dim} in E^{h.ambient_dim})")
     rows = list(dict.fromkeys(h.rows[0] for h in hyperplanes))
     normals = _walk(rows, [0] * len(rows), d)[-1]
-    vertices = [Point.from_hom((*(-x for x in w[:d]), w[d])) for w in normals if w[d]]
+    vertices = [Point.from_hom(w) for w in normals if w[d]]
     return sorted(vertices, key=lambda p: p.coords)
 
 
@@ -452,10 +440,6 @@ class CoverCertificate:
 
     flats: tuple[Flat, ...]
     covered_count: int
-
-    @property
-    def dims_sum(self) -> int:
-        return sum(flat.dim for flat in self.flats)
 
 
 def _axis_line_through(p: Point) -> Flat:

@@ -9,7 +9,10 @@ point, the bichromatic count that tests every vertex against every
 hyperplane, the arrangement vertices from the RREF of every d-subset of
 hyperplanes, and a flat's sample points: one point on it, and dim + 1
 affinely independent points spanning it, from which two lines are tested
-for skewness. The meet of two flats, which the package does not need,
+for skewness. Flats are read and built only through their printed form,
+the constraint rows [A | b] of ``Flat.serialize_rows`` and
+``Flat.parse_rows``, so no oracle shares the package's stored form. The
+meet of two flats, which the package does not need,
 serves the tests' dedups and generators. Beside them are the exhaustive
 forms of the prefix-sharing walks: the scan that eliminates every
 (f+1)-subset from scratch, and the general-position check that ranks
@@ -28,7 +31,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from spanflats.incidence import CountReport, _check_arrangement
-from spanflats.kernel import Flat, GeometryError, Point, affine_hull, int_rref
+from spanflats.kernel import Flat, GeometryError, Point, affine_hull, format_rational, int_rref
 from spanflats.kernel import affine_rank as int_affine_rank
 from spanflats.spans import SpannedSet
 
@@ -80,6 +83,17 @@ def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
     return basis
 
 
+def printed_rows(flat: Flat) -> list[list[Fraction]]:
+    """The flat's constraint rows [a | b] (a·x = b on it), as printed."""
+    return [[Fraction(v) for v in row] for row in flat.serialize_rows()]
+
+
+def flat_of(d: int, rows) -> Flat:
+    """The flat of rational constraint rows [a | b], through the parser of
+    the printed form."""
+    return Flat.parse_rows(d, [[format_rational(v) for v in row] for row in rows])
+
+
 def hull_rows(points) -> tuple[tuple[Fraction, ...], ...]:
     """Rational RREF of the constraints [A | b] of the points' affine hull:
     the nullspace of the homogeneous point matrix [p | 1], since a·x = b
@@ -117,16 +131,17 @@ def affine_rank(points) -> int:
 def any_point(flat: Flat) -> Point:
     """Some point on the flat: free coordinates 0, pivots from b."""
     coords = [Fraction(0)] * flat.ambient_dim
-    for row in flat.rows:
+    for row in printed_rows(flat):
         pc = next(i for i, v in enumerate(row) if v)
-        coords[pc] = Fraction(row[-1], row[pc])
+        coords[pc] = row[-1] / row[pc]
     return Point(coords)
 
 
 def spanning_points(flat: Flat) -> list[Point]:
     """dim+1 affinely independent points whose hull is the flat: any_point,
     then one step along each free coordinate."""
-    pivots = [next(i for i, v in enumerate(row) if v) for row in flat.rows]
+    rows = printed_rows(flat)
+    pivots = [next(i for i, v in enumerate(row) if v) for row in rows]
     base = any_point(flat)
     pts = [base]
     for free in range(flat.ambient_dim):
@@ -134,8 +149,8 @@ def spanning_points(flat: Flat) -> list[Point]:
             continue
         coords = list(base.coords)
         coords[free] += 1
-        for row, pc in zip(flat.rows, pivots):
-            coords[pc] -= Fraction(row[free], row[pc])
+        for row, pc in zip(rows, pivots):
+            coords[pc] -= row[free] / row[pc]
         pts.append(Point(coords))
     return pts
 
@@ -194,7 +209,7 @@ def arrangement_vertices(hyperplanes) -> list[Point]:
     d = hyperplanes[0].ambient_dim
     seen = set()
     for combo in combinations(hyperplanes, d):
-        red, pivots = rref([row for h in combo for row in h.rows])
+        red, pivots = rref([row for h in combo for row in printed_rows(h)])
         if len(red) == d and d not in pivots:
             seen.add(Point(row[d] for row in red))
     return sorted(seen, key=lambda p: p.coords)
@@ -253,7 +268,7 @@ def flats_and_points(points, masks):
     bits, and the flat is their hull by the rational nullspace."""
     idxs = tuple(tuple(i for i in range(len(points)) if mask >> i & 1) for mask in masks)
     d = points[0].dim
-    return tuple(Flat(d, hull_rows([points[i] for i in ix])) for ix in idxs), idxs
+    return tuple(flat_of(d, hull_rows([points[i] for i in ix])) for ix in idxs), idxs
 
 
 def verify_covering_lines(d: int, line_points) -> bool:
@@ -280,7 +295,7 @@ def _fixing(p, free: int) -> Flat:
     """The flat through p on which x_i is free for i < free and fixed for
     the others; its dimension is free."""
     d = p.dim
-    return Flat(
+    return flat_of(
         d, tuple(tuple(int(j == i) for j in range(d)) + (p.coords[i],) for i in range(free, d))
     )
 

@@ -648,6 +648,9 @@ def test_usage_error_is_exit_2():
         # an empty range, and a point file of another dimension than --d
         "verify-purdy --d-range 5:4 --k-range 2",
         "conjecture-search --d 4 --points e3.txt",
+        # a table's rows are priced before its cells are listed
+        "conjecture-search --d 3 --n 8 --samples 1000000000000",
+        "beck3 --n-list 10 --k-list 3 --seeds 1000000000000",
     ],
 )
 def test_bad_input_is_exit_2(capsys, argv, tmp_path, monkeypatch):

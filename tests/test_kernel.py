@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 import oracle
 from oracle import meet
-from conftest import point_lists, points
+from conftest import point_lists, points, rationals
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +53,8 @@ def test_constructors_refuse_values_that_are_not_int_or_fraction(bad):
         Point((bad, 1))
     with pytest.raises(GeometryError, match="not an int or a Fraction"):
         hyperplane((1, bad), 0)
+    with pytest.raises(GeometryError, match="not an int or a Fraction"):
+        hyperplane((1, 0), bad)
 
 
 def test_hull_two_points_is_line():
@@ -191,6 +193,35 @@ def test_integer_kernel_matches_fraction_oracle(pair):
         assert got.serialize_rows() == _formatted(expected)
     assert affine_rank(pts_a + pts_b) == oracle.affine_rank(pts_a + pts_b)
     assert [f1.contains(p) for p in pts_b] == [oracle.contains(rows1, p) for p in pts_b]
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.tuples(
+            point_lists(d, 1, 5),
+            st.lists(rationals(), min_size=d, max_size=d).filter(any),
+            rationals(),
+            points(d),
+        )
+    )
+)
+@settings(max_examples=150)
+def test_constraint_rows_round_trip_at_the_edges(case):
+    # the rows [a | b] of a·x = b are read or written only by hyperplane,
+    # Flat.parse_rows and Flat.serialize_rows; each is checked against a·x = b
+    # itself, so a sign slip at any one of them fails here
+    pts, a, b, p = case
+    d = len(a)
+    h = hyperplane(a, b)
+    for flat in (affine_hull(pts), h):
+        assert Flat.parse_rows(d, flat.serialize_rows()) == flat
+    assert h == Flat.parse_rows(d, [[format_rational(v) for v in (*a, b)]])
+    pc = next(i for i, v in enumerate(a) if v)
+    assert h.serialize_rows() == [[format_rational(v / a[pc]) for v in (*a, b)]]
+    dot = sum(x * y for x, y in zip(a, p.coords))
+    on = list(p.coords)
+    on[pc] += (b - dot) / a[pc]
+    assert h.contains(p) == (dot == b) and h.contains(Point(on))
 
 
 @st.composite

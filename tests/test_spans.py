@@ -23,7 +23,7 @@ from spanflats import (
     spanned_flats,
 )
 from spanflats import constructions, kernel, spans
-from spanflats.kernel import Flat, int_rref, rowspace_constraints
+from spanflats.kernel import Flat, int_rref, nullspace_rows
 from spanflats.spans import (
     _candidate_flats,
     conjecture_row,
@@ -239,7 +239,7 @@ def test_hyperplanes_keyed_by_normal_build_their_flat_and_export_in_basis_order(
                 rows = (key,) if f == d - 1 else key
                 assert len(rows) == d - f
                 assert rows == oracle.right_reduced(rows)
-                primal = Flat(d, rowspace_constraints(d, *spans._point_basis(rows)))
+                primal = Flat(d, nullspace_rows(*spans._point_basis(rows), d + 1))
                 assert primal == hulls[i]
         else:
             assert list(result.keys) == bases
@@ -389,7 +389,7 @@ def test_cut_adds_a_point_to_constraint_rows_as_the_oracle_does(case, data):
     homs = [p.hom for p in pts]
     prefix = homs[: data.draw(st.integers(0, min(len(homs), d)))]
     basis = int_rref(prefix)
-    rows = spans._complement(*basis, d + 1)
+    rows = nullspace_rows(*basis, d + 1)
     assert rows == oracle.right_reduced(oracle.nullspace(prefix, d + 1))
     for p in homs:
         joined = [*prefix, p]
@@ -526,7 +526,7 @@ def test_two_skew_lines_cover_everything():
     pts = [Point((t, 0, 0)) for t in range(3)] + [Point((0, t, 1)) for t in range(3)]
     cover = max_cover_plane_or_two_lines(pts)
     assert cover.covered_count == 6
-    assert cover.dims_sum == 2
+    assert sum(f.dim for f in cover.flats) == 2
 
 
 def test_five_generic_points_cover_four():
@@ -550,7 +550,7 @@ def test_coplanar_points_cover_all():
 def test_tiny_inputs_trivial_certificate():
     assert max_cover_plane_or_two_lines([]).covered_count == 0
     one = max_cover_plane_or_two_lines([Point((1, 2, 3))])
-    assert one.covered_count == 1 and one.dims_sum == 1
+    assert one.covered_count == 1 and sum(f.dim for f in one.flats) == 1
 
 
 @st.composite
@@ -586,7 +586,7 @@ def test_cover_matches_oracle(pts):
 def test_cover_certificate_is_a_plane_or_lines_holding_the_count(pts):
     cover = max_cover_plane_or_two_lines(pts)
     assert all(flat.dim in (1, 2) for flat in cover.flats)
-    assert cover.dims_sum == sum(flat.dim for flat in cover.flats) <= 2
+    assert sum(flat.dim for flat in cover.flats) <= 2
     on = sum(1 for p in pts if any(flat.contains(p) for flat in cover.flats))
     assert on == cover.covered_count
 
@@ -647,7 +647,9 @@ def test_cover_searches_match_brute_force_oracle(pts):
         assert ok == (best[budget] == n)
         if ok:
             assert cert.covered_count == n
-            assert cert.dims_sum == sum(dim for f, dim, _ in lines_up if f in cert.flats)
+            assert sum(f.dim for f in cert.flats) == sum(
+                dim for f, dim, _ in lines_up if f in cert.flats
+            )
             assert_cover(cert.flats, lines_up, pts, by_dim, budget)
         cover = rank_sum_cover(pts, budget)
         assert (cover is not None) == (best_with_points[budget] == n)
@@ -658,14 +660,14 @@ def test_cover_searches_match_brute_force_oracle(pts):
 def test_coplanar_set_is_3_degenerate():
     pts = [Point((0, 0, 0)), Point((1, 0, 0)), Point((0, 1, 0)), Point((1, 1, 0))]
     ok, cert = is_r_degenerate(pts, 3)
-    assert ok and cert is not None and cert.dims_sum < 3
+    assert ok and cert is not None and sum(f.dim for f in cert.flats) < 3
     assert cert.covered_count == 4
 
 
 def test_two_skew_lines_are_3_degenerate():
     pts = [Point((t, 0, 0)) for t in range(3)] + [Point((0, t, 1)) for t in range(3)]
     ok, cert = is_r_degenerate(pts, 3)
-    assert ok and cert.dims_sum == 2
+    assert ok and sum(f.dim for f in cert.flats) == 2
 
 
 def test_five_generic_points_not_3_degenerate():
@@ -702,7 +704,7 @@ def test_cover_queries_edge_answers():
     # the empty set is covered by no flats at all; a threshold below 1 and
     # inputs outside a query's domain are errors
     ok, cert = is_r_degenerate([], 1)
-    assert ok and (cert.flats, cert.covered_count, cert.dims_sum) == ((), 0, 0)
+    assert ok and (cert.flats, cert.covered_count) == ((), 0)
     assert rank_sum_cover([], 0) == rank_sum_cover([], 3) == []
     assert max_degenerate_subset([], 0) == max_degenerate_subset([], 2) == 0
     assert arrangement_vertices([]) == []
