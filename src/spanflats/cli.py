@@ -334,8 +334,10 @@ def cmd_beck3(args) -> int:
     k_values = _parse_int_list(args.k_list)
     if args.seeds < 1:
         raise GeometryError(f"--seeds must be >= 1, got {args.seeds}")
-    count = len(n_values) * len(k_values) * args.seeds  # a cell and its row: about 420 bytes
-    admit(f"a table of {count:,} rows", count * 420, 0)
+    count = len(n_values) * len(k_values) * args.seeds
+    # a cell and its row as formatted, per row under tracemalloc at 4,000 rows
+    # of n = 6 and 1,200 of n = 20: 2,300-2,470 bytes in JSON, 400-540 in CSV
+    admit(f"a table of {count:,} rows", count * (2500 if args.format == "json" else 550), 0)
     cells = [
         (n, k, seed, args.plant if args.plant != "mix" else ("plane" if seed % 2 == 0 else "skew"))
         for n in n_values
@@ -389,8 +391,10 @@ def cmd_conjecture_search(args) -> int:
             raise GeometryError(f"point file is E^{points[0].dim}, --d is {args.d}")
     elif args.samples < 1:
         raise GeometryError(f"--samples must be >= 1, got {args.samples}")
-    else:  # a sample's cell and row: about 830 bytes
-        admit(f"a table of {args.samples:,} rows", args.samples * 830, 0)
+    else:  # a sample's cell and row as formatted, per row under tracemalloc
+        # at 4,000 samples of n = 8: 3,650 bytes in JSON, 840 in CSV
+        row = 3700 if args.format == "json" else 850
+        admit(f"a table of {args.samples:,} rows", args.samples * row, 0)
     n = len(set(points)) if args.points else args.n
     # sampled coordinates are within ±99; the cover searches take a candidate
     # (about 90-130 bytes) from every flat of every level

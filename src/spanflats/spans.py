@@ -5,24 +5,26 @@ distinct points are extended depth-first in lexicographic order, one point
 per level, and a rank-deficient prefix is dropped with its whole subtree.
 Every level keeps a table of the flats it has reached (by key on a level the
 walk returns, by the key's hash below them, confirmed by containment), so
-each flat of each level is extended once, from the first prefix that
-reaches it; a later prefix that lands on a known flat only adds its last
-point's bit. The first prefix is the flat's lexicographically first basis,
-so a flat's points, as a bitmask, are completed from its own bits and its
-first parent's mask, level by level. A level's step follows from its
-codimension: below codim 2 a point joins the parent's canonical point basis
-(``extend_rref``); at codim 2 it cuts the parent's three constraint rows
-(the homogeneous functionals w, w·(x, 1) = 0 on the flat, that a ``Flat``
-stores), reduced from the right, to two by one fraction-free step
-(``_cut``), and at codim 1 those two to a hyperplane's normal (``_normal``).
-Rows and point basis are each other's ``nullspace_rows``. A walk to the
-hyperplanes returns the codim-2 level too, so one walk yields both. Levels
-of codim 1 and 2 are keyed by their constraint rows, the ones below by
-canonical point basis. A ``SpannedSet`` keeps the keys and masks in its
-level's key order, identical however the work is split; a ``Flat`` is
-built only where one is printed or certified, and the point basis of a
-flat keyed by rows (``_point_basis``) only where an output reads that
-order: the export lists every level in point-basis order,
+each flat of each level is extended once, from the first prefix that reaches
+it; a later prefix that lands on a known flat only adds its last point's
+bit, and then skips every later point that flat already holds: such a point
+would only land on it again (or on the prefix itself), so the skip reaches
+no new flat and drops no bit. The first prefix is the flat's
+lexicographically first basis, so a flat's points, as a bitmask, are
+completed from its own bits and its first parent's mask, level by level. A
+level's step follows from its codimension: below codim 2 a point joins the
+parent's canonical point basis (``extend_rref``); at codim 2 it cuts the
+parent's three constraint rows (the homogeneous functionals w, w·(x, 1) = 0
+on the flat, that a ``Flat`` stores), reduced from the right, to two by one
+fraction-free step (``_cut``), and at codim 1 those two to a hyperplane's
+normal (``_normal``). Rows and point basis are each other's
+``nullspace_rows``. A walk to the hyperplanes returns the codim-2 level too,
+so one walk yields both. Levels of codim 1 and 2 are keyed by their
+constraint rows, the ones below by canonical point basis. A ``SpannedSet``
+keeps the keys and masks in its level's key order, identical however the
+work is split; a ``Flat`` is built only where one is printed or certified,
+and the point basis of a flat keyed by rows (``_point_basis``) only where an
+output reads that order: the export lists every level in point-basis order,
 and the covering-lines check names the first failing flat in it.
 
 The cover queries (``is_r_degenerate``, ``max_degenerate_subset``,
@@ -249,6 +251,13 @@ def _walk(homs: list, bits: list, depth: int) -> list[dict[tuple, int]]:
     chain, and a mask completed level by level, own bits OR the first
     parent's completed mask, is the flat's.
 
+    A prefix P that lands on a known flat F also ORs F's own bits into its
+    mask ``seen``, and skips every later row in ``seen`` before any step: a
+    row on F spans F with P when it is off P, adding a bit F already holds,
+    and fails the step when it is on P. So a skipped row reaches no new
+    flat, and first prefixes, first parents, ``lasts`` and the masks are as
+    without the skip.
+
     A returned level takes every later row and keeps each flat's own bits
     under its whole key, completed to its mask in place. A level below the
     first returned one takes only the rows that leave room to reach it. It
@@ -298,13 +307,17 @@ def _walk(homs: list, bits: list, depth: int) -> list[dict[tuple, int]]:
                 step, basis = _cut, nullspace_rows(*basis, ncols)
             else:
                 step = _normal
+            seen = 0  # the points of the known flats this prefix reached
             for i, row in enumerate(homs[start:], start):
+                if bits[i] & seen:
+                    continue  # on a flat it reached: that flat holds its bit
                 key = step(basis, row)
                 if key is None:
                     continue  # rank-deficient prefix
                 own = table.get(key)
                 if own is not None:
-                    table[key] = own | bits[i]
+                    table[key] = own = own | bits[i]
+                    seen |= own
                     continue
                 t = len(table)
                 table[key] = bits[i]
@@ -312,8 +325,10 @@ def _walk(homs: list, bits: list, depth: int) -> list[dict[tuple, int]]:
                 if deeper:
                     extend(level + 1, i + 1, key, t)
             return
-        own, spill, tail = owns[level], spilled[level], lasts[level]
+        own, spill, tail, seen = owns[level], spilled[level], lasts[level], 0
         for i, row in enumerate(homs[start : n - first + level], start):
+            if bits[i] & seen:
+                continue
             ext = extend_rref(basis, row)
             if ext is None:
                 continue  # rank-deficient prefix: no subset below it is full rank
@@ -323,6 +338,7 @@ def _walk(homs: list, bits: list, depth: int) -> list[dict[tuple, int]]:
                 t = spill.get(ext)
             if t is not None:
                 own[t] |= bits[i]
+                seen |= own[t]
                 continue
             t = len(own)
             if key in table:

@@ -650,6 +650,8 @@ def test_usage_error_is_exit_2():
         "conjecture-search --d 4 --points e3.txt",
         # a table's rows are priced before its cells are listed
         "conjecture-search --d 3 --n 8 --samples 1000000000000",
+        # 500,000 JSON rows hold about 1.8 GB; the same rows in CSV are admitted
+        "conjecture-search --d 3 --n 8 --samples 500000",
         "beck3 --n-list 10 --k-list 3 --seeds 1000000000000",
     ],
 )

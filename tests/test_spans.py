@@ -1,7 +1,7 @@
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import oracle
 from oracle import meet
@@ -298,6 +298,71 @@ def test_walk_is_exact_when_keys_share_hashes(case, values):
             spans._LEVELS.clear()
             assert spanned_flats(pts, f) == expected[f]
     spans._LEVELS.clear()
+
+
+@st.composite
+def flat_configurations(draw):
+    """(d, points) for d = 3..5: 3 to 5 points on each of 1..3 planes or
+    3-flats, each a base plus small integer combinations of two or three
+    drawn directions, then up to two free points and two repeats, shuffled:
+    flats that hold points a prefix reaches them by, so that a prefix skips
+    the later points of a flat it landed on, on the levels the walk returns
+    and on those below them."""
+    d = draw(st.integers(3, 5))
+    coords = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    pts = []
+    for _ in range(draw(st.integers(1, 3))):
+        base, rank = draw(coords), draw(st.integers(2, min(3, d - 1)))
+        directions = [draw(coords) for _ in range(rank)]
+        for _ in range(draw(st.integers(3, 5))):
+            ts = draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
+            pts.append(Point(
+                b + sum(t * v[i] for t, v in zip(ts, directions)) for i, b in enumerate(base)
+            ))
+    pts += draw(st.lists(coords.map(Point), max_size=2))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=2))
+    return d, draw(st.permutations(pts))
+
+
+@given(flat_configurations(), st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_walk_of_flat_configurations_matches_subset_scan(case, values):
+    # every level on a cold memo, with the real hash and with at most
+    # `values` hashes a level below the returned ones
+    d, pts = case
+    expected = [oracle.subset_scan(pts, f) for f in range(d)]
+    for f in range(d):
+        spans._LEVELS.clear()
+        assert spanned_flats(pts, f) == expected[f]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spans, "hash", lambda key: key[1][-1] % values, raising=False)
+        for f in range(d):
+            spans._LEVELS.clear()
+            assert spanned_flats(pts, f) == expected[f]
+    spans._LEVELS.clear()
+
+
+@pytest.mark.parametrize("m", [5, 6, 8, 10])
+def test_walk_skips_the_points_of_a_flat_a_prefix_reached(monkeypatch, m):
+    # m coplanar points in general position in E^3 span one plane: the first
+    # line reaches it from each of its m - 2 later points, and every other
+    # line but those through the last point lands on it from its first later
+    # point and skips the rest, which the plane already holds: C(m, 2) - 2
+    # normals, where one per (line, later point) pair is C(m, 3)
+    pts = [Point((t, t * t, t + t * t)) for t in range(m)]
+    normals = 0
+
+    def _normal(rows, p, real=spans._normal):
+        nonlocal normals
+        normals += 1
+        return real(rows, p)
+
+    monkeypatch.setattr(spans, "_normal", _normal)
+    spans._LEVELS.clear()
+    planes, lines = spanned_flats(pts, 2), spanned_flats(pts, 1)
+    spans._LEVELS.clear()
+    assert (planes.count, planes.masks, lines.count) == (1, ((1 << m) - 1,), comb(m, 2))
+    assert normals == comb(m, 2) - 2 < comb(m, 3)
 
 
 def test_walk_extends_each_flat_once(monkeypatch):
