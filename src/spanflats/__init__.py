@@ -1,6 +1,6 @@
-"""Exact-arithmetic enumeration of spanned flats, arrangement vertices, and
-bichromatic point-hyperplane incidences, plus the extremal constructions and
-counting formulas they are checked against."""
+"""Exact-arithmetic enumeration of spanned flats and bichromatic
+point-hyperplane incidences, plus the extremal constructions and counting
+formulas they are checked against."""
 
 from .kernel import (
     Flat,
@@ -15,7 +15,6 @@ from .kernel import (
 from .spans import (
     CoverCertificate,
     SpannedSet,
-    arrangement_vertices,
     is_r_degenerate,
     max_cover_plane_or_two_lines,
     max_degenerate_subset,
@@ -67,7 +66,6 @@ __all__ = [
     "ThetaMkConstruction",
     "affine_hull",
     "affine_rank",
-    "arrangement_vertices",
     "bichromatic_lower_construction",
     "bound_envelope",
     "count_bichromatic",

@@ -27,8 +27,6 @@ import math
 import os
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence
 
 from .constructions import (
@@ -105,28 +103,38 @@ def _write_output(args, text: str) -> None:
 
 def pmap(fn: Callable, items: Sequence, jobs: int) -> list:
     """Order-preserving map, fanned out over processes when jobs > 1; never
-    more processes than items or cores.
+    more processes than items or cores. A serial map never loads the process
+    pool: ``concurrent.futures`` is imported only when one is opened.
 
-    Falls back to a serial map when the pool cannot start or take the items
-    (OSError or BrokenProcessPool) or a worker dies while results are
-    collected (BrokenProcessPool). An item's own error, OSError included,
-    is raised at once and the item is not run again."""
+    Falls back to a serial map, with one line on stderr saying why, when the
+    pool cannot start or take the items (OSError or BrokenProcessPool) or a
+    worker dies while results are collected (BrokenProcessPool). An item's
+    own error, OSError included, is raised at once and the item is not run
+    again."""
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    def serial(why: str, exc: Exception) -> list:
+        print(f"warning: the process pool {why} ({type(exc).__name__}: {exc}); "
+              f"mapping {len(items)} items serially", file=sys.stderr)
+        return [fn(item) for item in items]
+
     try:
         pool = ProcessPoolExecutor(max_workers=workers)
-    except OSError:
-        return [fn(item) for item in items]
+    except OSError as exc:
+        return serial("could not start", exc)
     with pool:
         try:
             results = pool.map(fn, items)  # starts the workers, submits every item
-        except (OSError, BrokenProcessPool):
-            return [fn(item) for item in items]
+        except (OSError, BrokenProcessPool) as exc:
+            return serial("could not take the items", exc)
         try:
             return list(results)
-        except BrokenProcessPool:
-            return [fn(item) for item in items]
+        except BrokenProcessPool as exc:
+            return serial("lost a worker", exc)
 
 
 def _check_size(name: str, value: int) -> int:

@@ -428,28 +428,6 @@ def _walk_levels(points: tuple[Point, ...], f: int) -> dict[int, SpannedSet]:
     return {g: _sorted_set(g, level) for g, level in enumerate(found, f + 1 - len(found))}
 
 
-def arrangement_vertices(hyperplanes: Sequence[Flat]) -> list[Point]:
-    """Deduplicated points where d of the hyperplanes meet 0-dimensionally.
-
-    The d-subsets of the distinct hyperplanes' rows are walked like point
-    subsets, to the normal w of their span, primitive with its last nonzero
-    entry positive: w·row = 0 for each row, so a subset meets in one point
-    exactly when w[d] != 0, and w is that point's ``hom``. The d independent
-    rows through a point span all the rows through it, so each vertex has
-    one key.
-    """
-    if not hyperplanes:
-        return []
-    d = hyperplanes[0].ambient_dim
-    for h in hyperplanes:
-        if h.ambient_dim != d or h.dim != d - 1:
-            raise GeometryError(f"non-hyperplane input (dim {h.dim} in E^{h.ambient_dim})")
-    rows = list(dict.fromkeys(h.rows[0] for h in hyperplanes))
-    normals = _walk(rows, [0] * len(rows), d)[-1]
-    vertices = [Point.from_hom(w) for w in normals if w[d]]
-    return sorted(vertices, key=lambda p: p.coords)
-
-
 @dataclass(frozen=True)
 class CoverCertificate:
     """Witness that a set of nonzero-dimension flats covers some points."""

@@ -9,7 +9,7 @@ import statistics
 from fractions import Fraction as F
 from itertools import combinations
 
-from oracle import meet
+from oracle import arrangement_vertices, meet
 from spanflats import (
     BiArrangement,
     Point,
@@ -197,8 +197,6 @@ def test_criterion_6_oracle_equivalence():
                     hyps.append(h)
         split = rng.randint(1, len(hyps))
         red, blue = tuple(hyps[:split]), tuple(hyps[split:])
-        from spanflats.spans import arrangement_vertices
-
         vertices = tuple(arrangement_vertices(hyps)[: rng.randint(0, 6)])
         arrangement = BiArrangement(d, red, blue, vertices)
         report = count_bichromatic(arrangement)

@@ -845,11 +845,20 @@ def test_broken_pool_falls_back_to_serial(tmp_path, capsys, monkeypatch, failure
 
     args = ["verify-purdy", "--d-range", "4", "--k-range", "2:3", "--format", "csv"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_cli(capsys, *args, "--jobs", "1", "--out", str(a))[0] == 0
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", BrokenPool)
+    serial = run_cli(capsys, *args, "--jobs", "1", "--out", str(a))
+    assert serial[0] == 0 and serial[2] == ""  # a serial map says nothing
+    # pmap imports the pool class from concurrent.futures when it opens one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", BrokenPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    assert run_cli(capsys, *args, "--jobs", "2", "--out", str(b))[0] == 0
+    code, out, err = run_cli(capsys, *args, "--jobs", "2", "--out", str(b))
+    assert (code, out) == (0, serial[1])
     assert a.read_bytes() == b.read_bytes()
+    why = {
+        "construct": "could not start (OSError: no semaphores)",
+        "map": "could not take the items (BrokenProcessPool: a worker died)",
+        "collect": "lost a worker (BrokenProcessPool: a worker died)",
+    }[failure]
+    assert err == f"warning: the process pool {why}; mapping 2 items serially\n"
 
 
 def test_pmap_raises_an_items_own_oserror_without_rerunning(monkeypatch):
@@ -878,11 +887,47 @@ def test_pmap_raises_an_items_own_oserror_without_rerunning(monkeypatch):
 
             return results()
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", ItemFailsPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ItemFailsPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     with pytest.raises(OSError, match="item 1 could not"):
         cli.pmap(fn, [0, 1, 2], 2)
     assert calls == []
+
+
+def test_a_serial_run_never_loads_the_process_pool(tmp_path):
+    # importing the CLI, building its parser and a --jobs 1 table run load
+    # neither concurrent.futures nor multiprocessing; modules the bare
+    # interpreter has loaded before (site hooks) do not count
+    out = tmp_path / "t.csv"
+    code = (
+        "import sys; bare = set(sys.modules); import spanflats.cli as cli; "
+        "cli.build_parser(); parsed = set(sys.modules); "
+        "cli.main(['verify-purdy', '--d-range', '4', '--k-range', '2:3', '--format', 'csv', "
+        f"'--jobs', '1', '--out', {str(out)!r}]); "
+        "print(' '.join(sorted(parsed - bare)), ' '.join(sorted(set(sys.modules) - bare)), "
+        "sep='\\n')"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    parsed, ran = (line.split() for line in proc.stdout.splitlines())
+    assert "spanflats.cli" in parsed and out.read_text().startswith("d,k,")
+    for loaded in (parsed, ran):
+        assert not [m for m in loaded if m.split(".")[0] in ("concurrent", "multiprocessing")]
+
+
+def _worker_pid(item):
+    return item, os.getpid()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a process pool needs two cores")
+def test_pmap_over_two_jobs_runs_in_worker_processes(capsys):
+    results = cli.pmap(_worker_pid, [0, 1, 2, 3], 2)
+    assert [item for item, _ in results] == [0, 1, 2, 3]
+    assert os.getpid() not in {pid for _, pid in results}
+    assert capsys.readouterr().err == ""
 
 # --- extreme and empty inputs ------------------------------------------------
 

@@ -11,7 +11,6 @@ from spanflats import (
     BiArrangement,
     GeometryError,
     Point,
-    arrangement_vertices,
     bichromatic_lower_construction,
     bound_envelope,
     count_bichromatic,
@@ -132,7 +131,7 @@ def small_arrangements(draw):
     if len(hyps) < 2:
         hyps = [hyperplane((1,) + (0,) * (d - 1), 0), hyperplane((0,) * (d - 1) + (1,), 0)]
     split = draw(st.integers(min_value=1, max_value=len(hyps)))
-    vertices = tuple(arrangement_vertices(hyps))
+    vertices = tuple(oracle.arrangement_vertices(hyps))
     return BiArrangement(d, tuple(hyps[:split]), tuple(hyps[split:]), vertices)
 
 

