@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from spanflats import purdy_counts
+from spanflats.formulas import purdy_counts
 from spanflats.cli import main
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"

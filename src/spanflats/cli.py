@@ -27,6 +27,7 @@ import math
 import os
 import statistics
 import sys
+from dataclasses import asdict
 from typing import Callable, Sequence
 
 from .constructions import (
@@ -54,6 +55,7 @@ from .spans import (
     admit,
     arrangement_cost,
     conjecture_row,
+    data_lines,
     read_point_file,
     spanned_flats,
     walk_cost,
@@ -80,17 +82,29 @@ def emit_table(
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_format_cell(row[c]) for c in columns])
-        text = buf.getvalue()
+        _write_output(args, buf.getvalue())
     else:
-        doc = {
+        _write_json(args, {
             "schema": SCHEMA_TABLE,
             "command": command,
             "params": {name: getattr(args, name) for name in echo},
             "columns": list(columns),
             "rows": [{c: row[c] for c in columns} for row in rows],
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    _write_output(args, text)
+        })
+
+
+def _read_json(path: str):
+    """The document in a JSON file; a file that does not decode is a GeometryError."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad syntax, an int past the digit limit, too deep
+        raise GeometryError(f"invalid JSON: {exc}") from None
+
+
+def _write_json(args, doc: dict) -> None:
+    _write_output(args, json.dumps(doc, indent=2) + "\n")
 
 
 def _write_output(args, text: str) -> None:
@@ -179,14 +193,12 @@ def cmd_enumerate(args) -> int:
     export = 1024 + 64 * (f + 1) + 256 * (d - f) * (d + 1) if args.out or args.emit_json else 0
     admit(f"walk of {n} points", *walk_cost(n, d, (f - 1, f), bits, extra=export))
     result = spanned_flats(points, args.f)
-    text = f"{result.count}\n"
-    if args.out or args.emit_json:  # the export goes to --out, else after the count
-        export = json.dumps(result.to_json_dict(), indent=2) + "\n"
-        if args.out:
-            _write_output(args, export)
-        else:
-            text += export
-    sys.stdout.write(text)
+    export = result.to_json_dict() if args.out or args.emit_json else None  # formatted before any write
+    if args.out:  # the export goes to --out, else after the count
+        _write_json(args, export)
+    sys.stdout.write(f"{result.count}\n")
+    if export is not None and not args.out:
+        _write_json(args, export)
     return 0
 
 
@@ -194,18 +206,15 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_incidences(args) -> int:
-    with open(args.arrangement) as fh:
-        arrangement = BiArrangement.from_json_dict(json.load(fh))
+    arrangement = BiArrangement.from_json_dict(_read_json(args.arrangement))
     n, d, m = arrangement.n, arrangement.d, arrangement.m
     admit("incidences", *arrangement_cost(n, d, m, n))  # at most a class per hyperplane
     report = count_bichromatic(arrangement)
     doc = report.to_json_dict()
     if args.envelope:
-        doc["envelope"] = bound_envelope(
-            arrangement.m, arrangement.k, arrangement.n, arrangement.d
-        ).to_json_dict()
+        doc["envelope"] = bound_envelope(m, arrangement.k, n, d).to_json_dict()
     if args.out:
-        _write_output(args, json.dumps(doc, indent=2) + "\n")
+        _write_json(args, doc)
     print(report.red_incidences)
     return 0
 
@@ -232,7 +241,7 @@ def cmd_construct(args) -> int:
             "vertices": [p.serialize() for p in grid.vertices],
             "incidences": grid.incidences,
         }
-        _write_output(args, json.dumps(doc, indent=2) + "\n")
+        _write_json(args, doc)
         return 0
     provenance = {  # bichromatic or thetamk
         "command": f"construct {kind}",
@@ -255,7 +264,7 @@ def cmd_construct(args) -> int:
         **built.arrangement.to_json_dict(),
         "predicted_red_incidences": built.red_incidences,
     }
-    _write_output(args, json.dumps(doc, indent=2) + "\n")
+    _write_json(args, doc)
     return 0
 
 
@@ -277,13 +286,10 @@ def cmd_verify_purdy(args) -> int:
 # ---------------------------------------------------------------- fit
 
 
-def _read_series(path: str) -> list[tuple[float, float]]:
+def cmd_fit(args) -> int:
     pairs = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+    with open(args.series) as fh:
+        for lineno, line in data_lines(fh):
             parts = line.replace(",", " ").split()
             if len(parts) != 2:
                 raise GeometryError(f"line {lineno}: expected two values, got {line!r}")
@@ -291,18 +297,7 @@ def _read_series(path: str) -> list[tuple[float, float]]:
                 pairs.append((float(parts[0]), float(parts[1])))
             except ValueError as exc:
                 raise GeometryError(f"line {lineno}: {exc}") from exc
-    return pairs
-
-
-def cmd_fit(args) -> int:
-    pairs = _read_series(args.series)
-    result = fit_loglog(pairs)
-    row = {
-        "slope": result.slope,
-        "intercept": result.intercept,
-        "r_squared": result.r_squared,
-        "points_used": result.points_used,
-    }
+    row = asdict(fit_loglog(pairs))
     emit_table(args, "fit", ("series",), tuple(row), [row])
     return 0
 
@@ -552,9 +547,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         GeometryError, ConstructionError, FormulaDomainError, OSError, UnicodeDecodeError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
     except MemoryError:  # reported below: inside the handler the failed frames are alive
         pass

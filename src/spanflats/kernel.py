@@ -21,6 +21,7 @@ point in this module.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,17 +39,28 @@ Scalar = int | Fraction
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
+def _over_digit_limit(action: str) -> GeometryError:
+    limit = sys.get_int_max_str_digits()  # Python caps int <-> str, quadratic in the digits
+    return GeometryError(f"cannot {action} a rational with a part of more than {limit} digits")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the serialization "p" or "p/q" (q positive) into a Fraction."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise GeometryError(f"bad rational {text!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ValueError:  # the only one a matched string raises: the digit limit
+        raise _over_digit_limit("parse") from None
 
 
 def format_rational(value: Fraction) -> str:
     """Serialize a Fraction as "p" or "p/q"; inverse of parse_rational."""
-    return str(Fraction(value))
+    try:
+        return str(Fraction(value))
+    except ValueError:
+        raise _over_digit_limit("write") from None
 
 
 def _scaled(values: Iterable[Scalar]) -> tuple[list[int], int]:

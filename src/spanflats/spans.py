@@ -45,7 +45,7 @@ from array import array
 from dataclasses import dataclass
 from math import comb, gcd
 from operator import mul
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .kernel import (
     Basis,
@@ -641,14 +641,19 @@ def conjecture_row(params: tuple, points: list[Point] | None = None) -> dict:
     }
 
 
+def data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """The numbered (from 1), stripped lines that are neither blank nor '#' comments."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def read_point_file(lines: Iterable[str]) -> list[Point]:
     """Parse the point-set format: one point per line, '#' lines ignored."""
     points: list[Point] = []
     dim: int | None = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(lines):
         try:
             pt = Point.parse(line, dim)
         except GeometryError as exc:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from spanflats import Point
+from spanflats.kernel import Point
 
 
 def rationals(lo: int = -5, hi: int = 5, max_den: int = 4):

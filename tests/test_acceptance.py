@@ -10,24 +10,22 @@ from fractions import Fraction as F
 from itertools import combinations
 
 from oracle import arrangement_vertices, meet
-from spanflats import (
-    BiArrangement,
-    Point,
-    affine_hull,
+from spanflats.constructions import (
+    beck3_instance,
     bichromatic_lower_construction,
-    bound_envelope,
-    count_bichromatic,
-    hyperplane,
-    pigeonhole_check,
     purdy_counterexample,
-    purdy_counts,
-    rank_sum_cover,
-    spanned_flats,
     theta_mk_construction,
 )
-from spanflats.constructions import beck3_instance
-from spanflats.formulas import ceil_scaled_power, fit_loglog, floor_scaled_power
-from spanflats.spans import max_cover_plane_or_two_lines
+from spanflats.formulas import (
+    ceil_scaled_power,
+    fit_loglog,
+    floor_scaled_power,
+    pigeonhole_check,
+    purdy_counts,
+)
+from spanflats.incidence import BiArrangement, bound_envelope, count_bichromatic
+from spanflats.kernel import Point, affine_hull, hyperplane
+from spanflats.spans import max_cover_plane_or_two_lines, rank_sum_cover, spanned_flats
 
 PURDY_GRID = [(4, 2), (4, 3), (4, 4), (5, 2), (5, 3)]
 

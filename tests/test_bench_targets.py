@@ -41,7 +41,8 @@ def test_spanned_flats_keeps_the_signature_the_tracer_binds():
 
 def test_spanned_set_has_the_attributes_the_tracer_reads():
     # _after_spanned_flats reads count and per_flat_points of each result
-    from spanflats import Point, spans
+    from spanflats import spans
+    from spanflats.kernel import Point
 
     pts = [Point(xy) for xy in ((0, 0), (1, 0), (2, 0), (0, 1), (0, 1))]
     result = spans.spanned_flats(pts, 1)

@@ -18,18 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanflats import (
-    BiArrangement,
-    ConstructionError,
-    GeometryError,
-    cli,
-    constructions,
-    count_bichromatic,
-    spans,
-)
+from spanflats import cli, constructions, spans
 from spanflats.cli import main
 from spanflats.constructions import (
     BECK3_COLUMNS,
+    ConstructionError,
     PURDY_COLUMNS,
     beck3_instance,
     beck3_row,
@@ -38,6 +31,8 @@ from spanflats.constructions import (
     purdy_row,
 )
 from spanflats.formulas import fit_loglog
+from spanflats.incidence import BiArrangement, count_bichromatic
+from spanflats.kernel import GeometryError
 from spanflats.spans import conjecture_row, read_point_file
 
 
@@ -444,7 +439,8 @@ def test_all_generic_set_spans_all_triples():
     import random
     from math import comb
 
-    from spanflats import Point, spanned_flats
+    from spanflats.kernel import Point
+    from spanflats.spans import spanned_flats
 
     rng = random.Random("generic-planes")
     pts = []
@@ -653,6 +649,9 @@ def test_usage_error_is_exit_2():
         # 500,000 JSON rows hold about 1.8 GB; the same rows in CSV are admitted
         "conjecture-search --d 3 --n 8 --samples 500000",
         "beck3 --n-list 10 --k-list 3 --seeds 1000000000000",
+        # JSON nested past the recursion limit, and an int past the digit limit
+        "incidences --arrangement deep.json",
+        "incidences --arrangement long-int.json",
     ],
 )
 def test_bad_input_is_exit_2(capsys, argv, tmp_path, monkeypatch):
@@ -674,12 +673,40 @@ def test_bad_input_is_exit_2(capsys, argv, tmp_path, monkeypatch):
         "d": 2, "red": [[[str(i), "1", "0"]] for i in range(9000)], "blue": [],
         "vertices": [f"{i},0" for i in range(9000)],
     }))
+    (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
+    (tmp_path / "long-int.json").write_text('{"d": ' + "7" * 5000 + "}")
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--points", "long.txt", "--f", "1"],
+        ["conjecture-search", "--d", "3", "--points", "long.txt"],
+        ["construct", "bichromatic", "--d", "3", "--n", "4", "--k", "2", "--m", "4", "--c0", "1" * 4400],
+        # 3,000-digit coordinates parse, but the export's rows pass the limit
+        ["enumerate", "--f", "2", "--points", "wide-e3.txt", "--out", "F"],
+        ["enumerate", "--f", "2", "--points", "wide-e3.txt", "--emit-json"],
+    ],
+    ids=["enumerate", "conjecture-search", "c0", "export-out", "export-emit-json"],
+)
+def test_rationals_past_the_digit_limit_are_exit_2(capsys, argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "long.txt").write_text("1,2," + "3" * 5000 + "\n0,0,0\n1,0,0\n0,1,0\n")
+    rng = random.Random(3000)
+    (tmp_path / "wide-e3.txt").write_text("".join(
+        ",".join(str(rng.randrange(10**2999, 10**3000)) for _ in range(3)) + "\n" for _ in range(4)
+    ))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+    assert not (tmp_path / "F").exists()
 
 
 def test_construct_purdy_and_verify_purdy_refuse_the_same_cell(capsys):

@@ -6,22 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanflats import (
+from spanflats import constructions, spans
+from spanflats.constructions import (
     ConstructionError,
-    GeometryError,
-    Point,
+    _grid_vertices,
+    _rich_line_config,
     bichromatic_lower_construction,
-    count_bichromatic,
     erdos_grid_2d,
     purdy_counterexample,
-    purdy_counts,
-    spanned_flats,
+    purdy_row,
     theta_mk_construction,
     verify_covering_lines,
 )
-from spanflats import constructions, spans
-from spanflats.constructions import _grid_vertices, _rich_line_config, purdy_row
-from spanflats.formulas import fit_loglog
+from spanflats.formulas import fit_loglog, purdy_counts
+from spanflats.incidence import count_bichromatic
+from spanflats.kernel import GeometryError, Point
+from spanflats.spans import spanned_flats
 
 
 # --- 2-D grid ---------------------------------------------------------------

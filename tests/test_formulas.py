@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanflats import (
+from spanflats.formulas import (
     AllocationPreconditionError,
     FormulaDomainError,
+    ceil_scaled_power,
+    floor_scaled_power,
+    iroot,
     pigeonhole_check,
     purdy_counts,
     purdy_crossover,
+    purdy_flats,
 )
-from spanflats.formulas import ceil_scaled_power, floor_scaled_power, iroot, purdy_flats
 
 
 def test_counts_d4_k2():

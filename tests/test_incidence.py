@@ -7,15 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanflats import (
-    BiArrangement,
-    GeometryError,
-    Point,
-    bichromatic_lower_construction,
-    bound_envelope,
-    count_bichromatic,
-    hyperplane,
-)
+from spanflats.constructions import bichromatic_lower_construction
+from spanflats.incidence import BiArrangement, bound_envelope, count_bichromatic
+from spanflats.kernel import GeometryError, Point, hyperplane
 
 
 def axes3():

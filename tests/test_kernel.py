@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 from math import gcd
 
@@ -8,17 +9,18 @@ from conftest import point_lists, points, rationals
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanflats import (
+from spanflats.kernel import (
     Flat,
     GeometryError,
     Point,
     affine_hull,
     affine_rank,
+    extend_rref,
     format_rational,
     hyperplane,
+    int_rref,
     parse_rational,
 )
-from spanflats.kernel import extend_rref, int_rref
 
 
 def test_rational_round_trip():
@@ -31,6 +33,18 @@ def test_rational_round_trip():
 def test_rational_rejects(bad):
     with pytest.raises(GeometryError):
         parse_rational(bad)
+
+
+def test_rational_past_the_digit_limit_is_a_geometry_error():
+    limit = sys.get_int_max_str_digits()
+    for text in ("9" * limit, f"-1/{'9' * limit}"):
+        assert format_rational(parse_rational(text)) == text
+    for text in ("1" * (limit + 1), f"1/{'1' * (limit + 1)}"):
+        with pytest.raises(GeometryError, match=f"cannot parse .* more than {limit} digits"):
+            parse_rational(text)
+    for value in (10**limit, F(1, 10**limit)):
+        with pytest.raises(GeometryError, match=f"cannot write .* more than {limit} digits"):
+            format_rational(value)
 
 
 def test_point_serialization():

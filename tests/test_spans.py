@@ -10,23 +10,17 @@ from conftest import point_lists, rationals
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanflats import (
-    GeometryError,
-    Point,
-    affine_hull,
-    hyperplane,
+from spanflats import constructions, kernel, spans
+from spanflats.kernel import Flat, GeometryError, Point, affine_hull, hyperplane, int_rref, nullspace_rows
+from spanflats.spans import (
+    _candidate_flats,
+    conjecture_row,
     is_r_degenerate,
     max_cover_plane_or_two_lines,
     max_degenerate_subset,
     rank_sum_cover,
-    spanned_flats,
-)
-from spanflats import constructions, kernel, spans
-from spanflats.kernel import Flat, int_rref, nullspace_rows
-from spanflats.spans import (
-    _candidate_flats,
-    conjecture_row,
     read_point_file,
+    spanned_flats,
     write_point_file,
 )
 
