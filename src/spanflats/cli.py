@@ -99,8 +99,14 @@ def _read_json(path: str):
         text = fh.read()
     try:
         return json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad syntax, an int past the digit limit, too deep
+    except json.JSONDecodeError as exc:
         raise GeometryError(f"invalid JSON: {exc}") from None
+    except ValueError:  # the only other one json raises: an int past Python's int <-> str limit
+        raise GeometryError(
+            f"invalid JSON: an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    except RecursionError:
+        raise GeometryError("invalid JSON: nested deeper than the recursion limit") from None
 
 
 def _write_json(args, doc: dict) -> None:
@@ -251,7 +257,10 @@ def cmd_construct(args) -> int:
         "m": args.m,
     }
     if kind == "bichromatic":  # p * n^(d-2) <= c0 * m vertices, after the k^2 of its grid
-        c0 = parse_rational(args.c0)
+        try:
+            c0 = parse_rational(args.c0)
+        except GeometryError as exc:
+            raise GeometryError(f"--c0: {exc}") from None
         admit(kind, *arrangement_cost(args.n, args.d, int(c0 * args.m) + args.k**2, 0))
         built = bichromatic_lower_construction(args.d, args.n, args.k, args.m, c0=c0)
         provenance["c0"] = str(args.c0)

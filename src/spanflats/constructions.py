@@ -19,7 +19,7 @@ from typing import Sequence
 from .formulas import iroot, purdy_counts, purdy_flats
 from .incidence import BiArrangement, bound_envelope, count_bichromatic
 from .kernel import Flat, GeometryError, Point, affine_rank, hyperplane
-from .spans import CoverCertificate, admit, arrangement_cost, walk_cost
+from .spans import admit, arrangement_cost, walk_cost
 from .spans import max_cover_plane_or_two_lines, spanned_flats
 
 # Fresh draws each generator makes before it gives up with ConstructionError.
@@ -341,12 +341,11 @@ def check_beck3_plant(n: int, k: int, plant: str) -> None:
         )
 
 
-def beck3_instance(
-    n: int, k: int, seed: int, plant: str
-) -> tuple[list[Point], CoverCertificate]:
+def beck3_instance(n: int, k: int, seed: int, plant: str) -> tuple[list[Point], int]:
     """n distinct points in E^3 with exactly n-k on the planted plane (or
     pair of skew lines) and no plane or pair of spanned lines covering more,
-    with the cover certificate that verified it; regenerated on failure.
+    with the count the check measured (``max_cover_plane_or_two_lines``);
+    regenerated on failure.
     Parameters the plant cannot meet are refused (``check_beck3_plant``).
     """
     check_beck3_plant(n, k, plant)
@@ -387,9 +386,9 @@ def beck3_instance(
                 points.append(candidate)
         if len(set(points)) != n:
             continue
-        cover = max_cover_plane_or_two_lines(points)
-        if cover.covered_count == planted:
-            return points, cover
+        covered = max_cover_plane_or_two_lines(points)
+        if covered == planted:
+            return points, covered
     raise ConstructionError(
         f"no admissible instance after {BECK3_ATTEMPTS} attempts (n={n}, k={k}, plant={plant})"
     )
@@ -497,12 +496,11 @@ def beck3_row(params: tuple) -> dict:
     n, k, seed, plant = params
     row = {**BECK3_COLUMNS, "n": n, "k": k, "seed": seed, "plant": plant}
     try:
-        points, cover = beck3_instance(n, k, seed, plant)
+        points, covered = beck3_instance(n, k, seed, plant)
     except ConstructionError as exc:
         return {**row, "status": f"error: {exc}"}
     planes = spanned_flats(points, 2)
     return {
-        **row, "hypothesis_ok": cover.covered_count == n - k,
-        "max_cover": cover.covered_count, "planes": planes.count,
+        **row, "hypothesis_ok": covered == n - k, "max_cover": covered, "planes": planes.count,
         "ratio": planes.count / (n * k * k), "status": "ok",
     }

@@ -28,39 +28,26 @@ class AllocationPreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class PurdyCounts:
-    """Hyperplane and (d-2)-flat counts for k points on each of d-1
-    general-position lines, broken down by the number j of whole lines the
-    flat contains."""
+    """Spanned hyperplane and (d-2)-flat totals for k points on each of d-1
+    general-position lines."""
 
     d: int
     k: int
-    h_by_j: dict[int, int]
-    g_by_j: dict[int, int]
-
-    @property
-    def h_total(self) -> int:
-        return sum(self.h_by_j.values())
-
-    @property
-    def g_total(self) -> int:
-        return sum(self.g_by_j.values())
+    h_total: int
+    g_total: int
 
 
 def purdy_counts(d: int, k: int) -> PurdyCounts:
-    """Exact spanned-hyperplane and spanned-(d-2)-flat totals.
-
-    A hyperplane containing exactly j of the d-1 covering lines picks up
-    d-2j single points from as many other lines; a (d-2)-flat picks up
-    d-1-2j. Valid for k >= 2 (with one point per line the covering lines
-    are not spanned and the decomposition breaks down).
+    """Exact spanned-hyperplane and spanned-(d-2)-flat totals: the rank d and
+    d - 1 counts of ``purdy_flats``. Valid for d >= 4 and k >= 2 (with one
+    point per line the covering lines are not spanned and the decomposition
+    breaks down).
     """
     if d < 4:
         raise FormulaDomainError(f"d >= 4 required, got {d}")
     if k < 2:
         raise FormulaDomainError(f"k >= 2 required, got {k}")
-    h = {j: purdy_flats(d, k, d, j) for j in range(1, d // 2 + 1)}
-    g = {j: purdy_flats(d, k, d - 1, j) for j in range(0, (d - 1) // 2 + 1)}
-    return PurdyCounts(d, k, h, g)
+    return PurdyCounts(d, k, purdy_flats(d, k, d), purdy_flats(d, k, d - 1))
 
 
 def purdy_flats(d: int, k: int, r: int, j: int | None = None) -> int:

@@ -55,20 +55,25 @@ class BiArrangement:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BiArrangement":
+        """The arrangement of a JSON document; an error in a list or one of
+        its entries names it: ``red[i]: bad rational '1/0'``."""
+        where, parsed = "", {"red": [], "blue": [], "vertices": []}
         try:
             d = data["d"]
             if type(d) is not int or d < 1:
                 raise GeometryError(
                     f"malformed arrangement: d must be a positive integer, got {d!r}"
                 )
-            red = tuple(Flat.parse_rows(d, rows) for rows in data["red"])
-            blue = tuple(Flat.parse_rows(d, rows) for rows in data["blue"])
-            vertices = tuple(Point.parse(s, d) for s in data["vertices"])
-        except GeometryError:
-            raise
+            for name, out in parsed.items():
+                where = f"{name}: "
+                for i, entry in enumerate(data[name]):
+                    where = f"{name}[{i}]: "
+                    out.append(Point.parse(entry, d) if name == "vertices" else Flat.parse_rows(d, entry))
+        except GeometryError as exc:
+            raise GeometryError(f"{where}{exc}") from None
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise GeometryError(f"malformed arrangement: {exc!r}") from None
-        return cls(d, red, blue, vertices)
+            raise GeometryError(f"malformed arrangement: {where}{exc!r}") from None
+        return cls(d, *map(tuple, parsed.values()))
 
 
 @dataclass(frozen=True)

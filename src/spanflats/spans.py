@@ -22,20 +22,19 @@ normal (``_normal``). Rows and point basis are each other's
 so one walk yields both. Levels of codim 1 and 2 are keyed by their
 constraint rows, the ones below by canonical point basis. A ``SpannedSet``
 keeps the keys and masks in its level's key order, identical however the
-work is split; a ``Flat`` is built only where one is printed or certified,
-and the point basis of a flat keyed by rows (``_point_basis``) only where an
-output reads that order: the export lists every level in point-basis order,
-and the covering-lines check names the first failing flat in it.
+work is split; a ``Flat`` is built only where one is printed, and the
+point basis of a flat keyed by rows (``_point_basis``) only where an
+output reads that order: the export lists every level in point-basis
+order, and the covering-lines check names the first failing flat in it.
 
-The cover queries (``is_r_degenerate``, ``max_degenerate_subset``,
-``rank_sum_cover`` and ``max_cover_plane_or_two_lines``) are one exact
-cover search, ``_best_cover``, over candidates that carry their cost (a
-flat's dimension, or its rank where point flats are allowed; decided in
-``_candidate_flats``) and their mask: it finds the most points that flats
-of total cost within a budget cover, pruning with the best size/cost
-ratio, and a query is the same search with a floor that only a better
-cover beats (a full cover, for a decision). Only the flats of the cover it
-returns are built.
+The cover queries (``is_r_degenerate``, ``max_degenerate_subset`` and
+``max_cover_plane_or_two_lines``) answer with a count or a yes/no, from
+one exact cover search, ``_best_cover``, over (cost, mask) candidates: a
+spanned flat's dimension and the bitmask of its points (``_candidate_flats``).
+It finds the most points that flats of total cost within a budget cover,
+pruning with the best size/cost ratio, and a query is the same search
+with a floor that only a better cover beats (a full cover, for a
+decision). No query builds a flat.
 """
 
 from __future__ import annotations
@@ -45,14 +44,13 @@ from array import array
 from dataclasses import dataclass
 from math import comb, gcd
 from operator import mul
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .kernel import (
     Basis,
     Flat,
     GeometryError,
     Point,
-    affine_hull,
     common_dim,
     extend_rref,
     nullspace_rows,
@@ -428,61 +426,31 @@ def _walk_levels(points: tuple[Point, ...], f: int) -> dict[int, SpannedSet]:
     return {g: _sorted_set(g, level) for g, level in enumerate(found, f + 1 - len(found))}
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
-    """Witness that a set of nonzero-dimension flats covers some points."""
-
-    flats: tuple[Flat, ...]
-    covered_count: int
-
-
-def _axis_line_through(p: Point) -> Flat:
-    """The line through p in the first coordinate direction (x_1 free)."""
-    return affine_hull([p, Point((p[0] + 1, *p.coords[1:]))])
-
-
-Candidate = tuple[int, int, Callable[[Any], Flat], Any]  # cost, mask, build, arg
-
-
-def _candidate_flats(points: Sequence[Point], by_rank: bool) -> list[Candidate]:
-    """(cost, incidence mask, build, arg) candidates for cover searches: a
-    flat costs its dimension, or its rank when ``by_rank``, and is built, as
-    build(arg), only if a returned cover holds it.
+def _candidate_flats(points: Sequence[Point]) -> list[tuple[int, int]]:
+    """(dimension, incidence mask) candidates for the cover searches.
 
     Covering flats can always be shrunk to the hull of the points they
     cover, so the spanned flats of dimension 1..d-1 are exhaustive
-    candidates, with the point flat of each point (its copies) when flats
-    cost their rank. Otherwise a point on no spanned line needs a line of
-    its own; that happens only for a single distinct point, or in E^1,
-    where the one line is the whole space. With two distinct points in E^2
-    and up, a spanned line through a point costs what any line through it
-    costs and holds a superset of its points, so no other line can improve
-    a cover. No points give no candidates.
+    candidates, but a point on no spanned line needs a line of its own;
+    that happens only for a single distinct point, or in E^1, where one
+    line holds every point. With two distinct points in E^2 and up, a
+    spanned line through a point costs what any line through it costs and
+    holds a superset of its points, so no other line can improve a cover.
+    No points give no candidates.
     """
     d = points[0].dim if points else 0
-    copies = _index_masks(points)
-    out: list[Candidate] = []
-    for f in range(min(d, len(copies)) - 1, 0, -1):  # d-1 first: its walk gives d-2 too
-        spanned = spanned_flats(points, f)
-        build = spanned.flat  # one bound method for the level
-        out.extend((f + by_rank, mask, build, i) for i, mask in enumerate(spanned.masks))
-    if by_rank:
-        out.extend((1, mask, affine_hull, (p,)) for p, mask in copies.items())
-    elif d == 1 or len(copies) == 1:
-        out.append((1, (1 << len(points)) - 1, _axis_line_through, points[0]))
+    distinct = len(set(points))
+    out: list[tuple[int, int]] = []
+    for f in range(min(d, distinct) - 1, 0, -1):  # d-1 first: its walk gives d-2 too
+        out.extend((f, mask) for mask in spanned_flats(points, f).masks)
+    if d == 1 or distinct == 1:
+        out.append((1, (1 << len(points)) - 1))
     return out
 
 
-def _build(cover: list[Candidate]) -> tuple[Flat, ...]:
-    return tuple(build(arg) for _, _, build, arg in cover)
-
-
-def _best_cover(
-    candidates: list[Candidate], n: int, budget: int, floor: int = 0
-) -> tuple[int, list[Candidate] | None]:
-    """The most of the n points that candidates of total cost <= budget
-    cover, and the candidates of one cover that reaches it; (floor, None)
-    when no cover takes more than floor points.
+def _best_cover(candidates: Sequence[tuple[int, int]], n: int, budget: int, floor: int = 0) -> int:
+    """The most of the n points that (cost, mask) candidates of total cost
+    <= budget cover, or floor when no cover takes more.
 
     Branch on the lowest open point (neither covered nor given up): take a
     candidate through it, cheapest and then largest first, or give it up.
@@ -496,101 +464,73 @@ def _best_cover(
     """
     cands = [c for c in candidates if c[0] <= budget]
     num, den = 0, 1  # the largest size/cost, compared in integers
-    for cost, mask, _, _ in cands:
+    for cost, mask in cands:
         if mask.bit_count() * den > num * cost:
             num, den = mask.bit_count(), cost
     if min(n, budget * num // den) <= floor:
-        return floor, None
-    by_point: list[list[Candidate]] = [[] for _ in range(n)]
+        return floor
+    by_point: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for c in sorted(cands, key=lambda c: (c[0], -c[1].bit_count())):
         mask = c[1]
         while mask:
             by_point[(mask & -mask).bit_length() - 1].append(c)
             mask &= mask - 1
-    best, cover = floor, None
-    chosen: list[Candidate] = []
+    best = floor
     explored: dict[tuple[int, int], int] = {}  # (open, remaining) -> covered
 
     def go(open_: int, covered: int, remaining: int) -> None:
-        nonlocal best, cover
+        nonlocal best
         if covered > best:
-            best, cover = covered, list(chosen)
+            best = covered
         if covered + min(open_.bit_count(), remaining * num // den) <= best:
             return
         if explored.get((open_, remaining), -1) >= covered:
             return
         explored[open_, remaining] = covered
-        for c in by_point[(open_ & -open_).bit_length() - 1]:
-            cost, mask, _, _ = c
+        for cost, mask in by_point[(open_ & -open_).bit_length() - 1]:
             if cost <= remaining:
-                chosen.append(c)
                 go(open_ & ~mask, covered + (open_ & mask).bit_count(), remaining - cost)
-                chosen.pop()
         go(open_ & (open_ - 1), covered, remaining)
 
     go((1 << n) - 1, 0, budget)
-    return best, cover
+    return best
 
 
-def is_r_degenerate(
-    points: Sequence[Point], r: int
-) -> tuple[bool, CoverCertificate | None]:
+def is_r_degenerate(points: Sequence[Point], r: int) -> bool:
     """Whether flats of nonzero dimension with dimensions summing to < r
-    cover all the points; with a witnessing certificate when they do. The
-    cover search at cost = dimension, where only a full cover beats the
-    floor."""
+    cover all the points: the cover search at cost = dimension, where only
+    a full cover beats the floor."""
     if r < 1:
         raise GeometryError(f"r must be >= 1, got {r}")
     n = len(points)
-    _, cover = _best_cover(_candidate_flats(points, by_rank=False), n, r - 1, floor=n - 1)
-    if cover is None:
-        return False, None
-    return True, CoverCertificate(_build(cover), n)
-
-
-def rank_sum_cover(points: Sequence[Point], budget: int) -> list[Flat] | None:
-    """A cover by flats (any dimension, points allowed) whose ranks sum to
-    <= budget, or None when no such cover exists. The cover search at
-    cost = rank, where only a full cover beats the floor."""
-    n = len(points)
-    _, cover = _best_cover(_candidate_flats(points, by_rank=True), n, budget, floor=n - 1)
-    return None if cover is None else list(_build(cover))
+    return _best_cover(_candidate_flats(points), n, r - 1, floor=n - 1) == n
 
 
 def max_degenerate_subset(points: Sequence[Point], dim_budget: int) -> int:
     """Largest number of points coverable by flats of nonzero dimension with
     dimensions summing to <= dim_budget: the cover search at cost =
     dimension."""
-    return _best_cover(_candidate_flats(points, by_rank=False), len(points), dim_budget)[0]
+    return _best_cover(_candidate_flats(points), len(points), dim_budget)
 
 
-def max_cover_plane_or_two_lines(points: Sequence[Point]) -> CoverCertificate:
-    """The most input points on a single plane or on a pair of spanned lines,
-    with a witnessing certificate.
+def max_cover_plane_or_two_lines(points: Sequence[Point]) -> int:
+    """The most input points on a single plane or on a pair of spanned lines.
 
     Two distinct coplanar spanned lines hold three affinely independent
     points, and the plane those span is a spanned plane holding every point
     of both lines. A pair of lines that beats every plane is therefore
     skew, and no skew test is needed. It is the cover search over the
     spanned lines at cost = dimension and budget 2, with the richest plane
-    as its floor: the plane is the certificate unless lines beat it.
+    as its floor. No points, or copies of one point, lie on one line.
     """
     if points and points[0].dim != 3:
         raise GeometryError("ambient dimension must be 3")
-    if not points:
-        return CoverCertificate((), 0)
-    if len(set(points)) == 1:
-        return CoverCertificate((_axis_line_through(points[0]),), len(points))
+    if len(set(points)) <= 1:
+        return len(points)
     planes = spanned_flats(points, 2)  # the walk gives the lines too
-    lines = spanned_flats(points, 1)
-    build = lines.flat
-    candidates = [(1, mask, build, i) for i, mask in enumerate(lines.masks)]
-    on_plane = [mask.bit_count() for mask in planes.masks]
-    floor = max(on_plane, default=0)
-    best, cover = _best_cover(candidates, len(points), 2, floor=floor)
-    if cover is None:
-        return CoverCertificate((planes.flat(on_plane.index(floor)),), floor)
-    return CoverCertificate(_build(cover), best)
+    lines = [(1, mask) for mask in spanned_flats(points, 1).masks]
+    floor = max((mask.bit_count() for mask in planes.masks), default=0)
+    return _best_cover(lines, len(points), 2, floor=floor)
 
 
 # The columns of a conjecture-search row, in output order, each with the
@@ -620,7 +560,7 @@ def conjecture_row(params: tuple, points: list[Point] | None = None) -> dict:
             candidate = Point(rng.randint(-99, 99) for _ in range(d))
             if candidate not in points:
                 points.append(candidate)
-    degenerate, _ = is_r_degenerate(points, r)
+    degenerate = is_r_degenerate(points, r)
     row = {
         **CONJECTURE_COLUMNS, "sample": sample, "d": d, "n": n, "r": r, "seed": seed,
         "floor": floor_value, "degenerate": degenerate,

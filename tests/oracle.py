@@ -19,8 +19,9 @@ forms of the prefix-sharing walks: the scan that eliminates every
 every configuration of lines and picks on its own. Last come the full,
 unpruned set of cover candidates (every spanned flat of dimension
 1..d-1, then a point flat or an axis line per point, each mask by testing
-every point) and the cover search that tries every combination of
-candidates within the budget.
+every point), the cover search that tries every combination of
+candidates within the budget, and the rank-budget cover that acceptance
+criterion 2 asks about, which no command runs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Sequence
 from spanflats.incidence import CountReport, _check_arrangement
 from spanflats.kernel import Flat, GeometryError, Point, affine_hull, format_rational, int_rref
 from spanflats.kernel import affine_rank as int_affine_rank
-from spanflats.spans import SpannedSet
+from spanflats.spans import SpannedSet, _best_cover
 
 
 def rref(rows):
@@ -338,3 +339,12 @@ def best_cover_counts(candidates, budget: int, cost_of) -> list[int]:
 
     extend(0, 0, 0)
     return list(accumulate(best, max))
+
+
+def rank_sum_cover(points, budget: int) -> bool:
+    """Whether flats of any dimension, points allowed, whose ranks (dim + 1)
+    sum to <= budget cover every point: the package's exact cover search,
+    where only a full cover beats the floor, over the unpruned candidates."""
+    n = len(points)
+    cands = [(dim + 1, mask) for _, dim, mask in cover_candidates(points, include_point_flats=True)]
+    return _best_cover(cands, n, budget, floor=n - 1) == n

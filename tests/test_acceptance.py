@@ -9,7 +9,7 @@ import statistics
 from fractions import Fraction as F
 from itertools import combinations
 
-from oracle import arrangement_vertices, meet
+from oracle import arrangement_vertices, meet, rank_sum_cover
 from spanflats.constructions import (
     beck3_instance,
     bichromatic_lower_construction,
@@ -25,7 +25,7 @@ from spanflats.formulas import (
 )
 from spanflats.incidence import BiArrangement, bound_envelope, count_bichromatic
 from spanflats.kernel import Point, affine_hull, hyperplane
-from spanflats.spans import max_cover_plane_or_two_lines, rank_sum_cover, spanned_flats
+from spanflats.spans import max_cover_plane_or_two_lines, spanned_flats
 
 PURDY_GRID = [(4, 2), (4, 3), (4, 4), (5, 2), (5, 3)]
 
@@ -67,7 +67,7 @@ def test_criterion_2_counterexample_property():
         if counts.g_total <= counts.h_total:
             bad_ratio.append((d, k))
         points = purdy_counterexample(d, k, seed=0)
-        if rank_sum_cover(points, d + 1) is not None:
+        if rank_sum_cover(points, d + 1):
             coverable.append((d, k))
     _report(
         "criterion 2: g > h and no cover of total rank <= d+1",
@@ -250,9 +250,9 @@ def test_criterion_8_beck_erdos_3d():
             ratios = []
             for seed in range(5):
                 points, _ = beck3_instance(n, k, seed, "plane")
-                cover = max_cover_plane_or_two_lines(points)
-                if cover.covered_count != n - k:
-                    hypothesis_failures.append((n, k, seed, cover.covered_count))
+                covered = max_cover_plane_or_two_lines(points)
+                if covered != n - k:
+                    hypothesis_failures.append((n, k, seed, covered))
                 planes = spanned_flats(points, 2).count
                 ratios.append(planes / (n * k * k))
             cells[(n, k)] = ratios

@@ -382,10 +382,10 @@ def test_beck3_row_reports_a_failed_generator(monkeypatch, capsys):
 
 
 def test_beck3_instance_hypothesis():
-    pts, cover = beck3_instance(12, 3, seed=0, plant="plane")
-    assert len(pts) == 12 and cover.covered_count == 9
-    pts_skew, cover_skew = beck3_instance(12, 4, seed=0, plant="skew")
-    assert len(pts_skew) == 12 and cover_skew.covered_count == 8
+    pts, covered = beck3_instance(12, 3, seed=0, plant="plane")
+    assert (len(pts), covered) == (12, 9)
+    pts_skew, covered_skew = beck3_instance(12, 4, seed=0, plant="skew")
+    assert (len(pts_skew), covered_skew) == (12, 8)
 
 
 @pytest.mark.parametrize("n, plant", [(247, "skew"), (14646, "plane")])
@@ -594,6 +594,17 @@ def test_usage_error_is_exit_2():
     assert exc.value.code == 2
 
 
+# The start of the message for the bad inputs whose error names where it is.
+BAD_INPUT_WHERE = {
+    "construct bichromatic --d 3 --n 10 --k 5 --m 4 --c0 abc": "--c0: bad rational 'abc'",
+    "construct bichromatic --d 3 --n 10 --k 5 --m 4 --c0 1/0": "--c0: bad rational '1/0'",
+    "incidences --arrangement deep.json": "invalid JSON: nested deeper than the recursion limit",
+    "incidences --arrangement long-int.json": "invalid JSON: an integer of more than",
+    "incidences --arrangement bad-red.json": "red[1]: bad rational '1/0'",
+    "incidences --arrangement bad-vertex.json": "vertices[1]: bad rational 'x'",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -652,6 +663,9 @@ def test_usage_error_is_exit_2():
         # JSON nested past the recursion limit, and an int past the digit limit
         "incidences --arrangement deep.json",
         "incidences --arrangement long-int.json",
+        # a bad rational in an arrangement's entry
+        "incidences --arrangement bad-red.json",
+        "incidences --arrangement bad-vertex.json",
     ],
 )
 def test_bad_input_is_exit_2(capsys, argv, tmp_path, monkeypatch):
@@ -675,37 +689,59 @@ def test_bad_input_is_exit_2(capsys, argv, tmp_path, monkeypatch):
     }))
     (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
     (tmp_path / "long-int.json").write_text('{"d": ' + "7" * 5000 + "}")
+    (tmp_path / "bad-red.json").write_text(json.dumps({
+        "d": 2, "red": [[["1", "1", "0"]], [["1", "1/0", "0"]]], "blue": [], "vertices": [],
+    }))
+    (tmp_path / "bad-vertex.json").write_text(json.dumps({
+        "d": 2, "red": [], "blue": [], "vertices": ["0,0", "1,x"],
+    }))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "set_int_max_str_digits" not in err
+    assert err.startswith(f"error: {BAD_INPUT_WHERE.get(argv, '')}")
     assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, where",
     [
-        ["enumerate", "--points", "long.txt", "--f", "1"],
-        ["conjecture-search", "--d", "3", "--points", "long.txt"],
-        ["construct", "bichromatic", "--d", "3", "--n", "4", "--k", "2", "--m", "4", "--c0", "1" * 4400],
+        (["enumerate", "--points", "long.txt", "--f", "1"], "line 1: "),
+        (["conjecture-search", "--d", "3", "--points", "long.txt"], "line 1: "),
+        (
+            ["construct", "bichromatic", "--d", "3", "--n", "4", "--k", "2", "--m", "4",
+             "--c0", "1" * 4400],
+            "--c0: ",
+        ),
         # 3,000-digit coordinates parse, but the export's rows pass the limit
-        ["enumerate", "--f", "2", "--points", "wide-e3.txt", "--out", "F"],
-        ["enumerate", "--f", "2", "--points", "wide-e3.txt", "--emit-json"],
+        (["enumerate", "--f", "2", "--points", "wide-e3.txt", "--out", "F"], ""),
+        (["enumerate", "--f", "2", "--points", "wide-e3.txt", "--emit-json"], ""),
+        # an arrangement entry, and an int in the JSON itself
+        (["incidences", "--arrangement", "long-entry.json"], "blue[1]: "),
+        (["incidences", "--arrangement", "long-int.json"], "invalid JSON: "),
     ],
-    ids=["enumerate", "conjecture-search", "c0", "export-out", "export-emit-json"],
+    ids=[
+        "enumerate", "conjecture-search", "c0", "export-out", "export-emit-json",
+        "arrangement-entry", "json-int",
+    ],
 )
-def test_rationals_past_the_digit_limit_are_exit_2(capsys, argv, tmp_path, monkeypatch):
+def test_rationals_past_the_digit_limit_are_exit_2(capsys, argv, where, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "long.txt").write_text("1,2," + "3" * 5000 + "\n0,0,0\n1,0,0\n0,1,0\n")
     rng = random.Random(3000)
     (tmp_path / "wide-e3.txt").write_text("".join(
         ",".join(str(rng.randrange(10**2999, 10**3000)) for _ in range(3)) + "\n" for _ in range(4)
     ))
+    (tmp_path / "long-entry.json").write_text(json.dumps({
+        "d": 2, "red": [], "blue": [[["1", "0", "0"]], [["1", "1", "3" * 5000]]], "vertices": [],
+    }))
+    (tmp_path / "long-int.json").write_text('{"d": ' + "7" * 5000 + "}")
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {where}") and len(err.splitlines()) == 1
     assert f"more than {sys.get_int_max_str_digits()} digits" in err
+    assert "set_int_max_str_digits" not in err
     assert not (tmp_path / "F").exists()
 
 

@@ -19,8 +19,8 @@ from spanflats.formulas import (
 
 def test_counts_d4_k2():
     c = purdy_counts(4, 2)
-    assert c.h_by_j == {1: 12, 2: 3}
-    assert c.g_by_j == {0: 8, 1: 12}
+    assert [purdy_flats(4, 2, 4, j) for j in (1, 2)] == [12, 3]
+    assert [purdy_flats(4, 2, 3, j) for j in (0, 1)] == [8, 12]
     assert (c.h_total, c.g_total) == (15, 20)
 
 
@@ -31,8 +31,8 @@ def test_counts_d4_k3():
 
 def test_counts_d5_k2():
     c = purdy_counts(5, 2)
-    assert c.h_by_j == {1: 32, 2: 24}
-    assert c.g_by_j == {0: 16, 1: 48, 2: 6}
+    assert [purdy_flats(5, 2, 5, j) for j in (1, 2)] == [32, 24]
+    assert [purdy_flats(5, 2, 4, j) for j in (0, 1, 2)] == [16, 48, 6]
     assert (c.h_total, c.g_total) == (56, 70)
 
 
@@ -41,9 +41,9 @@ def test_purdy_flats_is_the_rank_r_decomposition():
     # k(d - 1) points, rank 2 the lines: pairs from two lines and the lines
     for d, k in [(4, 2), (4, 3), (5, 2), (7, 3)]:
         counts = purdy_counts(d, k)
-        assert {j: purdy_flats(d, k, d, j) for j in counts.h_by_j} == counts.h_by_j
-        assert {j: purdy_flats(d, k, d - 1, j) for j in counts.g_by_j} == counts.g_by_j
         assert (purdy_flats(d, k, d), purdy_flats(d, k, d - 1)) == (counts.h_total, counts.g_total)
+        # no hyperplane takes no whole line: d single points from d - 1 lines
+        assert purdy_flats(d, k, d, 0) == 0
         assert purdy_flats(d, k, 1) == k * (d - 1)
         assert purdy_flats(d, k, 2) == (d - 1) * (d - 2) // 2 * k * k + d - 1
 
@@ -57,10 +57,7 @@ def test_counts_domain():
 
 def test_counts_json_shape():
     counts = purdy_counts(4, 2)
-    assert (counts.d, counts.k) == (4, 2)
-    assert counts.h_by_j == {1: 12, 2: 3}
-    assert counts.g_by_j == {0: 8, 1: 12}
-    assert (counts.h_total, counts.g_total) == (15, 20)
+    assert (counts.d, counts.k, counts.h_total, counts.g_total) == (4, 2, 15, 20)
 
 
 @pytest.mark.parametrize("d,expected", [(4, 2), (5, 2)])

@@ -18,7 +18,6 @@ from spanflats.spans import (
     is_r_degenerate,
     max_cover_plane_or_two_lines,
     max_degenerate_subset,
-    rank_sum_cover,
     read_point_file,
     spanned_flats,
     write_point_file,
@@ -459,22 +458,27 @@ def test_cut_adds_a_point_to_constraint_rows_as_the_oracle_does(case, data):
 
 @given(
     st.integers(1, 4).flatmap(lambda d: point_lists(d, 1, 6, lo=-2, hi=2, max_den=3)),
-    st.booleans(),
     st.data(),
 )
 @settings(max_examples=120, deadline=None)
-def test_candidate_masks_match_contains_oracle(pts, point_flats, data):
+def test_candidate_masks_match_contains_oracle(pts, data):
+    # the oracle's spanned candidates, each mask by testing every point; its
+    # axis line through a point joins them only where no spanned line holds
+    # that point: for a single distinct point, or in E^1
     pts = pts + data.draw(st.lists(st.sampled_from(pts), max_size=3))
-    candidates = _candidate_flats(pts, point_flats)
-    flats = [build(arg) for _, _, build, arg in candidates]
-    expected = oracle.attach_incidences(flats, pts)
-    assert [mask for _, mask, _, _ in candidates] == [
-        sum(1 << i for i in idxs) for idxs in expected
+    d, n, alone = pts[0].dim, len(pts), len(set(pts)) == 1
+
+    def spanned(dim, mask):
+        return oracle.affine_rank([p for i, p in enumerate(pts) if mask >> i & 1]) == dim + 1
+
+    expected = [
+        (dim, mask)
+        for _, dim, mask in oracle.cover_candidates(pts, include_point_flats=False)
+        if d == 1 or alone or spanned(dim, mask)
     ]
-    assert [cost for cost, *_ in candidates] == [flat.dim + point_flats for flat in flats]
-    assert len(set(flats)) == len(flats)
-    full = {flat for flat, _, _ in oracle.cover_candidates(pts, point_flats)}
-    assert set(flats) <= full
+    candidates = _candidate_flats(pts)
+    assert sorted(candidates) == sorted(expected)
+    assert all(any(mask >> i & 1 for _, mask in candidates) for i in range(n))
 
 
 @given(point_lists(3, 2, 6, lo=-3, hi=3, max_den=2))
@@ -497,8 +501,8 @@ def test_every_spanned_flat_is_hull_of_its_points(pts, f):
 @given(point_lists(3, 1, 6, lo=-2, hi=2, max_den=1), st.integers(min_value=1, max_value=4))
 @settings(max_examples=30, deadline=None)
 def test_r_degenerate_implies_next_r(pts, r):
-    if is_r_degenerate(pts, r)[0]:
-        assert is_r_degenerate(pts, r + 1)[0]
+    if is_r_degenerate(pts, r):
+        assert is_r_degenerate(pts, r + 1)
 
 
 # --- the arrangement-vertex oracle -------------------------------------------
@@ -534,9 +538,8 @@ def test_four_line_vertices_by_hand():
 
 def test_two_skew_lines_cover_everything():
     pts = [Point((t, 0, 0)) for t in range(3)] + [Point((0, t, 1)) for t in range(3)]
-    cover = max_cover_plane_or_two_lines(pts)
-    assert cover.covered_count == 6
-    assert sum(f.dim for f in cover.flats) == 2
+    assert max_cover_plane_or_two_lines(pts) == 6
+    assert max_degenerate_subset(pts, 1) == 3  # one line is not enough
 
 
 def test_five_generic_points_cover_four():
@@ -548,19 +551,19 @@ def test_five_generic_points_cover_four():
         Point((1, 2, 3)),
     ]
     skew_oracle, any_oracle = oracle_best_plane_or_pair(pts)
-    cover = max_cover_plane_or_two_lines(pts)
-    assert cover.covered_count == skew_oracle == any_oracle == 4
+    assert max_cover_plane_or_two_lines(pts) == skew_oracle == any_oracle == 4
 
 
 def test_coplanar_points_cover_all():
     pts = [Point((0, 0, 0)), Point((1, 0, 0)), Point((0, 1, 0)), Point((3, 5, 0))]
-    assert max_cover_plane_or_two_lines(pts).covered_count == 4
+    assert max_cover_plane_or_two_lines(pts) == 4
 
 
-def test_tiny_inputs_trivial_certificate():
-    assert max_cover_plane_or_two_lines([]).covered_count == 0
-    one = max_cover_plane_or_two_lines([Point((1, 2, 3))])
-    assert one.covered_count == 1 and sum(f.dim for f in one.flats) == 1
+def test_tiny_inputs_trivial_cover():
+    # no points, or copies of one point, which one line holds
+    assert max_cover_plane_or_two_lines([]) == 0
+    assert max_cover_plane_or_two_lines([Point((1, 2, 3))]) == 1
+    assert max_cover_plane_or_two_lines([Point((1, 2, 3))] * 3) == 3
 
 
 @st.composite
@@ -585,20 +588,10 @@ def cover_inputs(draw):
 @settings(max_examples=80, deadline=None)
 def test_cover_matches_oracle(pts):
     skew_oracle, any_oracle = oracle_best_plane_or_pair(pts)
-    cover = max_cover_plane_or_two_lines(pts)
-    assert cover.covered_count == skew_oracle
-    assert cover.covered_count == any_oracle
-    assert cover.covered_count == max_degenerate_subset(pts, 2)
-
-
-@given(cover_inputs())
-@settings(max_examples=80, deadline=None)
-def test_cover_certificate_is_a_plane_or_lines_holding_the_count(pts):
-    cover = max_cover_plane_or_two_lines(pts)
-    assert all(flat.dim in (1, 2) for flat in cover.flats)
-    assert sum(flat.dim for flat in cover.flats) <= 2
-    on = sum(1 for p in pts if any(flat.contains(p) for flat in cover.flats))
-    assert on == cover.covered_count
+    covered = max_cover_plane_or_two_lines(pts)
+    assert covered == skew_oracle
+    assert covered == any_oracle
+    assert covered == max_degenerate_subset(pts, 2)
 
 
 # --- degeneracy -------------------------------------------------------------
@@ -618,7 +611,7 @@ def degeneracy_inputs(draw):
 def test_r_degenerate_iff_max_degenerate_subset_covers_all(case):
     # both search the same flats at cost = dimension, and both are exact
     pts, r = case
-    assert is_r_degenerate(pts, r)[0] == (max_degenerate_subset(pts, r - 1) == len(pts))
+    assert is_r_degenerate(pts, r) == (max_degenerate_subset(pts, r - 1) == len(pts))
 
 
 @st.composite
@@ -630,15 +623,6 @@ def cover_search_inputs(draw):
     coords = draw(st.lists(st.tuples(*[c] * d), min_size=1, max_size=6))
     coords += draw(st.lists(st.sampled_from(coords), max_size=2))
     return [Point(xs) for xs in coords]
-
-
-def assert_cover(flats, candidates, pts, cost_of, budget):
-    """The flats are candidates, their costs fit the budget and they hold
-    every point."""
-    dims = {flat: dim for flat, dim, _ in candidates}
-    assert all(flat in dims for flat in flats)
-    assert sum(cost_of(dims[flat]) for flat in flats) <= budget
-    assert all(any(flat.contains(p) for flat in flats) for p in pts)
 
 
 @given(cover_search_inputs())
@@ -653,31 +637,20 @@ def test_cover_searches_match_brute_force_oracle(pts):
     best_with_points = oracle.best_cover_counts(with_points, d + 1, by_rank)
     for budget in range(d + 2):
         assert max_degenerate_subset(pts, budget) == best[budget]
-        ok, cert = is_r_degenerate(pts, budget + 1)
-        assert ok == (best[budget] == n)
-        if ok:
-            assert cert.covered_count == n
-            assert sum(f.dim for f in cert.flats) == sum(
-                dim for f, dim, _ in lines_up if f in cert.flats
-            )
-            assert_cover(cert.flats, lines_up, pts, by_dim, budget)
-        cover = rank_sum_cover(pts, budget)
-        assert (cover is not None) == (best_with_points[budget] == n)
-        if cover is not None:
-            assert_cover(cover, with_points, pts, by_rank, budget)
+        assert is_r_degenerate(pts, budget + 1) == (best[budget] == n)
+        assert oracle.rank_sum_cover(pts, budget) == (best_with_points[budget] == n)
 
 
 def test_coplanar_set_is_3_degenerate():
     pts = [Point((0, 0, 0)), Point((1, 0, 0)), Point((0, 1, 0)), Point((1, 1, 0))]
-    ok, cert = is_r_degenerate(pts, 3)
-    assert ok and cert is not None and sum(f.dim for f in cert.flats) < 3
-    assert cert.covered_count == 4
+    assert is_r_degenerate(pts, 3) is True
+    assert is_r_degenerate(pts, 2) is False  # not collinear
 
 
 def test_two_skew_lines_are_3_degenerate():
     pts = [Point((t, 0, 0)) for t in range(3)] + [Point((0, t, 1)) for t in range(3)]
-    ok, cert = is_r_degenerate(pts, 3)
-    assert ok and sum(f.dim for f in cert.flats) == 2
+    assert is_r_degenerate(pts, 3) is True
+    assert is_r_degenerate(pts, 2) is False  # not one line
 
 
 def test_five_generic_points_not_3_degenerate():
@@ -688,8 +661,7 @@ def test_five_generic_points_not_3_degenerate():
         Point((0, 0, 1)),
         Point((1, 2, 3)),
     ]
-    ok, cert = is_r_degenerate(pts, 3)
-    assert not ok and cert is None
+    assert is_r_degenerate(pts, 3) is False
 
 
 def test_r_degenerate_monotone_in_r():
@@ -700,22 +672,21 @@ def test_r_degenerate_monotone_in_r():
         Point((0, 0, 1)),
         Point((1, 2, 3)),
     ]
-    results = [is_r_degenerate(pts, r)[0] for r in range(1, 6)]
+    results = [is_r_degenerate(pts, r) for r in range(1, 6)]
     assert results == sorted(results)  # False ... True, never back
 
 
 def test_rank_sum_cover_finds_cheap_cover():
+    # the oracle criterion 2 checks with: one line, rank 2, and no point alone
     pts = [Point((t, 0, 0)) for t in range(4)]
-    cover = rank_sum_cover(pts, 2)  # one line, rank 2
-    assert cover is not None and len(cover) == 1
+    assert oracle.rank_sum_cover(pts, 2) is True
+    assert oracle.rank_sum_cover(pts, 1) is False
 
 
 def test_cover_queries_edge_answers():
     # the empty set is covered by no flats at all; a threshold below 1 and
     # inputs outside a query's domain are errors
-    ok, cert = is_r_degenerate([], 1)
-    assert ok and (cert.flats, cert.covered_count) == ((), 0)
-    assert rank_sum_cover([], 0) == rank_sum_cover([], 3) == []
+    assert is_r_degenerate([], 1) is True
     assert max_degenerate_subset([], 0) == max_degenerate_subset([], 2) == 0
     with pytest.raises(GeometryError, match="r must be >= 1, got 0"):
         is_r_degenerate([Point((0, 0))], 0)
@@ -755,22 +726,16 @@ def test_counts_masks_and_cover_searches_build_no_flat(flat_builds):
     assert spanned_flats(pts, 2).count == 56
     assert [mask.bit_count() for mask in spanned_flats(pts, 1).masks] == [2] * 28
     assert max_degenerate_subset(pts, 2) == 4
-    assert is_r_degenerate(pts, 3) == (False, None)
+    assert is_r_degenerate(pts, 3) is False
     assert not conjecture_row((0, 3, 8, 3, 0, 0.0))["degenerate"]
     assert flat_builds[0] == 0
 
 
-def test_beck3_instance_builds_only_hull_and_certificate(flat_builds, monkeypatch):
-    covers = []
-
-    def recording_cover(points):
-        covers.append(max_cover_plane_or_two_lines(points))
-        return covers[-1]
-
-    monkeypatch.setattr(constructions, "max_cover_plane_or_two_lines", recording_cover)
+def test_beck3_instance_builds_no_flat(flat_builds):
+    # its check reads the count of the plane-or-two-lines search alone
     for plant in ("plane", "skew"):
-        constructions.beck3_instance(40, 7, 0, plant)
-    assert covers and flat_builds[0] <= sum(1 + len(cover.flats) for cover in covers)
+        assert constructions.beck3_instance(40, 7, 0, plant)[1] == 33
+    assert flat_builds[0] == 0
 
 
 # --- point file format ------------------------------------------------------
