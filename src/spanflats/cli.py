@@ -4,15 +4,14 @@ Subcommands: enumerate, incidences, construct {erdos2d|bichromatic|thetamk|
 purdy}, verify-purdy, fit, envelope-sweep, beck3, conjecture-search.
 Exit codes: 0 success / all-match, 1 verification mismatch, 2 input error.
 
-Each command only parses its options, checks them, maps the row builder
-over the parameter tuples with ``pmap``, writes the table with
-``emit_table``, which echoes the options it names, and prints a summary.
-The rows are built next to what they check: ``constructions.purdy_row``,
-``envelope_row`` and ``beck3_row``, and ``spans.conjecture_row``, each
-from its column table, which gives every column's value for a row that
-measured nothing. Every row carries the full parameter tuple and seed,
-and identical config + seed produces byte-identical output whatever --jobs
-is set to: rows are computed independently and merged in parameter order.
+Each command only parses its options, calls the one ``check_*`` beside its
+row builder, which makes every refusal (a parameter out of range, or a
+largest row over the caps), maps the row builder over the parameter tuples
+with ``pmap``, writes the table with ``emit_table``, which echoes the
+options it names, and prints a summary. Every row carries the full
+parameter tuple and seed, and identical config + seed produces
+byte-identical output whatever --jobs is set to: rows are computed
+independently and merged in parameter order.
 A command that prints a count and writes ``--out`` writes the file first,
 so a path it cannot write leaves stdout empty.
 """
@@ -23,11 +22,11 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import statistics
 import sys
 from dataclasses import asdict
+from functools import partial
 from typing import Callable, Sequence
 
 from .constructions import (
@@ -38,7 +37,8 @@ from .constructions import (
     beck3_instance,  # noqa: F401  (traced by name: bench/layertrace.py TARGETS)
     beck3_row,
     bichromatic_lower_construction,
-    check_beck3_plant,
+    check_beck3,
+    check_construction,
     check_envelope_sweep,
     check_purdy_cell,
     envelope_row,
@@ -48,17 +48,16 @@ from .constructions import (
     theta_mk_construction,
 )
 from .formulas import FormulaDomainError, fit_loglog
-from .incidence import BiArrangement, bound_envelope, count_bichromatic
-from .kernel import GeometryError, common_dim, parse_rational
+from .incidence import BiArrangement, bound_envelope, check_incidences, count_bichromatic
+from .kernel import GeometryError, parse_rational
 from .spans import (
     CONJECTURE_COLUMNS,
-    admit,
-    arrangement_cost,
+    check_conjecture_search,
+    check_enumerate,
     conjecture_row,
     data_lines,
     read_point_file,
     spanned_flats,
-    walk_cost,
     write_point_file,
 )
 
@@ -66,9 +65,7 @@ SCHEMA_TABLE = "spanflats-table/1"
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+    return format(value, ".12g") if isinstance(value, float) else str(value)
 
 
 def emit_table(
@@ -194,12 +191,10 @@ def _parse_int_list(text: str) -> list[int]:
 def cmd_enumerate(args) -> int:
     with open(args.points) as fh:
         points = read_point_file(fh)
-    n, bits = len(set(points)), max((abs(x).bit_length() for p in points for x in p.hom), default=0)
-    d, f = common_dim(points), args.f  # an export holds each flat's d - f rows and f + 1 points
-    export = 1024 + 64 * (f + 1) + 256 * (d - f) * (d + 1) if args.out or args.emit_json else 0
-    admit(f"walk of {n} points", *walk_cost(n, d, (f - 1, f), bits, extra=export))
+    export = bool(args.out or args.emit_json)
+    check_enumerate(points, args.f, export)
     result = spanned_flats(points, args.f)
-    export = result.to_json_dict() if args.out or args.emit_json else None  # formatted before any write
+    export = result.to_json_dict() if export else None  # formatted before any write
     if args.out:  # the export goes to --out, else after the count
         _write_json(args, export)
     sys.stdout.write(f"{result.count}\n")
@@ -212,13 +207,12 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_incidences(args) -> int:
-    arrangement = BiArrangement.from_json_dict(_read_json(args.arrangement))
-    n, d, m = arrangement.n, arrangement.d, arrangement.m
-    admit("incidences", *arrangement_cost(n, d, m, n))  # at most a class per hyperplane
-    report = count_bichromatic(arrangement)
+    a = BiArrangement.from_json_dict(_read_json(args.arrangement))
+    check_incidences(a)
+    report = count_bichromatic(a)
     doc = report.to_json_dict()
     if args.envelope:
-        doc["envelope"] = bound_envelope(m, arrangement.k, n, d).to_json_dict()
+        doc["envelope"] = bound_envelope(a.m, a.k, a.n, a.d).to_json_dict()
     if args.out:
         _write_json(args, doc)
     print(report.red_incidences)
@@ -232,11 +226,8 @@ def cmd_construct(args) -> int:
     kind = args.kind
     if kind == "purdy":
         points = purdy_counterexample(args.d, args.k, args.seed)
-        header = [
-            "spanflats construct purdy",
-            f"d={args.d} k={args.k} seed={args.seed} n={len(points)}",
-        ]
-        _write_output(args, write_point_file(points, header))
+        header = f"d={args.d} k={args.k} seed={args.seed} n={len(points)}"
+        _write_output(args, write_point_file(points, ["spanflats construct purdy", header]))
         return 0
     if kind == "erdos2d":
         grid = erdos_grid_2d(args.r, args.s)
@@ -250,23 +241,17 @@ def cmd_construct(args) -> int:
         _write_json(args, doc)
         return 0
     provenance = {  # bichromatic or thetamk
-        "command": f"construct {kind}",
-        "d": args.d,
-        "n": args.n,
-        "k": args.k,
-        "m": args.m,
+        "command": f"construct {kind}", "d": args.d, "n": args.n, "k": args.k, "m": args.m
     }
-    if kind == "bichromatic":  # p * n^(d-2) <= c0 * m vertices, after the k^2 of its grid
+    build, c0 = theta_mk_construction, 1
+    if kind == "bichromatic":
         try:
             c0 = parse_rational(args.c0)
         except GeometryError as exc:
             raise GeometryError(f"--c0: {exc}") from None
-        admit(kind, *arrangement_cost(args.n, args.d, int(c0 * args.m) + args.k**2, 0))
-        built = bichromatic_lower_construction(args.d, args.n, args.k, args.m, c0=c0)
-        provenance["c0"] = str(args.c0)
-    else:  # p^(d-2) <= m vertices
-        admit(kind, *arrangement_cost(args.n, args.d, args.m, 0))
-        built = theta_mk_construction(args.d, args.n, args.k, args.m)
+        build, provenance["c0"] = partial(bichromatic_lower_construction, c0=c0), str(args.c0)
+    check_construction(kind, args.d, args.n, args.k, args.m, c0)
+    built = build(args.d, args.n, args.k, args.m)
     doc = {
         "schema": "spanflats-biarrangement/1",
         "provenance": provenance,
@@ -315,15 +300,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_envelope_sweep(args) -> int:
-    if not 0 < args.k_frac <= 1:
-        raise GeometryError(f"--k-frac must be in (0, 1], got {args.k_frac}")
-    min_d = 3 if args.construction == "bichromatic" else 2
-    if args.d < min_d:
-        raise GeometryError(f"d >= {min_d} required for {args.construction}")
-    if args.n0 < 1 or args.p < 1:
-        raise GeometryError("--n0 and --p must be >= 1")
-    if args.doublings < 0:
-        raise GeometryError(f"--doublings must be >= 0, got {args.doublings}")
     check_envelope_sweep(args.construction, args.d, args.n0, args.doublings, args.k_frac, args.p)
     steps = [
         (args.construction, args.d, i, args.n0 * 2**i, args.k_frac, args.p, args.seed)
@@ -344,30 +320,7 @@ def cmd_envelope_sweep(args) -> int:
 def cmd_beck3(args) -> int:
     n_values = _parse_int_list(args.n_list)
     k_values = _parse_int_list(args.k_list)
-    if args.seeds < 1:
-        raise GeometryError(f"--seeds must be >= 1, got {args.seeds}")
-    count = len(n_values) * len(k_values) * args.seeds
-    # a cell and its row as formatted, per row under tracemalloc at 4,000 rows
-    # of n = 6 and 1,200 of n = 20: 2,300-2,470 bytes in JSON, 400-540 in CSV
-    admit(f"a table of {count:,} rows", count * (2500 if args.format == "json" else 550), 0)
-    cells = [
-        (n, k, seed, args.plant if args.plant != "mix" else ("plane" if seed % 2 == 0 else "skew"))
-        for n in n_values
-        for k in k_values
-        for seed in range(args.seed, args.seed + args.seeds)
-    ]
-    n, planes = max(n_values), 0  # the most planes a cell spans
-    for m, k, _, plant in cells:
-        check_beck3_plant(m, k, plant)
-        # the planted points' triples span one plane (plane) or none (two lines)
-        on = (m - k,) if plant == "plane" else ((m - k + 1) // 2, (m - k) // 2)
-        planes = max(planes, math.comb(m, 3) - sum(math.comb(j, 3) for j in on) + (plant == "plane"))
-
-    def flats(f: int) -> int:
-        return planes if f == 2 else math.comb(n, f + 1)
-
-    # planted and drawn coordinates are within ±1,100 (plane: 20 + 2 * 60 * 9): 11 bits
-    admit("beck3's largest walk", *walk_cost(n, 3, (1, 2), 11, flats))
+    cells = check_beck3(n_values, k_values, args.seeds, args.seed, args.plant, args.format)
     rows = pmap(beck3_row, cells, args.jobs)
     echo = ("n_list", "k_list", "seeds", "seed", "plant")
     emit_table(args, "beck3", echo, BECK3_COLUMNS, rows)
@@ -386,39 +339,15 @@ def cmd_beck3(args) -> int:
 
 
 def cmd_conjecture_search(args) -> int:
-    if args.d < 3:
-        raise GeometryError("d >= 3 required")
-    if args.n < 1:
-        raise GeometryError(f"--n must be >= 1, got {args.n}")
     if args.r is None:  # the threshold defaults to d, and the table echoes it resolved
         args.r = args.d
-    if args.r < 1:
-        raise GeometryError(f"--r must be >= 1, got {args.r}")
-    if not math.isfinite(args.floor):
-        raise GeometryError(f"--floor must be finite, got {args.floor}")
-    if args.points:
-        with open(args.points) as fh:
-            points = read_point_file(fh)
-        if common_dim(points) != args.d:
-            raise GeometryError(f"point file is E^{points[0].dim}, --d is {args.d}")
-    elif args.samples < 1:
-        raise GeometryError(f"--samples must be >= 1, got {args.samples}")
-    else:  # a sample's cell and row as formatted, per row under tracemalloc
-        # at 4,000 samples of n = 8: 3,650 bytes in JSON, 840 in CSV
-        row = 3700 if args.format == "json" else 850
-        admit(f"a table of {args.samples:,} rows", args.samples * row, 0)
-    n = len(set(points)) if args.points else args.n
-    # sampled coordinates are within ±99; the cover searches take a candidate
-    # (about 90-130 bytes) from every flat of every level
-    bits = max(abs(x).bit_length() for p in points for x in p.hom) if args.points else 7
-    admit(f"walk of {n} points", *walk_cost(n, args.d, range(1, min(args.d, n)), bits, extra=160))
-    if args.points:
+    points = check_conjecture_search(
+        args.d, args.n, args.r, args.floor, args.samples, args.format, args.points
+    )
+    if points is not None:
         rows = [conjecture_row((0, args.d, len(points), args.r, args.seed, args.floor), points)]
     else:
-        cells = [
-            (sample, args.d, args.n, args.r, args.seed, args.floor)
-            for sample in range(args.samples)
-        ]
+        cells = [(s, args.d, args.n, args.r, args.seed, args.floor) for s in range(args.samples)]
         rows = pmap(conjecture_row, cells, args.jobs)
     echo = ("d", "n", "r", "samples", "seed", "floor")
     emit_table(args, "conjecture-search", echo, CONJECTURE_COLUMNS, rows)
@@ -471,28 +400,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_incidences)
 
     p = sub.add_parser("construct", help="generate a construction")
+    p.set_defaults(func=cmd_construct)
     kinds = p.add_subparsers(dest="kind", required=True)
     g = kinds.add_parser("erdos2d", parents=[out])
     g.add_argument("--r", type=int, required=True)
     g.add_argument("--s", type=int, required=True)
-    g.set_defaults(func=cmd_construct)
-    g = kinds.add_parser("bichromatic", parents=[out])
-    g.add_argument("--d", type=int, required=True)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--c0", default="1", help="scale knob linking p to m (rational)")
-    g.set_defaults(func=cmd_construct)
-    g = kinds.add_parser("thetamk", parents=[out])
-    g.add_argument("--d", type=int, required=True)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("--m", type=int, required=True)
-    g.set_defaults(func=cmd_construct)
+    for kind in ("bichromatic", "thetamk"):
+        g = kinds.add_parser(kind, parents=[out])
+        for name in ("--d", "--n", "--k", "--m"):
+            g.add_argument(name, type=int, required=True)
+        if kind == "bichromatic":
+            g.add_argument("--c0", default="1", help="scale knob linking p to m (rational)")
     g = kinds.add_parser("purdy", parents=[seeded])
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
-    g.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify-purdy", parents=[table], help="formula vs enumeration table")
     p.add_argument("--d-range", required=True, help='e.g. "4" or "4:5"')
@@ -519,12 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plant", choices=("plane", "skew", "mix"), default="plane")
     p.set_defaults(func=cmd_beck3)
 
-    p = sub.add_parser(
-        "conjecture-search",
-        parents=[table],
-        help="ratio statistics over random non-degenerate sets "
-        "(uniform integer coordinates; one sampler among many)",
-    )
+    p = sub.add_parser("conjecture-search", parents=[table], help="ratio statistics over random "
+                       "non-degenerate sets (uniform integer coordinates; one sampler among many)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--samples", type=int, default=100)

@@ -17,15 +17,20 @@ from math import comb, gcd, isqrt, lcm
 from typing import Sequence
 
 from .formulas import iroot, purdy_counts, purdy_flats
-from .incidence import BiArrangement, bound_envelope, count_bichromatic
+from .incidence import BiArrangement, arrangement_cost, bound_envelope, count_bichromatic
 from .kernel import Flat, GeometryError, Point, affine_rank, hyperplane
-from .spans import admit, arrangement_cost, walk_cost
-from .spans import max_cover_plane_or_two_lines, spanned_flats
+from .spans import admit, max_cover_plane_or_two_lines, spanned_flats, walk_cost
 
 # Fresh draws each generator makes before it gives up with ConstructionError.
 PURDY_ATTEMPTS = 64
 BECK3_ATTEMPTS = 32
-PLANT_SPAN = 60  # beck3 plants draw t (skew) or (alpha, beta) (plane) in -60..60
+# The draws' ranges, -x..x: a Purdy line's base and direction; a beck3 plane's
+# base, skew line's base, their directions, t or (alpha, beta), and the rest.
+LINE_BASE, LINE_STEP = 999, 99
+PLANE_BASE, SKEW_BASE, PLANT_STEP, PLANT_SPAN, FILL_SPAN = 20, 40, 9, 60, 999
+BECK3_BITS = max(  # the largest coordinate: a plane's 20 + 2 * 60 * 9 = 1,100
+    PLANE_BASE + 2 * PLANT_SPAN * PLANT_STEP, SKEW_BASE + PLANT_SPAN * PLANT_STEP, FILL_SPAN
+).bit_length()
 
 
 class ConstructionError(ValueError):
@@ -40,11 +45,6 @@ class LineGrid2D:
     lines: tuple[Flat, ...]
     vertices: tuple[Point, ...]
     incidences: int
-
-
-def _grid_lines(pairs: Sequence[tuple[int, int]]) -> list[Flat]:
-    # y = a*x + b  <=>  -a*x + y = b
-    return [hyperplane((-a, 1), b) for a, b in pairs]
 
 
 def _grid_vertices(
@@ -94,7 +94,7 @@ def erdos_grid_2d(r: int, s: int) -> LineGrid2D:
     pairs = [(a, b) for a in range(r) for b in range(s)]
     vertices = _grid_vertices(pairs, (x_max, r * x_max + s))
     return LineGrid2D(
-        lines=tuple(_grid_lines(pairs)),
+        lines=tuple(hyperplane((-a, 1), b) for a, b in pairs),  # y = a*x + b
         vertices=tuple(Point.from_hom((p, key, q)) for _, p, q, key in vertices),
         incidences=sum(count for count, *_ in vertices),
     )
@@ -285,7 +285,7 @@ def check_purdy_cell(d: int, k: int) -> None:
         raise ConstructionError(f"d >= 4 required, got {d}")
     if k < 2:
         raise ConstructionError(f"k >= 2 required, got {k}")
-    bits = (999 + 99 * k).bit_length()  # purdy_counterexample's largest coordinate
+    bits = (LINE_BASE + LINE_STEP * k).bit_length()  # purdy_counterexample's largest coordinate
     def flats(f: int) -> int:  # formed only for cells walk_cost counts exactly
         return purdy_flats(d, k, f + 1)
     admit(f"Purdy cell ({d}, {k})", *walk_cost(k * (d - 1), d, (d - 2, d - 1), bits, flats))
@@ -307,8 +307,8 @@ def purdy_counterexample(d: int, k: int, seed: int = 0) -> tuple[Point, ...]:
         rng = random.Random(f"covering-lines:{d}:{k}:{seed}:{attempt}")
         line_points: list[list[Point]] = []
         for _ in range(d - 1):
-            base = [rng.randint(-999, 999) for _ in range(d)]
-            direction = [rng.randint(-99, 99) for _ in range(d)]
+            base = [rng.randint(-LINE_BASE, LINE_BASE) for _ in range(d)]
+            direction = [rng.randint(-LINE_STEP, LINE_STEP) for _ in range(d)]
             if all(v == 0 for v in direction):
                 direction[0] = 1
             line_points.append(
@@ -341,6 +341,34 @@ def check_beck3_plant(n: int, k: int, plant: str) -> None:
         )
 
 
+def check_beck3(
+    n_values: Sequence[int], k_values: Sequence[int], seeds: int, seed: int, plant: str, fmt: str
+) -> list[tuple[int, int, int, str]]:
+    """The grid's (n, k, seed, plant) cells, ``mix`` alternating plane and skew;
+    raises unless seeds >= 1, the rows (priced in ``fmt`` before the cells are
+    listed) and the largest walk are admitted, and every plant holds its cell."""
+    if seeds < 1:
+        raise GeometryError(f"--seeds must be >= 1, got {seeds}")
+    count = len(n_values) * len(k_values) * seeds
+    # a cell and its row as formatted, per row under tracemalloc at 4,000 rows
+    # of n = 6 and 1,200 of n = 20: 2,300-2,470 bytes in JSON, 400-540 in CSV
+    admit(f"a table of {count:,} rows", count * (2500 if fmt == "json" else 550), 0)
+    cells = [
+        (n, k, s, ("plane", "skew")[s % 2] if plant == "mix" else plant)
+        for n in n_values for k in k_values for s in range(seed, seed + seeds)
+    ]
+    n, planes = max(n_values), 0
+    for m, k, _, kind in cells:
+        check_beck3_plant(m, k, kind)
+        # the planted points' triples span one plane (plane) or none (two lines)
+        on = (m - k,) if kind == "plane" else ((m - k + 1) // 2, (m - k) // 2)
+        planes = max(planes, comb(m, 3) - sum(comb(j, 3) for j in on) + (kind == "plane"))
+    def flats(f: int) -> int:
+        return planes if f == 2 else comb(n, f + 1)
+    admit("beck3's largest walk", *walk_cost(n, 3, (1, 2), BECK3_BITS, flats))
+    return cells
+
+
 def beck3_instance(n: int, k: int, seed: int, plant: str) -> tuple[list[Point], int]:
     """n distinct points in E^3 with exactly n-k on the planted plane (or
     pair of skew lines) and no plane or pair of spanned lines covering more,
@@ -354,9 +382,9 @@ def beck3_instance(n: int, k: int, seed: int, plant: str) -> tuple[list[Point], 
         rng = random.Random(f"beck3:{plant}:{n}:{k}:{seed}:{attempt}")
         points: list[Point] = []
         if plant == "plane":
-            base = [rng.randint(-20, 20) for _ in range(3)]
-            u = [rng.randint(-9, 9) for _ in range(3)]
-            v = [rng.randint(-9, 9) for _ in range(3)]
+            base = [rng.randint(-PLANE_BASE, PLANE_BASE) for _ in range(3)]
+            u = [rng.randint(-PLANT_STEP, PLANT_STEP) for _ in range(3)]
+            v = [rng.randint(-PLANT_STEP, PLANT_STEP) for _ in range(3)]
             coeffs = set()
             while len(coeffs) < planted:
                 coeffs.add(
@@ -371,8 +399,8 @@ def beck3_instance(n: int, k: int, seed: int, plant: str) -> tuple[list[Point], 
         else:
             sizes = (planted - planted // 2, planted // 2)
             for which in range(2):
-                base = [rng.randint(-40, 40) for _ in range(3)]
-                direction = [rng.randint(-9, 9) for _ in range(3)]
+                base = [rng.randint(-SKEW_BASE, SKEW_BASE) for _ in range(3)]
+                direction = [rng.randint(-PLANT_STEP, PLANT_STEP) for _ in range(3)]
                 ts = set()
                 while len(ts) < sizes[which]:
                     ts.add(rng.randint(-PLANT_SPAN, PLANT_SPAN))
@@ -381,7 +409,7 @@ def beck3_instance(n: int, k: int, seed: int, plant: str) -> tuple[list[Point], 
             if affine_rank(points[:2] + points[sizes[0] : sizes[0] + 2]) != 4:  # not skew
                 continue
         while len(points) < n:
-            candidate = Point(rng.randint(-999, 999) for _ in range(3))
+            candidate = Point(rng.randint(-FILL_SPAN, FILL_SPAN) for _ in range(3))
             if candidate not in points:
                 points.append(candidate)
         if len(set(points)) != n:
@@ -394,13 +422,30 @@ def beck3_instance(n: int, k: int, seed: int, plant: str) -> tuple[list[Point], 
     )
 
 
+def check_construction(kind: str, d: int, n: int, k: int, m: int, c0: Fraction | int = 1) -> None:
+    """Raise unless the bichromatic or thetamk arrangement is admitted: p *
+    n^(d-2) <= c0 * m vertices after the k^2 of its grid, or p^(d-2) <= m."""
+    vertices = int(c0 * m) + k**2 if kind == "bichromatic" else m
+    admit(kind, *arrangement_cost(n, d, vertices, 0))
+
+
 def check_envelope_sweep(
     construction: str, d: int, n0: int, doublings: int, k_frac: float, p: int
 ) -> None:
-    """Raise unless the last rung, n = n0 * 2^doublings, is admitted: theta_mk
-    lays out p^(d - 2) vertices in at most n classes, bichromatic p * ((n - k)
-    // (d - 2))^(d - 2) after the C(k, 2) of its grid, in isqrt(k) + d; with d >
-    n, n - k < d - 2 leaves it no blue hyperplane. Shifts and powers clip at 64."""
+    """Raise unless the options are in range and the last rung, n = n0 * 2^doublings,
+    is admitted: theta_mk lays out p^(d - 2) vertices in at most n classes,
+    bichromatic p * ((n - k) // (d - 2))^(d - 2) after the C(k, 2) of its grid, in
+    isqrt(k) + d; with d > n, n - k < d - 2 leaves it no blue hyperplane. Shifts
+    and powers clip at 64."""
+    if not 0 < k_frac <= 1:
+        raise GeometryError(f"--k-frac must be in (0, 1], got {k_frac}")
+    min_d = 3 if construction == "bichromatic" else 2
+    if d < min_d:
+        raise GeometryError(f"d >= {min_d} required for {construction}")
+    if n0 < 1 or p < 1:
+        raise GeometryError("--n0 and --p must be >= 1")
+    if doublings < 0:
+        raise GeometryError(f"--doublings must be >= 0, got {doublings}")
     n = n0 << min(doublings, 64)
     k = max(2, int(n * k_frac))
     if construction == "thetamk":

@@ -22,6 +22,7 @@ from typing import Sequence
 
 from .formulas import iroot
 from .kernel import Flat, GeometryError, Point
+from .spans import admit
 
 
 @dataclass(frozen=True)
@@ -92,22 +93,39 @@ class CountReport:
         }
 
 
+def arrangement_cost(hyperplanes: int, d: int, vertices: int, classes: int) -> tuple[int, int]:
+    """Estimated (bytes, entry operations) of an arrangement in E^d: 160 bytes an
+    entry (objects, strings, ``construct``'s JSON), 1,024 more a hyperplane; an
+    operation an entry, and d + 1 per vertex per class counted (0: no count)."""
+    entries = (hyperplanes + vertices) * (d + 1)
+    return 160 * entries + 1024 * hyperplanes, entries + classes * vertices * (d + 1)
+
+
+def check_incidences(a: BiArrangement) -> None:
+    """Raise unless counting the arrangement's incidences is admitted, at a
+    parallel class per hyperplane at most."""
+    admit("incidences", *arrangement_cost(a.n, a.d, a.m, a.n))
+
+
 def _check_arrangement(a: BiArrangement) -> None:
-    for group, name in ((a.red, "red"), (a.blue, "blue")):
-        for h in group:
-            if h.ambient_dim != a.d or h.dim != a.d - 1:
-                raise GeometryError(
-                    f"{name} entry is not a hyperplane of E^{a.d} (dim {h.dim})"
-                )
-    red_rows = {h.rows: i for i, h in enumerate(a.red)}
-    for j, h in enumerate(a.blue):
-        if h.rows in red_rows:
-            raise GeometryError(
-                f"red[{red_rows[h.rows]}] and blue[{j}] are the same hyperplane"
-            )
-    for v in a.vertices:
-        if v.dim != a.d:
-            raise GeometryError(f"vertex {v.serialize()} is not in E^{a.d}")
+    """Raise unless every red and blue entry is a hyperplane of E^d and every
+    vertex a point of it, and no entry repeats one of its list or a red one."""
+    first: dict[tuple, tuple[str, int]] = {}  # rows or hom -> its first entry
+    for name, group in (("red", a.red), ("blue", a.blue), ("vertices", a.vertices)):
+        for i, x in enumerate(group):
+            if name == "vertices":
+                if x.dim != a.d:
+                    raise GeometryError(f"vertex {x.serialize()} is not in E^{a.d}")
+                key = x.hom
+            elif x.ambient_dim != a.d or x.dim != a.d - 1:
+                raise GeometryError(f"{name}[{i}]: not a hyperplane of E^{a.d} (dim {x.dim})")
+            else:
+                key = x.rows
+            other, j = first.setdefault(key, (name, i))
+            if other != name:
+                raise GeometryError(f"red[{j}] and blue[{i}] are the same hyperplane")
+            if j != i:
+                raise GeometryError(f"{name}[{i}]: repeats {name}[{j}]")
 
 
 Normal = tuple[int, ...]

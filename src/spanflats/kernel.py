@@ -1,4 +1,4 @@
-"""Exact affine geometry over the integers: points, canonical flats, hulls.
+"""Exact affine geometry over the integers: points, canonical flats, ranks.
 
 A point of E^d is stored as its primitive homogeneous integer vector
 ``hom``: the coordinate numerators over their lcm denominator, then that
@@ -102,12 +102,6 @@ class Point:
     def coords(self) -> tuple[Fraction, ...]:
         den = self.hom[-1]
         return tuple(Fraction(v, den) for v in self.hom[:-1])
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coords[i]
 
     def serialize(self) -> str:
         return ",".join(format_rational(c) for c in self.coords)
@@ -246,10 +240,6 @@ class Flat:
     def dim(self) -> int:
         return self.ambient_dim - len(self.rows)
 
-    @property
-    def rank(self) -> int:
-        return self.dim + 1
-
     def _pivots(self) -> tuple[int, ...]:
         return tuple(next(i for i, v in enumerate(row) if v) for row in self.rows)
 
@@ -288,13 +278,6 @@ def hyperplane(coeffs: Sequence[Scalar], rhs: Scalar) -> Flat:
         raise GeometryError("zero normal vector")
     b = -rhs if isinstance(rhs, (int, Fraction)) else rhs  # the constructor refuses the rest
     return Flat(len(coeffs), ((*coeffs, b),))
-
-
-def affine_hull(points: Sequence[Point]) -> Flat:
-    """Smallest flat containing all the points."""
-    d = common_dim(points)
-    rows, pivots = int_rref([p.hom for p in points])
-    return Flat(d, nullspace_rows(rows, pivots, d + 1))
 
 
 def affine_rank(points: Sequence[Point]) -> int:

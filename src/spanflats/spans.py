@@ -42,7 +42,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, gcd, isfinite
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -96,10 +96,6 @@ class SpannedSet:
         """The canonical point basis of the i-th flat."""
         rows = self._rows(i)
         return self.keys[i] if rows is None else _point_basis(rows)
-
-    @property
-    def flats(self) -> tuple[Flat, ...]:
-        return tuple(map(self.flat, range(self.count)))
 
     @property
     def per_flat_points(self) -> tuple[tuple[int, ...], ...]:
@@ -217,12 +213,17 @@ def walk_cost(
     return nbytes, ops
 
 
-def arrangement_cost(hyperplanes: int, d: int, vertices: int, classes: int) -> tuple[int, int]:
-    """Estimated (bytes, entry operations) of an arrangement in E^d: 160 bytes an
-    entry (objects, strings, ``construct``'s JSON), 1,024 more a hyperplane; an
-    operation an entry, and d + 1 per vertex per class counted (0: no count)."""
-    entries = (hyperplanes + vertices) * (d + 1)
-    return 160 * entries + 1024 * hyperplanes, entries + classes * vertices * (d + 1)
+def entry_bits(points: Sequence[Point]) -> int:
+    """The bit length of the points' largest homogeneous entry (0 for no points)."""
+    return max((abs(x).bit_length() for p in points for x in p.hom), default=0)
+
+
+def check_enumerate(points: Sequence[Point], f: int, export: bool) -> None:
+    """Raise unless the walk of the points' levels f - 1 and f is admitted, each
+    flat with its JSON export (d - f rows and f + 1 points) when ``export``."""
+    n, bits, d = len(set(points)), entry_bits(points), common_dim(points)
+    extra = 1024 + 64 * (f + 1) + 256 * (d - f) * (d + 1) if export else 0
+    admit(f"walk of {n} points", *walk_cost(n, d, (f - 1, f), bits, extra=extra))
 
 
 def _walk(homs: list, bits: list, depth: int) -> list[dict[tuple, int]]:
@@ -533,6 +534,41 @@ def max_cover_plane_or_two_lines(points: Sequence[Point]) -> int:
     return _best_cover(lines, len(points), 2, floor=floor)
 
 
+SAMPLE_SPAN = 99  # conjecture_row draws each coordinate in -99..99
+
+
+def check_conjecture_search(
+    d: int, n: int, r: int, floor: float, samples: int, fmt: str, path: str | None = None
+) -> list[Point] | None:
+    """The points of the file at ``path``, in E^d (None: sampled); raises unless
+    d >= 3, n, r >= 1, the floor is finite, and the ``samples`` >= 1 rows in
+    ``fmt`` and the walk to levels 1..d - 1 (each flat a cover candidate of
+    about 90-130 bytes) are admitted."""
+    if d < 3:
+        raise GeometryError("d >= 3 required")
+    if n < 1:
+        raise GeometryError(f"--n must be >= 1, got {n}")
+    if r < 1:
+        raise GeometryError(f"--r must be >= 1, got {r}")
+    if not isfinite(floor):
+        raise GeometryError(f"--floor must be finite, got {floor}")
+    points = None
+    if path:
+        with open(path) as fh:
+            points = read_point_file(fh)
+        if common_dim(points) != d:
+            raise GeometryError(f"point file is E^{points[0].dim}, --d is {d}")
+        n, bits = len(set(points)), entry_bits(points)
+    elif samples < 1:
+        raise GeometryError(f"--samples must be >= 1, got {samples}")
+    else:  # a sample's cell and row as formatted, per row under tracemalloc
+        # at 4,000 samples of n = 8: 3,650 bytes in JSON, 840 in CSV
+        admit(f"a table of {samples:,} rows", samples * (3700 if fmt == "json" else 850), 0)
+        bits = SAMPLE_SPAN.bit_length()
+    admit(f"walk of {n} points", *walk_cost(n, d, range(1, min(d, n)), bits, extra=160))
+    return points
+
+
 # The columns of a conjecture-search row, in output order, each with the
 # value a degenerate sample keeps (None: every row sets it).
 CONJECTURE_COLUMNS = {
@@ -557,7 +593,7 @@ def conjecture_row(params: tuple, points: list[Point] | None = None) -> dict:
         rng = random.Random(f"conjecture:{d}:{n}:{seed}:{sample}")
         points = []
         while len(points) < n:
-            candidate = Point(rng.randint(-99, 99) for _ in range(d))
+            candidate = Point(rng.randint(-SAMPLE_SPAN, SAMPLE_SPAN) for _ in range(d))
             if candidate not in points:
                 points.append(candidate)
     degenerate = is_r_degenerate(points, r)

@@ -2,7 +2,8 @@
 
 The package computes over integers only (``int_rref``); these are the
 textbook rational versions it is checked against: Gauss-Jordan RREF, the
-nullspace-based affine hull, the homogeneous affine rank, the all-pairs
+nullspace-based affine hull (and the integer one the tests build flats
+with), the homogeneous affine rank, the all-pairs
 vertex degrees of a slope/intercept line grid and their Fraction-keyed
 ranking, the incidence pass that tests every spanned flat against every
 point, the bichromatic count that tests every vertex against every
@@ -32,7 +33,8 @@ from math import gcd, lcm
 from typing import Sequence
 
 from spanflats.incidence import CountReport, _check_arrangement
-from spanflats.kernel import Flat, GeometryError, Point, affine_hull, format_rational, int_rref
+from spanflats.kernel import Flat, GeometryError, Point, common_dim, format_rational, int_rref
+from spanflats.kernel import nullspace_rows
 from spanflats.kernel import affine_rank as int_affine_rank
 from spanflats.spans import SpannedSet, _best_cover
 
@@ -102,6 +104,15 @@ def hull_rows(points) -> tuple[tuple[Fraction, ...], ...]:
     d = points[0].dim
     homog = [list(p.coords) + [Fraction(1)] for p in points]
     return rref([w[:d] + (-w[d],) for w in nullspace(homog, d + 1)])[0]
+
+
+def affine_hull(points) -> Flat:
+    """Smallest flat containing all the points: the canonical Flat of the
+    integer nullspace of their homogeneous rows, the hull the tests build
+    flats with."""
+    d = common_dim(points)
+    rows, pivots = int_rref([p.hom for p in points])
+    return Flat(d, nullspace_rows(rows, pivots, d + 1))
 
 
 def meet_rows(rows1, rows2, d: int):

@@ -9,7 +9,7 @@ import statistics
 from fractions import Fraction as F
 from itertools import combinations
 
-from oracle import arrangement_vertices, meet, rank_sum_cover
+from oracle import affine_hull, arrangement_vertices, meet, rank_sum_cover
 from spanflats.constructions import (
     beck3_instance,
     bichromatic_lower_construction,
@@ -24,7 +24,7 @@ from spanflats.formulas import (
     purdy_counts,
 )
 from spanflats.incidence import BiArrangement, bound_envelope, count_bichromatic
-from spanflats.kernel import Point, affine_hull, hyperplane
+from spanflats.kernel import Point, hyperplane
 from spanflats.spans import max_cover_plane_or_two_lines, spanned_flats
 
 PURDY_GRID = [(4, 2), (4, 3), (4, 4), (5, 2), (5, 3)]

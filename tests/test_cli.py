@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanflats import cli, constructions, spans
+from spanflats import cli, constructions, incidence, spans
 from spanflats.cli import main
 from spanflats.constructions import (
     BECK3_COLUMNS,
@@ -602,6 +602,40 @@ BAD_INPUT_WHERE = {
     "incidences --arrangement long-int.json": "invalid JSON: an integer of more than",
     "incidences --arrangement bad-red.json": "red[1]: bad rational '1/0'",
     "incidences --arrangement bad-vertex.json": "vertices[1]: bad rational 'x'",
+    "incidences --arrangement dup-red.json": "red[1]: repeats red[0]",
+    "incidences --arrangement dup-blue.json": "blue[1]: repeats blue[0]",
+    "incidences --arrangement dup-vertex.json": "vertices[2]: repeats vertices[1]",
+    "incidences --arrangement line-red.json": "red[1]: not a hyperplane of E^3 (dim 1)",
+    # the checks beside each command's row builder
+    "envelope-sweep --construction bichromatic --d 3 --n0 8 --k-frac nan":
+        "--k-frac must be in (0, 1], got nan",
+    "envelope-sweep --construction bichromatic --d 3 --n0 8 --doublings -1":
+        "--doublings must be >= 0, got -1",
+    "envelope-sweep --construction bichromatic --d 2 --n0 8": "d >= 3 required for bichromatic",
+    "envelope-sweep --construction thetamk --d 3 --n0 8 --p 0": "--n0 and --p must be >= 1",
+    "envelope-sweep --construction bichromatic --d 3 --n0 8 --doublings 40":
+        "last rung n = 8 * 2^40 needs about",
+    "envelope-sweep --construction bichromatic --d 1000000000000 --n0 8 --doublings 0":
+        "d = 1000000000000 > n = 8: no rung has room for a blue hyperplane",
+    "conjecture-search --d 3 --r 0": "--r must be >= 1, got 0",
+    "conjecture-search --d 3 --floor inf": "--floor must be finite, got inf",
+    "conjecture-search --d 2": "d >= 3 required",
+    "conjecture-search --d 3 --n 0": "--n must be >= 1, got 0",
+    "conjecture-search --d 3 --samples 0": "--samples must be >= 1, got 0",
+    "conjecture-search --d 4 --points e3.txt": "point file is E^3, --d is 4",
+    "conjecture-search --d 3 --n 8 --samples 500000": "a table of 500,000 rows needs about",
+    "conjecture-search --d 3 --n 229 --samples 1": "walk of 229 points needs about",
+    "beck3 --n-list 10 --k-list 3 --seeds 0": "--seeds must be >= 1, got 0",
+    "beck3 --n-list 10 --k-list 3 --seeds 1000000000000":
+        "a table of 1,000,000,000,000 rows needs about",
+    "beck3 --n-list 5 --k-list 2 --plant skew": "k >= 1 and n-k >= 4 required, got n=5, k=2",
+    "beck3 --n-list 247 --k-list 4 --seeds 2 --plant mix":
+        "n - k = 243 exceeds the 242 points the skew plant can hold",
+    "beck3 --n-list 3000 --k-list 3 --seeds 1": "beck3's largest walk needs about",
+    "enumerate --points wide.txt --f 2": "walk of 300 points needs about",
+    "incidences --arrangement busy.json": "incidences needs about",
+    "construct thetamk --d 3 --n 10000000 --k 1 --m 1": "thetamk needs about",
+    "construct bichromatic --d 3 --n 10000000 --k 1 --m 1": "bichromatic needs about",
 }
 
 
@@ -612,6 +646,9 @@ BAD_INPUT_WHERE = {
         "construct bichromatic --d 3 --n 10 --k 5 --m 4 --c0 1/0",
         "envelope-sweep --construction bichromatic --d 3 --n0 8 --k-frac nan",
         "envelope-sweep --construction bichromatic --d 3 --n0 8 --k-frac inf",
+        "envelope-sweep --construction bichromatic --d 3 --n0 8 --doublings -1",
+        "envelope-sweep --construction bichromatic --d 2 --n0 8",
+        "envelope-sweep --construction thetamk --d 3 --n0 8 --p 0",
         "beck3 --n-list 10,x --k-list 3",
         "beck3 --n-list , --k-list 3",
         "beck3 --n-list 10 --k-list 3 --seeds 0",
@@ -622,6 +659,10 @@ BAD_INPUT_WHERE = {
         "beck3 --n-list 247 --k-list 4 --seeds 2 --plant mix",
         "verify-purdy --d-range 4:x --k-range 2",
         "conjecture-search --d 3 --n 0",
+        "conjecture-search --d 2",
+        "conjecture-search --d 3 --r 0",
+        "conjecture-search --d 3 --floor inf",
+        "conjecture-search --d 3 --samples 0",
         # runs over spans.MAX_BYTES or spans.MAX_OPS, refused before any work
         "construct purdy --d 30 --k 2",
         "construct purdy --d 100000 --k 2",
@@ -645,6 +686,7 @@ BAD_INPUT_WHERE = {
         # one vertex, but 65,536 hyperplanes of 65,001 entries
         "envelope-sweep --construction thetamk --d 65000 --n0 8 --doublings 13 --p 1",
         "construct thetamk --d 3 --n 10000000 --k 1 --m 1",
+        "construct bichromatic --d 3 --n 10000000 --k 1 --m 1",
         "construct erdos2d --r 100 --s 100",
         # out-of-range flat dimensions reach spanned_flats' own message
         "enumerate --points e3.txt --f -5",
@@ -666,6 +708,11 @@ BAD_INPUT_WHERE = {
         # a bad rational in an arrangement's entry
         "incidences --arrangement bad-red.json",
         "incidences --arrangement bad-vertex.json",
+        # an entry that repeats one of its list, and a red line in E^3
+        "incidences --arrangement dup-red.json",
+        "incidences --arrangement dup-blue.json",
+        "incidences --arrangement dup-vertex.json",
+        "incidences --arrangement line-red.json",
     ],
 )
 def test_bad_input_is_exit_2(capsys, argv, tmp_path, monkeypatch):
@@ -694,6 +741,22 @@ def test_bad_input_is_exit_2(capsys, argv, tmp_path, monkeypatch):
     }))
     (tmp_path / "bad-vertex.json").write_text(json.dumps({
         "d": 2, "red": [], "blue": [], "vertices": ["0,0", "1,x"],
+    }))
+    # x = 0 twice with the vertex 0,0 twice counted 4 incidences, not 1;
+    # entries repeat as written differently too
+    (tmp_path / "dup-red.json").write_text(json.dumps({
+        "d": 2, "red": [[["1", "0", "0"]], [["1", "0", "0"]]], "blue": [],
+        "vertices": ["0,0", "0,0"],
+    }))
+    (tmp_path / "dup-blue.json").write_text(json.dumps({
+        "d": 2, "red": [], "blue": [[["0", "1", "0"]], [["0", "2", "0"]]], "vertices": ["0,0"],
+    }))
+    (tmp_path / "dup-vertex.json").write_text(json.dumps({
+        "d": 2, "red": [[["1", "0", "0"]]], "blue": [], "vertices": ["0,0", "1,1", "2/2,1"],
+    }))
+    (tmp_path / "line-red.json").write_text(json.dumps({
+        "d": 3, "red": [[["1", "0", "0", "0"]], [["1", "0", "0", "0"], ["0", "1", "0", "0"]]],
+        "blue": [], "vertices": [],
     }))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv.split())
@@ -817,7 +880,7 @@ ESTIMATED_ROWS = {
 def test_estimate_bounds_the_peak(argv, capsys, tmp_path, monkeypatch):
     # a command is admitted at 1-3x the bytes its largest row holds at peak
     estimates = []
-    for module in (cli, constructions):
+    for module in (constructions, incidence, spans):  # every module that calls admit
         monkeypatch.setattr(module, "admit", lambda what, nbytes, ops: estimates.append(nbytes))
     monkeypatch.setattr(cli, "pmap", lambda fn, items, jobs: [])
     monkeypatch.chdir(tmp_path)
@@ -836,6 +899,12 @@ def test_estimate_bounds_the_peak(argv, capsys, tmp_path, monkeypatch):
         tracemalloc.stop()
         spans._LEVELS.clear()
     assert 1 <= max(estimates) / peak <= 3
+
+
+def test_the_cli_prices_nothing_itself():
+    # every refusal comes from the check_* beside the command's row builder
+    for name in ("admit", "walk_cost", "arrangement_cost"):
+        assert not hasattr(cli, name), name
 
 
 def test_walk_cap_admits_a_narrow_walk_past_the_middle_level(capsys, tmp_path):

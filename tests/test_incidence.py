@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import oracle
@@ -71,7 +72,21 @@ def test_duplicate_across_colors_identified():
 
 def test_non_hyperplane_rejected():
     a = BiArrangement(3, (hyperplane((1, 0), 0),), (), ())
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match=r"^red\[0\]: not a hyperplane of E\^3"):
+        count_bichromatic(a)
+
+
+@pytest.mark.parametrize("where, red, blue, vertices", [
+    ("red[2]: repeats red[0]", (0, 1, 0), (), ()),
+    ("blue[1]: repeats blue[0]", (), (2, 2), ()),
+    ("vertices[1]: repeats vertices[0]", (0,), (1,), ((0, 0, 0), (0, 0, 0))),
+])
+def test_repeated_entry_rejected(where, red, blue, vertices):
+    # counted once each, a repeat would add its incidences again
+    axes = axes3()
+    a = BiArrangement(3, tuple(axes[i] for i in red), tuple(axes[i] for i in blue),
+                      tuple(map(Point, vertices)))
+    with pytest.raises(GeometryError, match=f"^{re.escape(where)}$"):
         count_bichromatic(a)
 
 
@@ -171,21 +186,23 @@ def parallel_family_arrangements(draw):
                 hyps.append(h)
     hyps = draw(st.permutations(hyps))
     split = draw(st.integers(min_value=0, max_value=len(hyps)))
-    vertices = []
+    vertices = []  # distinct: an arrangement that repeats a vertex is refused
     for _ in range(draw(st.integers(min_value=1, max_value=8))):
         if draw(st.booleans()):
-            vertices.append(Point([draw(RATIONALS) for _ in range(d)]))
-            continue
-        chosen = draw(st.lists(st.sampled_from(hyps), min_size=1, max_size=d, unique=True))
-        flat = chosen[0]
-        for h in chosen[1:]:
-            flat = meet(flat, h) or flat  # a parallel member leaves the flat as is
-        spanning = oracle.spanning_points(flat)
-        weights = [draw(RATIONALS) for _ in spanning[1:]]
-        weights.insert(0, 1 - sum(weights))
-        vertices.append(
-            Point(sum(w * p[i] for w, p in zip(weights, spanning)) for i in range(d))
-        )
+            vertex = Point([draw(RATIONALS) for _ in range(d)])
+        else:
+            chosen = draw(st.lists(st.sampled_from(hyps), min_size=1, max_size=d, unique=True))
+            flat = chosen[0]
+            for h in chosen[1:]:
+                flat = meet(flat, h) or flat  # a parallel member leaves the flat as is
+            spanning = oracle.spanning_points(flat)
+            weights = [draw(RATIONALS) for _ in spanning[1:]]
+            weights.insert(0, 1 - sum(weights))
+            vertex = Point(
+                sum(w * p.coords[i] for w, p in zip(weights, spanning)) for i in range(d)
+            )
+        if vertex not in vertices:
+            vertices.append(vertex)
     return BiArrangement(d, tuple(hyps[:split]), tuple(hyps[split:]), tuple(vertices))
 
 

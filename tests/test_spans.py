@@ -4,14 +4,14 @@ from itertools import combinations
 from math import comb, gcd, lcm
 
 import oracle
-from oracle import meet
+from oracle import affine_hull, meet
 import pytest
 from conftest import point_lists, rationals
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanflats import constructions, kernel, spans
-from spanflats.kernel import Flat, GeometryError, Point, affine_hull, hyperplane, int_rref, nullspace_rows
+from spanflats.kernel import Flat, GeometryError, Point, hyperplane, int_rref, nullspace_rows
 from spanflats.spans import (
     _candidate_flats,
     conjecture_row,
@@ -22,6 +22,11 @@ from spanflats.spans import (
     spanned_flats,
     write_point_file,
 )
+
+
+def flats_of(result):
+    """The Flat of every key of a SpannedSet, in its key order."""
+    return tuple(map(result.flat, range(result.count)))
 
 
 # --- independent oracles ----------------------------------------------------
@@ -118,7 +123,7 @@ def test_empty_counts_are_empty_hull_errors():
 def test_spanned_flats_attaches_points():
     pts = [Point((0, 0)), Point((1, 0)), Point((2, 0)), Point((0, 1))]
     result = spanned_flats(pts, 1)
-    for flat, idxs in zip(result.flats, result.per_flat_points):
+    for flat, idxs in zip(flats_of(result), result.per_flat_points):
         assert len(idxs) >= 2
         assert all(flat.contains(pts[i]) for i in idxs)
         assert affine_hull([pts[i] for i in idxs]) == flat
@@ -159,7 +164,7 @@ def test_incidences_match_attach_oracle(pts, f, data):
     perm = data.draw(st.permutations(pts))
     for points in (pts, perm):
         mine = spanned_flats(points, f)
-        expected = oracle.attach_incidences(mine.flats, points)
+        expected = oracle.attach_incidences(flats_of(mine), points)
         assert mine.per_flat_points == expected
         assert mine.masks == tuple(sum(1 << i for i in idxs) for idxs in expected)
 
@@ -178,7 +183,7 @@ def test_prefix_walk_matches_subset_scan_oracle(case, data):
     pts = pts + data.draw(st.lists(st.sampled_from(pts), max_size=3))
     mine, scan = spanned_flats(pts, f), oracle.subset_scan(pts, f)
     assert mine == scan
-    assert (mine.flats, mine.per_flat_points) == oracle.flats_and_points(pts, scan.masks)
+    assert (flats_of(mine), mine.per_flat_points) == oracle.flats_and_points(pts, scan.masks)
 
 
 @st.composite
@@ -192,7 +197,8 @@ def degenerate_sets(draw, dims=(1, 5)):
         base, *others = draw(st.lists(st.sampled_from(pts), min_size=2, max_size=3))
         ts = [draw(rationals(-2, 2, 2)) for _ in others]
         pts.append(Point(
-            a + sum(t * (o[i] - a) for t, o in zip(ts, others)) for i, a in enumerate(base)
+            a + sum(t * (o.coords[i] - a) for t, o in zip(ts, others))
+            for i, a in enumerate(base.coords)
         ))
     pts += draw(st.lists(st.sampled_from(pts), max_size=3))
     return d, draw(st.permutations(pts))
@@ -225,7 +231,7 @@ def test_hyperplanes_keyed_by_normal_build_their_flat_and_export_in_basis_order(
         hulls, idxs = oracle.flats_and_points(pts, result.masks)
         bases = [int_rref([pts[i].hom for i in ix]) for ix in idxs]
         assert [result.basis(i) for i in range(result.count)] == bases
-        assert list(result.flats) == list(hulls)
+        assert flats_of(result) == tuple(hulls)
         if f >= d - 2:
             for i, key in enumerate(result.keys):
                 rows = (key,) if f == d - 1 else key
@@ -492,7 +498,7 @@ def test_hyperplane_count_monotone(pts):
 @settings(max_examples=40, deadline=None)
 def test_every_spanned_flat_is_hull_of_its_points(pts, f):
     result = spanned_flats(pts, f)
-    for flat, idxs in zip(result.flats, result.per_flat_points):
+    for flat, idxs in zip(flats_of(result), result.per_flat_points):
         assert len(idxs) >= f + 1
         assert all(flat.contains(pts[i]) for i in idxs)
         assert affine_hull([pts[i] for i in idxs]) == flat
