@@ -4,14 +4,15 @@ Subcommands: enumerate, incidences, construct {erdos2d|bichromatic|thetamk|
 purdy}, verify-purdy, fit, envelope-sweep, beck3, conjecture-search.
 Exit codes: 0 success / all-match, 1 verification mismatch, 2 input error.
 
-Each command only parses its options, calls the one ``check_*`` beside its
-row builder, which makes every refusal (a parameter out of range, or a
-largest row over the caps), maps the row builder over the parameter tuples
-with ``pmap``, writes the table with ``emit_table``, which echoes the
-options it names, and prints a summary. Every row carries the full
-parameter tuple and seed, and identical config + seed produces
-byte-identical output whatever --jobs is set to: rows are computed
-independently and merged in parameter order.
+Each command only parses its options (refusing one it would not read),
+calls the one ``check_*`` beside its row builder, which makes every other
+refusal (a parameter out of range, or a largest row over the caps), maps
+the row builder over the parameter tuples with ``pmap``, writes the table
+with ``emit_table``, which echoes the options it names, and prints a
+summary. Every refusal is a ``GeometryError``, which ``main`` reports as
+one line and exit 2. Every row carries the full parameter tuple and seed,
+and identical config + seed produces byte-identical output whatever --jobs
+is set to: rows are computed independently and merged in parameter order.
 A command that prints a count and writes ``--out`` writes the file first,
 so a path it cannot write leaves stdout empty.
 """
@@ -33,7 +34,6 @@ from .constructions import (
     BECK3_COLUMNS,
     ENVELOPE_COLUMNS,
     PURDY_COLUMNS,
-    ConstructionError,
     beck3_instance,  # noqa: F401  (traced by name: bench/layertrace.py TARGETS)
     beck3_row,
     bichromatic_lower_construction,
@@ -47,7 +47,7 @@ from .constructions import (
     purdy_row,
     theta_mk_construction,
 )
-from .formulas import FormulaDomainError, fit_loglog
+from .formulas import fit_loglog
 from .incidence import BiArrangement, bound_envelope, check_incidences, count_bichromatic
 from .kernel import GeometryError, parse_rational
 from .spans import (
@@ -339,8 +339,14 @@ def cmd_beck3(args) -> int:
 
 
 def cmd_conjecture_search(args) -> int:
-    if args.r is None:  # the threshold defaults to d, and the table echoes it resolved
-        args.r = args.d
+    if args.points:  # the file gives n, and its one row stands for the samples
+        for name in ("n", "samples"):
+            if getattr(args, name) is not None:
+                raise GeometryError(f"--{name} is not read with --points")
+    # the table echoes each default resolved: n 8, samples 100, the threshold d
+    for name, default in (("n", 8), ("samples", 100), ("r", args.d)):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     points = check_conjecture_search(
         args.d, args.n, args.r, args.floor, args.samples, args.format, args.points
     )
@@ -443,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjecture-search", parents=[table], help="ratio statistics over random "
                        "non-degenerate sets (uniform integer coordinates; one sampler among many)")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--n", type=int, default=None, help="points per sample (default 8)")
+    p.add_argument("--samples", type=int, default=None, help="sample count (default 100)")
     p.add_argument("--r", type=int, default=None, help="degeneracy threshold (default d)")
     p.add_argument("--floor", type=float, default=0.0, help="flag samples whose ratio falls below")
     p.add_argument("--points", default=None, help="evaluate one point-set file instead of sampling")
@@ -469,9 +475,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _check_common(args)
         return args.func(args)
-    except (
-        GeometryError, ConstructionError, FormulaDomainError, OSError, UnicodeDecodeError
-    ) as exc:
+    except (GeometryError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:  # reported below: inside the handler the failed frames are alive

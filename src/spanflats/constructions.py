@@ -16,12 +16,12 @@ from itertools import accumulate, product
 from math import comb, gcd, isqrt, lcm
 from typing import Sequence
 
-from .formulas import iroot, purdy_counts, purdy_flats
+from .formulas import check_purdy_domain, iroot, purdy_counts, purdy_flats
 from .incidence import BiArrangement, arrangement_cost, bound_envelope, count_bichromatic
 from .kernel import Flat, GeometryError, Point, affine_rank, hyperplane
 from .spans import admit, max_cover_plane_or_two_lines, spanned_flats, walk_cost
 
-# Fresh draws each generator makes before it gives up with ConstructionError.
+# Fresh draws each generator makes before it gives up with a GeometryError.
 PURDY_ATTEMPTS = 64
 BECK3_ATTEMPTS = 32
 # The draws' ranges, -x..x: a Purdy line's base and direction; a beck3 plane's
@@ -31,11 +31,6 @@ PLANE_BASE, SKEW_BASE, PLANT_STEP, PLANT_SPAN, FILL_SPAN = 20, 40, 9, 60, 999
 BECK3_BITS = max(  # the largest coordinate: a plane's 20 + 2 * 60 * 9 = 1,100
     PLANE_BASE + 2 * PLANT_SPAN * PLANT_STEP, SKEW_BASE + PLANT_SPAN * PLANT_STEP, FILL_SPAN
 ).bit_length()
-
-
-class ConstructionError(ValueError):
-    """Raised when requested parameters are infeasible or verification of a
-    generated configuration fails."""
 
 
 @dataclass(frozen=True)
@@ -87,7 +82,7 @@ def erdos_grid_2d(r: int, s: int) -> LineGrid2D:
     arrangement vertices inside the reporting window |x| <= ceil(s/r),
     0 <= y < r*ceil(s/r) + s, and the exact vertex-line incidence count."""
     if r < 1 or s < 1:
-        raise ConstructionError("r and s must be >= 1")
+        raise GeometryError("r and s must be >= 1")
     x_max = -(-s // r)
     candidates = (r - 1) * min(2 * s - 1, r * x_max + 1)  # x = beta/delta, half the lines on each
     admit("erdos2d", *arrangement_cost(r * s, 2, candidates * r * s // 2, 0))
@@ -135,20 +130,20 @@ def bichromatic_lower_construction(
     x_1 = ... = x_{d-2} = 0 and replicated at every meet of d-2 blue
     coordinate pencils."""
     if d < 3:
-        raise ConstructionError("d must be >= 3")
+        raise GeometryError("d must be >= 3")
     if k < 2:
-        raise ConstructionError("k must be >= 2 (a single red hyperplane has no 2-D vertices)")
+        raise GeometryError("k must be >= 2 (a single red hyperplane has no 2-D vertices)")
     if k >= n:
-        raise ConstructionError("k must be < n")
+        raise GeometryError("k must be < n")
     family = (n - k) // (d - 2)
     if family < 1:
-        raise ConstructionError(f"(n-k) = {n - k} leaves no blue hyperplanes per family")
+        raise GeometryError(f"(n-k) = {n - k} leaves no blue hyperplanes per family")
     p = int(Fraction(c0) * (m // n ** (d - 2)))
     if p < 1:
-        raise ConstructionError(f"p = {p}: m too small relative to n^(d-2)")
+        raise GeometryError(f"p = {p}: m too small relative to n^(d-2)")
     pairs, ranked = _rich_line_config(k)
     if p > len(ranked):
-        raise ConstructionError(
+        raise GeometryError(
             f"p = {p} exceeds the {len(ranked)} vertices of the {k}-line configuration"
         )
     chosen = ranked[:p]
@@ -202,15 +197,15 @@ def theta_mk_construction(d: int, n: int, k: int, m: int) -> ThetaMkConstruction
     bundle is a pencil through the one vertex.
     """
     if d < 2:
-        raise ConstructionError("d must be >= 2")
+        raise GeometryError("d must be >= 2")
     if not 1 <= k <= n:
-        raise ConstructionError(f"k = {k} outside 1..{n}")
+        raise GeometryError(f"k = {k} outside 1..{n}")
     if m < 1:
-        raise ConstructionError("m must be >= 1")
+        raise GeometryError("m must be >= 1")
     p = iroot(m, d - 2) if d > 2 else 1
     grid_count = (d - 2) * p
     if grid_count + 2 > n:
-        raise ConstructionError(f"need n >= {grid_count + 2} hyperplanes for p = {p}, got {n}")
+        raise GeometryError(f"need n >= {grid_count + 2} hyperplanes for p = {p}, got {n}")
     hyps = [
         hyperplane([1 if i == axis else 0 for i in range(d)], b)
         for axis in range(d - 2)
@@ -281,10 +276,7 @@ def check_purdy_cell(d: int, k: int) -> None:
     k >= 2, and the hyperplane walk of its n = k(d-1) points, with its
     (d-2)-flats and the lower levels it keeps, admitted at the exact flat
     counts ``purdy_flats`` gives."""
-    if d < 4:
-        raise ConstructionError(f"d >= 4 required, got {d}")
-    if k < 2:
-        raise ConstructionError(f"k >= 2 required, got {k}")
+    check_purdy_domain(d, k)
     bits = (LINE_BASE + LINE_STEP * k).bit_length()  # purdy_counterexample's largest coordinate
     def flats(f: int) -> int:  # formed only for cells walk_cost counts exactly
         return purdy_flats(d, k, f + 1)
@@ -321,22 +313,22 @@ def purdy_counterexample(d: int, k: int, seed: int = 0) -> tuple[Point, ...]:
         if failure is None:
             return tuple(p for line in line_points for p in line)
         last_failure = failure
-    raise ConstructionError(
+    raise GeometryError(
         f"general position not reached after {PURDY_ATTEMPTS} attempts: {last_failure}"
     )
 
 
 def check_beck3_plant(n: int, k: int, plant: str) -> None:
-    """Raise ConstructionError unless k >= 1 and 4 <= n-k <= what the plant
+    """Raise GeometryError unless k >= 1 and 4 <= n-k <= what the plant
     holds. Any 4 points are coplanar or span two skew lines, so 3 planted
     points are always beaten; a plant's points come from distinct draws,
     (alpha, beta) on the plane, t on each skew line (the first takes more)."""
     if k < 1 or n - k < 4:
-        raise ConstructionError(f"k >= 1 and n-k >= 4 required, got n={n}, k={k}")
+        raise GeometryError(f"k >= 1 and n-k >= 4 required, got n={n}, k={k}")
     values = 2 * PLANT_SPAN + 1
     limit = values * values if plant == "plane" else 2 * values
     if n - k > limit:
-        raise ConstructionError(
+        raise GeometryError(
             f"n - k = {n - k} exceeds the {limit} points the {plant} plant can hold"
         )
 
@@ -417,7 +409,7 @@ def beck3_instance(n: int, k: int, seed: int, plant: str) -> tuple[list[Point], 
         covered = max_cover_plane_or_two_lines(points)
         if covered == planted:
             return points, covered
-    raise ConstructionError(
+    raise GeometryError(
         f"no admissible instance after {BECK3_ATTEMPTS} attempts (n={n}, k={k}, plant={plant})"
     )
 
@@ -451,7 +443,7 @@ def check_envelope_sweep(
     if construction == "thetamk":
         vertices, classes = p ** min(d - 2, 64), n
     elif d > n:
-        raise ConstructionError(f"d = {d} > n = {n}: no rung has room for a blue hyperplane")
+        raise GeometryError(f"d = {d} > n = {n}: no rung has room for a blue hyperplane")
     else:
         vertices, classes = p * ((n - k) // (d - 2)) ** min(d - 2, 64) + comb(k, 2), isqrt(k) + d
     admit(f"last rung n = {n0} * 2^{doublings}", *arrangement_cost(n, d, vertices, classes))
@@ -484,7 +476,7 @@ def purdy_row(params: tuple[int, int, int]) -> dict:
         points = purdy_counterexample(d, k, seed)
         h_enum = spanned_flats(points, d - 1).count
         g_enum = spanned_flats(points, d - 2).count
-    except (ConstructionError, GeometryError) as exc:
+    except GeometryError as exc:
         return {**row, "status": f"error: {exc}"}
     return {
         **row, "h_enumerated": h_enum, "g_enumerated": g_enum,
@@ -518,7 +510,7 @@ def envelope_row(params: tuple) -> dict:
         arrangement = built.arrangement
         report = count_bichromatic(arrangement)
         env = bound_envelope(arrangement.m, arrangement.k, arrangement.n, d)
-    except (ConstructionError, GeometryError) as exc:
+    except GeometryError as exc:
         return {**row, "status": f"skipped: {exc}"}
     return {
         **row, "n": arrangement.n, "k": arrangement.k, "m": arrangement.m,
@@ -542,7 +534,7 @@ def beck3_row(params: tuple) -> dict:
     row = {**BECK3_COLUMNS, "n": n, "k": k, "seed": seed, "plant": plant}
     try:
         points, covered = beck3_instance(n, k, seed, plant)
-    except ConstructionError as exc:
+    except GeometryError as exc:
         return {**row, "status": f"error: {exc}"}
     planes = spanned_flats(points, 2)
     return {

@@ -17,15 +17,6 @@ from typing import Sequence
 from .kernel import GeometryError
 
 
-class FormulaDomainError(ValueError):
-    """Raised when (d, k) is outside the domain the formulas are valid on."""
-
-
-class AllocationPreconditionError(ValueError):
-    """Raised when an allocation violates the pigeonhole preconditions; test
-    harnesses treat this as a discarded sample, not a failure."""
-
-
 @dataclass(frozen=True)
 class PurdyCounts:
     """Spanned hyperplane and (d-2)-flat totals for k points on each of d-1
@@ -37,16 +28,22 @@ class PurdyCounts:
     g_total: int
 
 
+def check_purdy_domain(d: int, k: int) -> None:
+    """Raise unless d >= 4 and k >= 2, the cells the covering-lines family
+    and its counts are defined on."""
+    if d < 4:
+        raise GeometryError(f"d >= 4 required, got {d}")
+    if k < 2:
+        raise GeometryError(f"k >= 2 required, got {k}")
+
+
 def purdy_counts(d: int, k: int) -> PurdyCounts:
     """Exact spanned-hyperplane and spanned-(d-2)-flat totals: the rank d and
     d - 1 counts of ``purdy_flats``. Valid for d >= 4 and k >= 2 (with one
     point per line the covering lines are not spanned and the decomposition
     breaks down).
     """
-    if d < 4:
-        raise FormulaDomainError(f"d >= 4 required, got {d}")
-    if k < 2:
-        raise FormulaDomainError(f"k >= 2 required, got {k}")
+    check_purdy_domain(d, k)
     return PurdyCounts(d, k, purdy_flats(d, k, d), purdy_flats(d, k, d - 1))
 
 
@@ -62,9 +59,8 @@ def purdy_flats(d: int, k: int, r: int, j: int | None = None) -> int:
 
 def purdy_crossover(d: int) -> int:
     """Smallest k >= 2 at which the construction spans more (d-2)-flats than
-    hyperplanes; exists because g grows as k^{d-1} against h's k^{d-2}."""
-    if d < 4:
-        raise FormulaDomainError(f"d >= 4 required, got {d}")
+    hyperplanes; exists because g grows as k^{d-1} against h's k^{d-2}.
+    Raises unless d >= 4 (``purdy_counts`` at k = 2 checks it)."""
     k = 2
     while True:
         counts = purdy_counts(d, k)
@@ -111,34 +107,30 @@ def pigeonhole_check(
 ) -> bool:
     """Check the modified pigeonhole conclusion on an admissible allocation.
 
-    Preconditions (violations raise AllocationPreconditionError): 0 < c <= 1,
-    every entry a nonnegative integer at most k^{a-1}, and the entries sum to
-    at least ceil(c * k^a) where k is the number of containers. Returns
-    whether at least c*k/2 containers hold at least floor(c * k^{a-1} / 2)
-    objects; this always holds for admissible inputs.
+    Preconditions (violations raise GeometryError): 0 < c <= 1, every entry
+    a nonnegative integer at most k^{a-1}, and the entries sum to at least
+    ceil(c * k^a) where k is the number of containers. Returns whether at
+    least c*k/2 containers hold at least floor(c * k^{a-1} / 2) objects;
+    this always holds for admissible inputs.
     """
     c = Fraction(c)
     a = Fraction(a)
     k = len(allocation)
     if k < 1:
-        raise AllocationPreconditionError("no containers")
+        raise GeometryError("no containers")
     if not 0 < c <= 1:
-        raise AllocationPreconditionError(f"c = {c} outside (0, 1]")
+        raise GeometryError(f"c = {c} outside (0, 1]")
     if a < 1:
-        raise AllocationPreconditionError(f"a = {a} must be >= 1")
+        raise GeometryError(f"a = {a} must be >= 1")
     cap = floor_scaled_power(Fraction(1), k, a - 1)  # integer e <= k^(a-1) iff e <= cap
     for i, entry in enumerate(allocation):
         if entry < 0:
-            raise AllocationPreconditionError(f"allocation[{i}] = {entry} negative")
+            raise GeometryError(f"allocation[{i}] = {entry} negative")
         if entry > cap:
-            raise AllocationPreconditionError(
-                f"allocation[{i}] = {entry} exceeds k^(a-1)"
-            )
+            raise GeometryError(f"allocation[{i}] = {entry} exceeds k^(a-1)")
     needed = ceil_scaled_power(c, k, a)
     if sum(allocation) < needed:
-        raise AllocationPreconditionError(
-            f"allocation sums to {sum(allocation)} < ceil(c*k^a) = {needed}"
-        )
+        raise GeometryError(f"allocation sums to {sum(allocation)} < ceil(c*k^a) = {needed}")
     threshold = floor_scaled_power(c / 2, k, a - 1)
     qualifying = sum(1 for entry in allocation if entry >= threshold)
     return Fraction(2 * qualifying) >= c * k

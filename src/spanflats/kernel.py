@@ -31,7 +31,9 @@ from typing import Iterable, Sequence
 
 
 class GeometryError(ValueError):
-    """Raised for dimension mismatches and other malformed geometric input."""
+    """The package's one error type: malformed input (a bad rational, point
+    or dimension), refusals (a parameter out of range, a run over the caps)
+    and generator failures (no admissible instance within the attempts)."""
 
 
 Scalar = int | Fraction

@@ -1,7 +1,9 @@
 import csv
+import importlib
 import io
 import json
 import os
+import pkgutil
 import random
 import string
 import subprocess
@@ -18,11 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spanflats
 from spanflats import cli, constructions, incidence, spans
 from spanflats.cli import main
 from spanflats.constructions import (
     BECK3_COLUMNS,
-    ConstructionError,
     PURDY_COLUMNS,
     beck3_instance,
     beck3_row,
@@ -323,7 +325,7 @@ def test_envelope_cap_admits_the_committed_sweeps():
     (("thetamk", 65000, 8, 13, 0.5, 1), "bytes, over the cap of 1,073,741,824"),
 ])
 def test_envelope_cap_refuses_a_last_rung_over_it(params, message):
-    with pytest.raises((ConstructionError, GeometryError), match=message):
+    with pytest.raises(GeometryError, match=message):
         check_envelope_sweep(*params)
 
 
@@ -331,7 +333,7 @@ def test_envelope_cap_refuses_a_last_rung_over_it(params, message):
 
 
 def _fail(*args):
-    raise ConstructionError("no admissible instance (forced)")
+    raise GeometryError("no admissible instance (forced)")
 
 
 def test_purdy_row_reports_a_failed_generator(monkeypatch, capsys):
@@ -365,6 +367,26 @@ def test_beck3_row_reports_a_plant_it_cannot_meet():
     }
 
 
+def test_a_failed_generator_is_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(constructions, "PURDY_ATTEMPTS", 0)
+    code, out, err = run_cli(capsys, "construct", "purdy", "--d", "4", "--k", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: general position not reached after 0 attempts: no attempts made\n"
+
+
+def test_geometry_error_is_the_packages_only_exception():
+    # cli.main catches GeometryError alone of the package's own classes
+    defined = set()
+    for info in pkgutil.iter_modules(spanflats.__path__):
+        module = importlib.import_module(f"spanflats.{info.name}")
+        defined |= {
+            f"{obj.__module__}.{obj.__qualname__}" for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        }
+    assert defined == {"spanflats.kernel.GeometryError"}
+
+
 def test_beck3_row_reports_a_failed_generator(monkeypatch, capsys):
     monkeypatch.setattr(constructions, "beck3_instance", _fail)
     row = beck3_row((12, 3, 0, "plane"))
@@ -391,7 +413,7 @@ def test_beck3_instance_hypothesis():
 @pytest.mark.parametrize("n, plant", [(247, "skew"), (14646, "plane")])
 def test_beck3_instance_refuses_a_plant_it_cannot_hold(n, plant):
     # 121 distinct t per skew line, 121^2 (alpha, beta) pairs on the plane
-    with pytest.raises(ConstructionError, match="can hold"):
+    with pytest.raises(GeometryError, match="can hold"):
         beck3_instance(n, 4, seed=0, plant=plant)
 
 
@@ -623,6 +645,9 @@ BAD_INPUT_WHERE = {
     "conjecture-search --d 3 --n 0": "--n must be >= 1, got 0",
     "conjecture-search --d 3 --samples 0": "--samples must be >= 1, got 0",
     "conjecture-search --d 4 --points e3.txt": "point file is E^3, --d is 4",
+    "conjecture-search --d 3 --n 0 --points e3.txt": "--n is not read with --points",
+    "conjecture-search --d 3 --n 99 --points e3.txt": "--n is not read with --points",
+    "conjecture-search --d 3 --samples 0 --points e3.txt": "--samples is not read with --points",
     "conjecture-search --d 3 --n 8 --samples 500000": "a table of 500,000 rows needs about",
     "conjecture-search --d 3 --n 229 --samples 1": "walk of 229 points needs about",
     "beck3 --n-list 10 --k-list 3 --seeds 0": "--seeds must be >= 1, got 0",
@@ -697,6 +722,10 @@ BAD_INPUT_WHERE = {
         # an empty range, and a point file of another dimension than --d
         "verify-purdy --d-range 5:4 --k-range 2",
         "conjecture-search --d 4 --points e3.txt",
+        # with --points the file gives n and one row: --n and --samples are not read
+        "conjecture-search --d 3 --n 0 --points e3.txt",
+        "conjecture-search --d 3 --n 99 --points e3.txt",
+        "conjecture-search --d 3 --samples 0 --points e3.txt",
         # a table's rows are priced before its cells are listed
         "conjecture-search --d 3 --n 8 --samples 1000000000000",
         # 500,000 JSON rows hold about 1.8 GB; the same rows in CSV are admitted
@@ -1150,8 +1179,8 @@ SUBCOMMANDS = {
             "--plant": WORDS,
         },
     ),
-    "conjecture-search": (
-        ["conjecture-search", "--d", "3", "--n", "4", "--samples", "1"],
+    "conjecture-search": (  # no --n or --samples, which a --points draw would meet first
+        ["conjecture-search", "--d", "3"],
         {"--d": BAD_COUNT, "--n": BAD_COUNT, "--samples": BAD_COUNT, "--r": BAD_COUNT,
          "--floor": BAD_FLOAT, "--points": "points"},
     ),

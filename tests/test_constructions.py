@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from spanflats import constructions, spans
 from spanflats.constructions import (
-    ConstructionError,
     _grid_vertices,
     _rich_line_config,
     bichromatic_lower_construction,
@@ -42,7 +41,7 @@ def test_parallel_pencil_has_no_vertices():
 
 
 def test_grid_rejects_bad_params():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(GeometryError, match="r and s must be >= 1"):
         erdos_grid_2d(0, 3)
 
 
@@ -132,13 +131,13 @@ def test_bichromatic_d4_product_structure():
 
 
 def test_bichromatic_rejects_degenerate_params():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(GeometryError, match="k must be >= 2"):
         bichromatic_lower_construction(3, 8, 1, 32)  # single red hyperplane
-    with pytest.raises(ConstructionError):
+    with pytest.raises(GeometryError, match="p = 0: m too small"):
         bichromatic_lower_construction(3, 8, 4, 7)  # p = 0
-    with pytest.raises(ConstructionError):
+    with pytest.raises(GeometryError, match=r"\(n-k\) = 1 leaves no blue hyperplanes"):
         bichromatic_lower_construction(4, 5, 4, 625)  # no blue family members
-    with pytest.raises(ConstructionError):
+    with pytest.raises(GeometryError, match="k must be < n"):
         bichromatic_lower_construction(3, 8, 8, 64)  # k = n
 
 
@@ -226,7 +225,7 @@ def test_thetamk_red_floor():
 
 
 def test_thetamk_infeasible():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(GeometryError, match="need n >= 7 hyperplanes for p = 5, got 5"):
         theta_mk_construction(3, 5, 2, 5)  # grid of 5 + 2 bundle > 5
 
 
@@ -272,9 +271,9 @@ def test_purdy_output_passes_own_predicates():
 
 
 def test_purdy_domain_errors():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(GeometryError, match="d >= 4 required, got 3"):
         purdy_counterexample(3, 2)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(GeometryError, match="k >= 2 required, got 1"):
         purdy_counterexample(4, 1)
 
 
@@ -382,5 +381,5 @@ def test_verify_covering_lines_with_a_shared_point_or_parallel_pair(config):
 
 def test_theta_mk_huge_m_is_infeasible_not_overflow():
     # p = floor(m^(1/3)) for m = 10^400 is past float range
-    with pytest.raises(ConstructionError, match="need n >="):
+    with pytest.raises(GeometryError, match="need n >="):
         theta_mk_construction(5, 10, 2, 10**400)

@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanflats.formulas import (
-    AllocationPreconditionError,
-    FormulaDomainError,
     ceil_scaled_power,
     floor_scaled_power,
     iroot,
@@ -15,6 +13,7 @@ from spanflats.formulas import (
     purdy_crossover,
     purdy_flats,
 )
+from spanflats.kernel import GeometryError
 
 
 def test_counts_d4_k2():
@@ -49,10 +48,12 @@ def test_purdy_flats_is_the_rank_r_decomposition():
 
 
 def test_counts_domain():
-    with pytest.raises(FormulaDomainError):
+    with pytest.raises(GeometryError, match="d >= 4 required, got 3"):
         purdy_counts(3, 2)
-    with pytest.raises(FormulaDomainError):
+    with pytest.raises(GeometryError, match="k >= 2 required, got 1"):
         purdy_counts(4, 1)
+    with pytest.raises(GeometryError, match="d >= 4 required, got 3"):
+        purdy_crossover(3)
 
 
 def test_counts_json_shape():
@@ -88,13 +89,13 @@ def test_pigeonhole_half_constant():
 
 
 def test_pigeonhole_preconditions_are_distinct_errors():
-    with pytest.raises(AllocationPreconditionError):
+    with pytest.raises(GeometryError, match=r"allocation\[0\] = 5 exceeds k\^\(a-1\)"):
         pigeonhole_check([5, 0, 0, 0], 1, 2)  # entry above k^(a-1)
-    with pytest.raises(AllocationPreconditionError):
+    with pytest.raises(GeometryError, match=r"allocation sums to 4 < ceil\(c\*k\^a\) = 16"):
         pigeonhole_check([1, 1, 1, 1], 1, 2)  # sums below ceil(c*k^a)
-    with pytest.raises(AllocationPreconditionError):
+    with pytest.raises(GeometryError, match=r"c = 2 outside \(0, 1\]"):
         pigeonhole_check([1, 1], 2, 1.5)  # c > 1
-    with pytest.raises(AllocationPreconditionError):
+    with pytest.raises(GeometryError, match="no containers"):
         pigeonhole_check([], 1, 2)
 
 
