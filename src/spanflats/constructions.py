@@ -26,7 +26,9 @@ PURDY_ATTEMPTS = 64
 BECK3_ATTEMPTS = 32
 # The draws' ranges, -x..x: a Purdy line's base and direction; a beck3 plane's
 # base, skew line's base, their directions, t or (alpha, beta), and the rest.
-LINE_BASE, LINE_STEP = 999, 99
+# A Purdy base in -9..9 and direction in -3..3 keep the walk's integers small;
+# that is safe because every draw is checked exactly and redrawn on failure.
+LINE_BASE, LINE_STEP = 9, 3
 PLANE_BASE, SKEW_BASE, PLANT_STEP, PLANT_SPAN, FILL_SPAN = 20, 40, 9, 60, 999
 BECK3_BITS = max(  # the largest coordinate: a plane's 20 + 2 * 60 * 9 = 1,100
     PLANE_BASE + 2 * PLANT_SPAN * PLANT_STEP, SKEW_BASE + PLANT_SPAN * PLANT_STEP, FILL_SPAN
@@ -288,10 +290,14 @@ def purdy_counterexample(d: int, k: int, seed: int = 0) -> tuple[Point, ...]:
     position: the family spanning ~n^{d-2} hyperplanes but ~n^{d-1}
     (d-2)-flats, refuting the more-hyperplanes-than-flats conjecture.
 
-    Deterministic for fixed (d, k, seed); retries with fresh coordinates
-    until ``verify_covering_lines`` finds no spanned hyperplane holding w
-    whole lines and single points of p others with 2w + p >= d+1. Refuses,
-    before any draw, a cell that ``check_purdy_cell`` rejects.
+    Each line's points are base + t * direction for t = 1..k, the base's
+    coordinates drawn in -9..9 (``LINE_BASE``) and the direction's in -3..3
+    (``LINE_STEP``). Ranges this small do meet degenerate draws, and that is
+    safe: every draw is checked exactly, and the generator, deterministic
+    for fixed (d, k, seed), retries with fresh coordinates until
+    ``verify_covering_lines`` finds no spanned hyperplane holding w whole
+    lines and single points of p others with 2w + p >= d+1. Refuses, before
+    any draw, a cell that ``check_purdy_cell`` rejects.
     """
     check_purdy_cell(d, k)
     last_failure = "no attempts made"

@@ -288,7 +288,8 @@ def test_purdy_cap_is_the_walk_cap_on_both_levels(monkeypatch):
         pts = purdy_counterexample(d, k)
         n, _, levels, bits, flats = priced[-1]
         counts = purdy_counts(d, k)
-        assert (n, levels, bits) == (k * (d - 1), (d - 2, d - 1), (999 + 99 * k).bit_length())
+        top = constructions.LINE_BASE + constructions.LINE_STEP * k
+        assert (n, levels, bits) == (k * (d - 1), (d - 2, d - 1), top.bit_length())
         assert [flats(f) for f in range(d)] == [oracle.subset_scan(pts, f).count for f in range(d)]
         assert (flats(d - 2), flats(d - 1)) == (counts.g_total, counts.h_total)
         estimate = spans.walk_cost(n, d, levels, bits, flats)
@@ -301,6 +302,45 @@ def test_purdy_cap_is_the_walk_cap_on_both_levels(monkeypatch):
                 purdy_counterexample(d, k)
             monkeypatch.setattr(spans, cap, value)
             assert purdy_counterexample(d, k) == pts
+
+
+def test_purdy_price_covers_the_drawn_entries(monkeypatch):
+    # a cell is priced at the bits of the largest coordinate its lines can
+    # reach; a drawn entry past them would be walked over its price
+    priced = []
+    cost = spans.walk_cost
+    monkeypatch.setattr(constructions, "walk_cost", lambda *a: priced.append(a[3]) or cost(*a))
+    for d in range(4, 8):
+        for k in (2, 3):
+            for seed in range(4):
+                pts = purdy_counterexample(d, k, seed)
+                assert spans.entry_bits(pts) <= priced[-1]
+
+
+def test_purdy_draws_get_the_exhaustive_verdict(monkeypatch):
+    # every draw the generator checks, kept or redrawn, is judged as the
+    # exhaustive oracle judges it; the small coordinate ranges do meet
+    # degenerate draws, and those are the ones redrawn
+    draws = []
+    check = constructions.verify_covering_lines
+
+    def record(d, line_points):
+        failure = check(d, line_points)
+        draws.append((line_points, failure is None))
+        return failure
+
+    monkeypatch.setattr(constructions, "verify_covering_lines", record)
+    redrawn = {}
+    for d, k in ((4, 2), (4, 3), (4, 6), (5, 2), (5, 5)):
+        for seed in range(10):
+            draws.clear()
+            purdy_counterexample(d, k, seed)
+            assert [ok for _, ok in draws] == [False] * (len(draws) - 1) + [True]
+            for line_points, ok in draws:
+                assert oracle.verify_covering_lines(d, line_points) == ok
+            if len(draws) > 1:
+                redrawn[d, k, seed] = len(draws) - 1
+    assert redrawn == {(4, 6, 4): 2, (5, 5, 9): 1}
 
 
 def test_verify_covering_lines_catches_degeneracies():

@@ -101,8 +101,8 @@ GOLDEN = {
     "construct-bichromatic": ("d57710fa9f39ffb060991615f30a5bdb50e7d275fae7a4b789cce0344b8d11b8", None),
     "construct-erdos2d": ("21836d8e7881396f2d077a040c7c6d06328929448d9e55e1c02baa497bb1fd15", None),
     "construct-erdos2d-r4-s6": ("66d3af0c57312b60bee6abc699f568b9a4690ba00131665b49bff54abfdf5453", None),
-    "construct-purdy": ("296006aa5c1e7d8f4d4e71432190dd707031119bb0b3847f33cf087c8088bb35", None),
-    "construct-purdy-d7": ("e402806e9774ccc5b4302230b78a6675289776015b0a66d9be43522ff71de8ca", None),
+    "construct-purdy": ("cbf1bcd477f1852ac2b4a47c2d5c80ce36855e05cde38dadd2661e546bde0908", None),
+    "construct-purdy-d7": ("cb1b95fd8bd7ef3fe4984671fd0f11d1c15ab223fa595fb0aa182ee483707139", None),
     "construct-thetamk": ("1e45f7982e7404215a40b6860b580f99d13bd8da17042790d53887fceecfd7d2", None),
     "enumerate-d4-emit-json-f2": ("28178e8a11959f314f8718887920bd9b611e7c47c735fe2cec54a071ab77ede3", None),
     "enumerate-d4-emit-json-f3": ("cff47693e4df84731d34799fb24258999c360e6de25b29e0c1d0c65523ca3839", None),

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
@@ -509,6 +510,36 @@ def test_every_spanned_flat_is_hull_of_its_points(pts, f):
 def test_r_degenerate_implies_next_r(pts, r):
     if is_r_degenerate(pts, r):
         assert is_r_degenerate(pts, r + 1)
+
+
+# --- invariances ------------------------------------------------------------
+
+
+def test_walk_follows_a_permutation_and_ignores_an_affine_map():
+    # 18 points in E^7 are past every subset-scan oracle: on both levels the
+    # hyperplane walk returns, the masks of permuted points are the masks
+    # with their bits permuted, and those of mapped points are the masks
+    pts = constructions.purdy_counterexample(7, 3)
+    rng = random.Random("invariance")
+
+    def levels(points):
+        return [sorted(spanned_flats(points, f).masks) for f in (6, 5)]
+
+    order = rng.sample(range(len(pts)), len(pts))
+    moved = [
+        sorted(sum(1 << order[j] for j in range(len(pts)) if mask >> j & 1) for mask in masks)
+        for masks in levels([pts[i] for i in order])
+    ]
+    while True:
+        matrix = [[rng.randint(-2, 2) for _ in range(7)] for _ in range(7)]
+        if len(int_rref(matrix)[0]) == 7:
+            break
+    shift = [rng.randint(-5, 5) for _ in range(7)]
+    mapped = [
+        Point(sum(m * x for m, x in zip(row, p.coords)) + c for row, c in zip(matrix, shift))
+        for p in pts
+    ]
+    assert levels(pts) == moved == levels(mapped)
 
 
 # --- the arrangement-vertex oracle -------------------------------------------
