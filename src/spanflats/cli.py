@@ -189,16 +189,18 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def cmd_enumerate(args) -> int:
+    if args.out and args.emit_json:
+        raise GeometryError("--emit-json is not read with --out")
     with open(args.points) as fh:
         points = read_point_file(fh)
     export = bool(args.out or args.emit_json)
     check_enumerate(points, args.f, export)
     result = spanned_flats(points, args.f)
     export = result.to_json_dict() if export else None  # formatted before any write
-    if args.out:  # the export goes to --out, else after the count
+    if args.out:  # the export goes to --out, or with --emit-json after the count
         _write_json(args, export)
     sys.stdout.write(f"{result.count}\n")
-    if export is not None and not args.out:
+    if args.emit_json:
         _write_json(args, export)
     return 0
 
@@ -207,6 +209,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_incidences(args) -> int:
+    if args.envelope and not args.out:
+        raise GeometryError("--envelope is not read without --out")
     a = BiArrangement.from_json_dict(_read_json(args.arrangement))
     check_incidences(a)
     report = count_bichromatic(a)
@@ -397,12 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[out], help="spanned f-flats of a point file")
     p.add_argument("--points", required=True, help="point-set file, one point per line")
     p.add_argument("--f", type=int, required=True, help="flat dimension to enumerate")
-    p.add_argument("--emit-json", action="store_true", help="print the JSON export to stdout")
+    p.add_argument(
+        "--emit-json", action="store_true", help="print the JSON export to stdout (not with --out)"
+    )
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("incidences", parents=[out], help="count red incidences of an arrangement file")
     p.add_argument("--arrangement", required=True, help="BiArrangement JSON file")
-    p.add_argument("--envelope", action="store_true", help="include the bound envelope terms")
+    p.add_argument(
+        "--envelope", action="store_true", help="include the bound envelope terms in --out"
+    )
     p.set_defaults(func=cmd_incidences)
 
     p = sub.add_parser("construct", help="generate a construction")

@@ -255,25 +255,28 @@ def _walk(homs: list, bits: list, depth: int) -> list[dict[tuple, int]]:
     row on F spans F with P when it is off P, adding a bit F already holds,
     and fails the step when it is on P. So a skipped row reaches no new
     flat, and first prefixes, first parents, ``lasts`` and the masks are as
-    without the skip.
+    without the skip, on every level.
 
-    A returned level takes every later row and keeps each flat's own bits
-    under its whole key, completed to its mask in place. A level below the
-    first returned one takes only the rows that leave room to reach it. It
-    keeps each key's hash and the last row of its first prefix, not the key,
-    so that a set in general position, whose flats each have one spanning
-    subset, costs little memory, and confirms a known hash by containment:
-    the new flat, of the same rank, is the known one exactly when it holds
-    the last rows of the known flat's first-parent chain above the flat
-    where that chain meets the new prefix's, which lies in the new prefix's
-    flat. A flat whose hash another flat of its level holds keeps its whole
-    key.
+    One loop walks every level; only the key a level's table maps to a flat
+    number differs. A returned level takes every later row and maps the
+    whole key. A level below the first returned one takes only the rows
+    that leave room to reach it and maps the key's hash, so that a set in
+    general position, whose flats each have one spanning subset, costs
+    little memory. It also keeps the last row of each flat's first prefix
+    (``lasts``) and confirms a known hash by containment: the new flat, of
+    the same rank, is the known one exactly when it holds the last rows of
+    the known flat's first-parent chain above the flat where that chain
+    meets the new prefix's, which lies in the new prefix's flat. A flat
+    whose hash another flat holds keeps its whole key in ``spilled``, one
+    table for all hashed levels, as keys of different ranks never meet.
+    When the walk ends, one pass completes the masks level by level and
+    writes each returned flat's mask over its number, in place.
     """
     n, ncols = len(homs), len(homs[0])
     first = depth - 2 if depth == ncols - 1 > 1 else depth - 1  # the first returned level
-    index: list[dict] = [{} for _ in range(depth)]  # hash -> flat, or key -> own bits (returned)
-    spilled: list[dict] = [{} for _ in range(first)]  # a key whose hash is taken -> flat
-    owns: list[list] = [[] for _ in range(first)]
+    index: list[dict] = [{} for _ in range(depth)]  # hash (below first) or key -> flat
+    spilled: dict = {}  # a key whose hash is taken -> flat; the ranks keep levels apart
+    owns: list[list] = [[] for _ in range(depth)]
     parents, lasts = [array("l") for _ in range(depth)], [array("l") for _ in range(first)]
 
     def holds(basis: Basis, i: int) -> bool:
@@ -297,57 +300,39 @@ def _walk(homs: list, bits: list, depth: int) -> list[dict[tuple, int]]:
         return True
 
     def extend(level: int, start: int, basis: tuple, parent: int) -> None:
-        table, up = index[level], parents[level]
-        if level >= first:
-            codim, deeper = ncols - 1 - level, level + 1 < depth
-            if codim > 2:
-                step = extend_rref
-            elif codim == 2:
-                step, basis = _cut, nullspace_rows(*basis, ncols)
-            else:
-                step = _normal
-            seen = 0  # the points of the known flats this prefix reached
-            for i, row in enumerate(homs[start:], start):
-                if bits[i] & seen:
-                    continue  # on a flat it reached: that flat holds its bit
-                key = step(basis, row)
-                if key is None:
-                    continue  # rank-deficient prefix
-                own = table.get(key)
-                if own is not None:
-                    table[key] = own = own | bits[i]
-                    seen |= own
-                    continue
-                t = len(table)
-                table[key] = bits[i]
-                up.append(parent)
-                if deeper:
-                    extend(level + 1, i + 1, key, t)
-            return
-        own, spill, tail, seen = owns[level], spilled[level], lasts[level], 0
-        for i, row in enumerate(homs[start : n - first + level], start):
+        table, own, up = index[level], owns[level], parents[level]
+        hashed, deeper, codim = level < first, level + 1 < depth, ncols - 1 - level
+        stop = n - first + level if hashed else n  # a hashed level leaves room for the first
+        if codim > 2:
+            step = extend_rref
+        elif codim == 2:
+            step, basis = _cut, nullspace_rows(*basis, ncols)
+        else:
+            step = _normal
+        seen = 0  # the points of the known flats this prefix reached
+        for i, row in enumerate(homs[start:stop], start):
             if bits[i] & seen:
-                continue
-            ext = extend_rref(basis, row)
+                continue  # on a flat it reached: that flat holds its bit
+            ext = step(basis, row)
             if ext is None:
                 continue  # rank-deficient prefix: no subset below it is full rank
-            key = hash(ext)
+            key = hash(ext) if hashed else ext
             t = table.get(key)
-            if t is not None and not known(ext, level, t, parent):
-                t = spill.get(ext)
+            if hashed and t is not None and not known(ext, level, t, parent):
+                t = spilled.get(ext)
             if t is not None:
                 own[t] |= bits[i]
                 seen |= own[t]
                 continue
             t = len(own)
-            if key in table:
-                spill[ext] = t
-            else:
-                table[key] = t
+            if table.setdefault(key, t) != t:
+                spilled[ext] = t  # its hash is another flat's
             own.append(bits[i])
             up.append(parent)
-            tail.append(i)
-            extend(level + 1, i + 1, ext, t)
+            if hashed:
+                lasts[level].append(i)
+            if deeper:
+                extend(level + 1, i + 1, ext, t)
 
     extend(0, 0, ((), ()) if ncols > 2 else nullspace_rows((), (), 2), 0)
     del extend  # it refers to itself: the tables go when this returns, not at a collection
@@ -355,12 +340,11 @@ def _walk(homs: list, bits: list, depth: int) -> list[dict[tuple, int]]:
     for table in (index, spilled, lasts):
         table.clear()  # own bits and first parents complete the masks
     masks = [0]
-    for own, up in zip(owns, parents):
+    for level, (own, up) in enumerate(zip(owns, parents)):
         masks = [o | masks[j] for o, j in zip(own, up)]
-    for table, up in zip(found, parents[first:]):
-        masks = [o | masks[j] for o, j in zip(table.values(), up)]
-        for key, mask in zip(table, masks):
-            table[key] = mask
+        if level >= first:  # each flat number, in its key's place, becomes its mask
+            table = found[level - first]
+            table.update(zip(table, masks))
     return found
 
 
@@ -414,17 +398,16 @@ def _normal(rows: tuple, p: Sequence[int]) -> tuple[int, ...] | None:
     return tuple([x // g for x in w])
 
 
-def _sorted_set(f: int, found: dict[tuple, int]) -> SpannedSet:
-    keys = tuple(sorted(found))
-    return SpannedSet(f, keys, tuple(found[key] for key in keys))
-
-
 def _walk_levels(points: tuple[Point, ...], f: int) -> dict[int, SpannedSet]:
     """The f-flats, and for f = d-1 >= 1 the (d-2)-flats that their walk
     passes, each level sorted by its keys."""
     bits = _index_masks(points)
     found = _walk([p.hom for p in bits], list(bits.values()), f + 1)
-    return {g: _sorted_set(g, level) for g, level in enumerate(found, f + 1 - len(found))}
+    levels = {}
+    for g, level in enumerate(found, f + 1 - len(found)):
+        keys = tuple(sorted(level))
+        levels[g] = SpannedSet(g, keys, tuple(map(level.__getitem__, keys)))
+    return levels
 
 
 def _candidate_flats(points: Sequence[Point]) -> list[tuple[int, int]]:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -533,9 +534,13 @@ def test_incidences_envelope_without_vertices_is_input_error(tmp_path, capsys):
     doc = {"d": 2, "red": [[["1", "0", "0"]]], "blue": [[["0", "1", "0"]]], "vertices": []}
     path = tmp_path / "novertex.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "incidences", "--arrangement", str(path), "--envelope")
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(
+        capsys, "incidences", "--arrangement", str(path), "--envelope", "--out", str(report)
+    )
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not report.exists()
 
 
 def test_conjecture_search_on_point_file(tmp_path, capsys):
@@ -648,6 +653,8 @@ BAD_INPUT_WHERE = {
     "conjecture-search --d 3 --n 0 --points e3.txt": "--n is not read with --points",
     "conjecture-search --d 3 --n 99 --points e3.txt": "--n is not read with --points",
     "conjecture-search --d 3 --samples 0 --points e3.txt": "--samples is not read with --points",
+    "enumerate --points wide.txt --f 2 --out F --emit-json": "--emit-json is not read with --out",
+    "incidences --arrangement deep.json --envelope": "--envelope is not read without --out",
     "conjecture-search --d 3 --n 8 --samples 500000": "a table of 500,000 rows needs about",
     "conjecture-search --d 3 --n 229 --samples 1": "walk of 229 points needs about",
     "beck3 --n-list 10 --k-list 3 --seeds 0": "--seeds must be >= 1, got 0",
@@ -726,6 +733,10 @@ BAD_INPUT_WHERE = {
         "conjecture-search --d 3 --n 0 --points e3.txt",
         "conjecture-search --d 3 --n 99 --points e3.txt",
         "conjecture-search --d 3 --samples 0 --points e3.txt",
+        # an export flag that the other flags leave unread, refused before
+        # the input (which would be refused on its own) is read
+        "enumerate --points wide.txt --f 2 --out F --emit-json",
+        "incidences --arrangement deep.json --envelope",
         # a table's rows are priced before its cells are listed
         "conjecture-search --d 3 --n 8 --samples 1000000000000",
         # 500,000 JSON rows hold about 1.8 GB; the same rows in CSV are admitted
@@ -794,6 +805,7 @@ def test_bad_input_is_exit_2(capsys, argv, tmp_path, monkeypatch):
     assert "Traceback" not in err and "set_int_max_str_digits" not in err
     assert err.startswith(f"error: {BAD_INPUT_WHERE.get(argv, '')}")
     assert time.perf_counter() - start < 5
+    assert not (tmp_path / "F").exists()
 
 
 @pytest.mark.parametrize(
@@ -889,6 +901,16 @@ def test_every_committed_argv_is_admitted(capsys, tmp_path, monkeypatch):
     argvs += [list(argv) for argv in test_golden.TABLES.values()]
     refused = [(argv, err) for argv in argvs for code, _, err in [run_cli(capsys, *argv)] if code == 2]
     assert refused == []
+
+
+def test_bench_workloads_print_their_pinned_bytes(capsys, monkeypatch):
+    # bench/run.py checks these hashes only when the benchmark runs: each
+    # workload at seed 0 prints the same bytes at --jobs 1 and 2
+    for w in _load(ROOT / "bench" / "workloads.py", monkeypatch).WORKLOADS.values():
+        for jobs in (1, 2):
+            code, out, err = run_cli(capsys, *w.argv(0, jobs=jobs))
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == w.pinned_sha256, (w.name, jobs)
 
 
 # argv -> the row it prices at its largest (None: the command is its one row)

@@ -515,31 +515,62 @@ def test_r_degenerate_implies_next_r(pts, r):
 # --- invariances ------------------------------------------------------------
 
 
+def invariance_cases():
+    """(points, levels) past every subset-scan oracle: 18 points of Purdy's
+    (7, 3) at the hyperplane walk's two levels, the 40 of a planted beck3
+    instance and 30 seeded uniform points in -99..99 of E^3 at f = 2 and 1."""
+    rng = random.Random("uniform-e3")
+    uniform = [Point(rng.randint(-99, 99) for _ in range(3)) for _ in range(30)]
+    return [
+        (constructions.purdy_counterexample(7, 3), (6, 5)),
+        (constructions.beck3_instance(40, 7, 0, "plane")[0], (2, 1)),
+        (uniform, (2, 1)),
+    ]
+
+
 def test_walk_follows_a_permutation_and_ignores_an_affine_map():
-    # 18 points in E^7 are past every subset-scan oracle: on both levels the
-    # hyperplane walk returns, the masks of permuted points are the masks
+    # on both levels of each case, the masks of permuted points are the masks
     # with their bits permuted, and those of mapped points are the masks
-    pts = constructions.purdy_counterexample(7, 3)
     rng = random.Random("invariance")
+    for pts, fs in invariance_cases():
+        n, d = len(pts), pts[0].dim
 
-    def levels(points):
-        return [sorted(spanned_flats(points, f).masks) for f in (6, 5)]
+        def levels(points):
+            return [sorted(spanned_flats(points, f).masks) for f in fs]
 
-    order = rng.sample(range(len(pts)), len(pts))
-    moved = [
-        sorted(sum(1 << order[j] for j in range(len(pts)) if mask >> j & 1) for mask in masks)
-        for masks in levels([pts[i] for i in order])
-    ]
-    while True:
-        matrix = [[rng.randint(-2, 2) for _ in range(7)] for _ in range(7)]
-        if len(int_rref(matrix)[0]) == 7:
-            break
-    shift = [rng.randint(-5, 5) for _ in range(7)]
-    mapped = [
-        Point(sum(m * x for m, x in zip(row, p.coords)) + c for row, c in zip(matrix, shift))
-        for p in pts
-    ]
-    assert levels(pts) == moved == levels(mapped)
+        order = rng.sample(range(n), n)
+        moved = [
+            sorted(sum(1 << order[j] for j in range(n) if mask >> j & 1) for mask in masks)
+            for masks in levels([pts[i] for i in order])
+        ]
+        while True:
+            matrix = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+            if len(int_rref(matrix)[0]) == d:
+                break
+        shift = [rng.randint(-5, 5) for _ in range(d)]
+        mapped = [
+            Point(sum(m * x for m, x in zip(row, p.coords)) + c for row, c in zip(matrix, shift))
+            for p in pts
+        ]
+        assert levels(pts) == moved == levels(mapped)
+
+
+def test_walk_ors_each_copys_bit_into_its_originals_flats():
+    # appending copies of three points changes no count, and each copy's bit
+    # joins exactly the flats that hold its original
+    rng = random.Random("copies")
+    for pts, fs in invariance_cases():
+        n = len(pts)
+        originals = rng.sample(range(n), 3)
+        copied = [*pts, *(pts[i] for i in originals)]
+        expected = [
+            sorted(
+                mask | sum(1 << (n + c) for c, i in enumerate(originals) if mask >> i & 1)
+                for mask in spanned_flats(pts, f).masks
+            )
+            for f in fs
+        ]
+        assert [sorted(spanned_flats(copied, f).masks) for f in fs] == expected
 
 
 # --- the arrangement-vertex oracle -------------------------------------------
